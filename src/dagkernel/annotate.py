@@ -1,14 +1,15 @@
 """Annotation of a forest DAG with the data needed for kernel evaluation.
 
-Three annotations are computed on the recompressed DAG of a dataset, each in
+Two annotations are computed on the recompressed DAG of a dataset, each in
 a single traversal:
 
 * origins -- for every vertex, the set of dataset members whose tree contains
   the subtree this vertex represents;
 * frequency vectors -- for every vertex, how many times that subtree occurs
-  in each member (sparse, keyed by member index);
-* matching map -- for every member pair (i, j), the vertices whose origin
-  contains both, i.e. exactly the subtree classes shared by trees i and j.
+  in each member, stored per member as sorted vertex ids with their counts
+  (the rows of the sparse member x vertex count matrix).
+
+``matching(i, j)`` intersects the rows of members i and j on demand.
 
 The artificial root represents no subtree and is excluded everywhere.
 Member indices are 0-based.  The finished :class:`AnnotatedDag` is immutable,
@@ -17,33 +18,21 @@ so Gram computations can share it freely and reweighting costs nothing.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dag import Dag
 
-__all__ = ["AnnotatedDag", "FULL_MATCHING_DEFAULT_LIMIT"]
-
-# Above this many members the all-pairs matching map is not materialized up
-# front; pairs are intersected on demand (and memoized).
-FULL_MATCHING_DEFAULT_LIMIT = 512
+__all__ = ["AnnotatedDag"]
 
 
 class AnnotatedDag:
-    """Forest DAG plus origins, frequencies and the matching map."""
+    """Forest DAG plus origins and per-member frequencies."""
 
-    __slots__ = (
-        "dag",
-        "n_members",
-        "origins",
-        "_occ",
-        "_cnt",
-        "_matching",
-        "build_traversals",
-    )
+    __slots__ = ("dag", "n_members", "origins", "_occ", "_cnt", "build_traversals")
 
-    def __init__(self, dag: Dag, full_matching: Optional[bool] = None):
+    def __init__(self, dag: Dag):
         if not dag.is_forest:
             raise ValueError("annotation requires a forest DAG with an artificial root")
         self.dag = dag
@@ -51,11 +40,6 @@ class AnnotatedDag:
         self.build_traversals = 0
         self._compute_origins()
         self._compute_frequencies()
-        self._matching: Optional[dict[tuple[int, int], np.ndarray]] = None
-        if full_matching is None:
-            full_matching = self.n_members <= FULL_MATCHING_DEFAULT_LIMIT
-        if full_matching:
-            self._build_full_matching()
 
     # -- annotation passes ------------------------------------------------------
 
@@ -109,22 +93,6 @@ class AnnotatedDag:
         self._cnt = [np.asarray(c, dtype=np.float64) for c in cnt_lists]
         self.build_traversals += 1
 
-    def _build_full_matching(self) -> None:
-        # One traversal: each vertex contributes itself to every origin pair.
-        pairs: dict[tuple[int, int], list[int]] = {}
-        root = self.dag.root
-        for v in range(len(self.dag)):
-            if v == root:
-                continue
-            members = sorted(self.origins[v])
-            for a, i in enumerate(members):
-                for j in members[a:]:
-                    pairs.setdefault((i, j), []).append(v)
-        self._matching = {
-            key: np.asarray(vs, dtype=np.int64) for key, vs in pairs.items()
-        }
-        self.build_traversals += 1
-
     # -- queries -----------------------------------------------------------------
 
     def subdag_size(self, i: int) -> int:
@@ -147,12 +115,8 @@ class AnnotatedDag:
         """Sorted DAG vertices whose origin contains both ``i`` and ``j``."""
         if not (0 <= i < self.n_members and 0 <= j < self.n_members):
             raise IndexError("member index out of range")
-        if i > j:
-            i, j = j, i
         if i == j:
             return self._occ[i]
-        if self._matching is not None:
-            return self._matching.get((i, j), _EMPTY_IDS)
         return np.intersect1d(self._occ[i], self._occ[j], assume_unique=True)
 
     def frequencies_on(self, i: int, vertices: np.ndarray) -> np.ndarray:
@@ -161,5 +125,16 @@ class AnnotatedDag:
         pos = np.searchsorted(self._occ[i], vertices)
         return self._cnt[i][pos]
 
-
-_EMPTY_IDS = np.asarray([], dtype=np.int64)
+    def occurrences(self, members: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows of the count matrix for ``members`` (a repeat repeats its row)
+        as coordinate triplets: row positions, vertex ids and counts."""
+        members = list(members)
+        if not all(0 <= i < self.n_members for i in members):
+            raise IndexError("member index out of range")
+        if not members:
+            return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
+        lengths = [len(self._occ[i]) for i in members]
+        rows = np.repeat(np.arange(len(members)), lengths)
+        vertices = np.concatenate([self._occ[i] for i in members])
+        counts = np.concatenate([self._cnt[i] for i in members])
+        return rows, vertices, counts

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage, 2 parse error, 3 configuration error,
 from __future__ import annotations
 
 import csv
-import random
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -22,7 +21,6 @@ import click
 import numpy as np
 
 from . import __version__
-from .annotate import AnnotatedDag
 from .dag import format_dag, recompress_traced, build_superdag, reduce_tree
 from .kernel import GramComputer, export_gram_csv
 from .markup import MarkupParseError, generate_template_corpus, markup_to_tree
@@ -31,7 +29,6 @@ from .model import (
     check_leaf_weight_effect,
     check_separation,
     edit_height_pmf,
-    mass_at_most,
     sufficient_size,
     unit_weight,
 )

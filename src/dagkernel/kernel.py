@@ -8,7 +8,13 @@ paths exist:
   ground-truth oracle: slow, but independent of the compressed path, and it
   preserves exact arithmetic (integers, fractions) end to end.
 * :func:`kernel_dag` evaluates on an annotated forest DAG, touching only the
-  vertices shared by the two members.
+  vertices shared by the two members; it is the per-pair reference.
+
+A Gram matrix is one dense block product ``G = (A * w) @ B.T``, where A and
+B hold the row and column members' counts on the vertices that occur in some
+row and some column.  When rows and columns coincide, a vertex held by one
+row member alone adds only to that member's diagonal entry, so it stays out
+of the block, and the upper triangle is mirrored so that ``G == G.T`` exactly.
 
 Weight tables are plain arrays indexed by DAG vertex, so recomputing a Gram
 matrix under new weights costs no structural work: build the annotation
@@ -112,8 +118,8 @@ class GramComputer:
     """Reusable kernel evaluator: one annotation, many weightings.
 
     ``reweight`` swaps the weight table without touching the annotation;
-    ``visited_vertices`` counts matched DAG vertices across kernel calls
-    (work accounting for the shared-vertices bound).
+    ``visited_vertices`` counts, over all kernel calls, the vertices shared
+    by each evaluated pair (the work a per-pair evaluation does).
     """
 
     def __init__(self, annotated: AnnotatedDag, weights: np.ndarray):
@@ -125,30 +131,45 @@ class GramComputer:
         self.weights = _check_weights(self.annotated, weights)
 
     def value(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        shared = self.annotated.matching(i, j)
-        self.visited_vertices += len(shared)
-        if len(shared) == 0:
-            return 0.0
-        pi = self.annotated.frequencies_on(i, shared)
-        pj = self.annotated.frequencies_on(j, shared)
-        return float(np.dot(self.weights[shared] * pi, pj))
+        self.visited_vertices += len(self.annotated.matching(i, j))
+        return kernel_dag(self.annotated, self.weights, i, j)
 
     def gram(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        rows = list(rows)
-        cols = list(cols)
-        out = np.zeros((len(rows), len(cols)))
-        if rows == cols:
-            for a in range(len(rows)):
-                for b in range(a, len(cols)):
-                    out[a, b] = self.value(rows[a], cols[b])
-                    out[b, a] = out[a, b]
+        rows, cols = list(rows), list(cols)
+        square = rows == cols
+        r_pos, r_ids, r_cnt = self.annotated.occurrences(rows)
+        r_hits = np.bincount(r_ids, minlength=len(self.weights))
+        if square:
+            # Pairs a <= b: a vertex held by r rows is shared by r(r+1)/2 of them.
+            self.visited_vertices += int(r_hits @ (r_hits + 1)) // 2
+            block = r_hits >= 2
+            c_pos, c_ids, c_cnt = r_pos, r_ids, r_cnt
         else:
-            for a, i in enumerate(rows):
-                for b, j in enumerate(cols):
-                    out[a, b] = self.value(i, j)
+            c_pos, c_ids, c_cnt = self.annotated.occurrences(cols)
+            c_hits = np.bincount(c_ids, minlength=len(self.weights))
+            self.visited_vertices += int(r_hits @ c_hits)
+            block = (r_hits > 0) & (c_hits > 0)
+        weighted = r_cnt * self.weights[r_ids]
+        out = _dense(r_pos, r_ids, weighted, block, len(rows)) @ _dense(
+            c_pos, c_ids, c_cnt, block, len(cols)
+        ).T
+        if square:
+            alone = ~block[r_ids]
+            out.flat[:: len(rows) + 1] += np.bincount(
+                r_pos[alone], weights=(weighted * r_cnt)[alone], minlength=len(rows)
+            )
+            for k in range(len(rows) - 1):
+                out[k + 1 :, k] = out[k, k + 1 :]
         return out
+
+
+def _dense(pos, ids, values, keep: np.ndarray, n_rows: int) -> np.ndarray:
+    """Coordinate triplets as a dense matrix over the kept vertices, in id order."""
+    column = np.cumsum(keep) - 1
+    kept = keep[ids]
+    out = np.zeros((n_rows, np.count_nonzero(keep)))
+    out[pos[kept], column[ids[kept]]] = values[kept]
+    return out
 
 
 def _check_weights(annotated: AnnotatedDag, weights: np.ndarray) -> np.ndarray:

@@ -82,10 +82,9 @@ class Dataset:
         return replace(self, split=split)
 
 
-def annotate_dataset(dataset: Dataset, full_matching: Optional[bool] = None) -> AnnotatedDag:
+def annotate_dataset(dataset: Dataset) -> AnnotatedDag:
     """Reduce the whole dataset to one forest DAG and annotate it."""
-    dag = reduce_forest(dataset.trees, dataset.mode)
-    return AnnotatedDag(dag, full_matching=full_matching)
+    return AnnotatedDag(reduce_forest(dataset.trees, dataset.mode))
 
 
 def split_thirds(dataset: Dataset, seed, scheme: str = "discriminance") -> Split:
@@ -297,8 +296,11 @@ def load_manifest(
         for row in reader:
             text = (row.get("tree") or "").strip()
             if text.startswith("@"):
-                with open(os.path.join(base, text[1:])) as tree_fh:
-                    text = tree_fh.read().strip()
+                try:
+                    with open(os.path.join(base, text[1:])) as tree_fh:
+                        text = tree_fh.read().strip()
+                except OSError as exc:
+                    raise ValueError(f"{path}: cannot read {text}: {exc.strerror or exc}") from exc
             trees.append(parse_tree(text, mode))
             cls = (row.get("class") or "").strip()
             raw_classes.append(cls or None)

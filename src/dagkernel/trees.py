@@ -64,13 +64,34 @@ class TreeParseError(ValueError):
 _FORBIDDEN_LABEL_CHARS = frozenset("()")
 
 
+def _check_label(label: Optional[str]) -> None:
+    # parse_tree's rule on every construction path; other labels can collide in signatures.
+    if label is not None and not (
+        isinstance(label, str) and label and label.isprintable()
+        and not any(ch.isspace() or ch in _FORBIDDEN_LABEL_CHARS for ch in label)
+    ):
+        raise ValueError(f"invalid label {label!r}: labels are non-empty printable "
+                         "strings without whitespace or parentheses")
+
+
+def _heights_of(children: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    # Children follow their parent in preorder, so a reverse scan sees them first.
+    heights = [0] * len(children)
+    for v in range(len(children) - 1, -1, -1):
+        kids = children[v]
+        if kids:
+            heights[v] = 1 + max(heights[c] for c in kids)
+    return tuple(heights)
+
+
 class Tree:
     """Immutable rooted tree backed by parallel arrays in preorder.
 
     Use :meth:`leaf`, :meth:`node`, :meth:`from_parents` or
     :func:`parse_tree` to build trees; the raw constructor normalizes an
     arbitrary arena to preorder and validates it (single root, connected,
-    acyclic, consistent parent/child references).
+    acyclic, consistent parent/child references).  Every path checks labels
+    against the text format's rule.
     """
 
     __slots__ = ("_parents", "_children", "_labels", "_heights")
@@ -88,6 +109,8 @@ class Tree:
             raise ValueError("parents, children and labels must have equal length")
         if labels is None:
             labels = [None] * n
+        for label in labels:
+            _check_label(label)
 
         roots = [v for v in range(n) if parents[v] is None]
         if len(roots) != 1:
@@ -122,23 +145,20 @@ class Tree:
             tuple(new_id[c] for c in children[old]) for old in order
         )
         self._labels: tuple[Optional[str], ...] = tuple(labels[old] for old in order)
-        heights = [0] * n
-        for v in range(n - 1, -1, -1):
-            kids = self._children[v]
-            if kids:
-                heights[v] = 1 + max(heights[c] for c in kids)
-        self._heights: tuple[int, ...] = tuple(heights)
+        self._heights: tuple[int, ...] = _heights_of(self._children)
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def leaf(cls, label: Optional[str] = None) -> "Tree":
         """A single-vertex tree."""
+        _check_label(label)
         return cls._raw((None,), ((),), (label,))
 
     @classmethod
     def node(cls, children: Iterable["Tree"], label: Optional[str] = None) -> "Tree":
         """A new root with the given trees attached as subtrees, in order."""
+        _check_label(label)
         parents: list[Optional[int]] = [None]
         childlists: list[list[int]] = [[]]
         labels: list[Optional[str]] = [label]
@@ -174,13 +194,7 @@ class Tree:
         tree._parents = parents
         tree._children = children
         tree._labels = labels
-        n = len(parents)
-        heights = [0] * n
-        for v in range(n - 1, -1, -1):
-            kids = children[v]
-            if kids:
-                heights[v] = 1 + max(heights[c] for c in kids)
-        tree._heights = tuple(heights)
+        tree._heights = _heights_of(children)
         return tree
 
     # -- basic accessors ------------------------------------------------------
@@ -394,7 +408,7 @@ def parse_tree(text: str, mode: Optional[TreeMode] = None) -> Tree:
             continue
         # A label (possibly empty) followed by '('.
         start = i
-        while i < n and text[i] != "(" and text[i] != ")" and not text[i].isspace():
+        while i < n and text[i] not in _FORBIDDEN_LABEL_CHARS and not text[i].isspace():
             if not text[i].isprintable():
                 raise TreeParseError("label contains unprintable character", i)
             i += 1

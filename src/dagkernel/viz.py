@@ -10,8 +10,6 @@ Unordered edges carry their multiplicity when it exceeds 1.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .annotate import AnnotatedDag
 from .weights import ClassProfile, ShapingFn, discriminance_weights
 

@@ -204,18 +204,10 @@ def class_profile(
         empty = [k for k, s in enumerate(sizes) if s == 0]
         raise ValueError(f"classes without weight-training members: {empty}")
 
-    n = len(annotated.dag)
-    rho = np.zeros((n, n_classes), dtype=np.float64)
-    for v in range(n):
-        origin = annotated.origins[v]
-        if not origin:
-            continue
-        counts = [0] * n_classes
-        for i in train:
-            if i in origin:
-                counts[class_of[i]] += 1
-        for k in range(n_classes):
-            rho[v, k] = counts[k] / sizes[k]
+    counts = np.zeros((len(annotated.dag), n_classes))
+    for i, k in class_of.items():
+        counts[annotated.member_vertices(i), k] += 1
+    rho = counts / np.asarray(sizes, dtype=np.float64)
     dist = _delta_array(rho)
     return ClassProfile(n_classes, rho, dist, tuple(sizes))
 

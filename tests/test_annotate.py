@@ -17,8 +17,8 @@ from dagkernel import (
 from conftest import FIG3_TREE, FIG5_T2, MODES, ORDERED, UNORDERED
 
 
-def annotated_for(trees, mode, **kwargs):
-    return AnnotatedDag(reduce_forest(trees, mode), **kwargs)
+def annotated_for(trees, mode):
+    return AnnotatedDag(reduce_forest(trees, mode))
 
 
 class TestOrigins:
@@ -169,16 +169,6 @@ class TestMatching:
                 inter = set(ann.member_vertices(i)) & set(ann.member_vertices(j))
                 assert set(m.tolist()) == inter
 
-    def test_eager_and_lazy_agree(self):
-        rng = random.Random(29)
-        trees = [random_tree(rng, rng.randint(1, 15), "ab") for _ in range(7)]
-        mode = MODES[2]
-        eager = annotated_for(trees, mode, full_matching=True)
-        lazy = annotated_for(trees, mode, full_matching=False)
-        for i in range(7):
-            for j in range(7):
-                np.testing.assert_array_equal(eager.matching(i, j), lazy.matching(i, j))
-
     def test_out_of_range(self):
         ann = annotated_for([Tree.leaf()], UNORDERED)
         with pytest.raises(IndexError):
@@ -188,10 +178,8 @@ class TestMatching:
 class TestTraversalCounters:
     def test_single_traversal_per_annotation(self):
         trees = [parse_tree(FIG3_TREE), parse_tree(FIG5_T2)]
-        eager = annotated_for(trees, UNORDERED, full_matching=True)
-        assert eager.build_traversals == 3  # origins, frequencies, matching
-        lazy = annotated_for(trees, UNORDERED, full_matching=False)
-        assert lazy.build_traversals == 2
+        ann = annotated_for(trees, UNORDERED)
+        assert ann.build_traversals == 2  # origins, frequencies
 
     def test_queries_do_not_traverse(self):
         trees = [parse_tree(FIG3_TREE), parse_tree(FIG5_T2)]

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagkernel import (
     AnnotatedDag,
     GramComputer,
     Tree,
+    exponential_weights,
     export_gram_csv,
     gram,
     kernel_brute,
@@ -270,3 +273,86 @@ class TestReweight:
         comp = GramComputer(ann, np.ones(len(ann.dag)))
         with pytest.raises(ValueError):
             comp.reweight(np.ones(1 + len(ann.dag)))
+
+
+def pairwise_reference(ann, w, rows, cols):
+    """Per-pair ``kernel_dag`` matrix, and the vertices shared by the pairs a
+    Gram call evaluates (a <= b only when rows and cols coincide)."""
+    square = list(rows) == list(cols)
+    out = np.zeros((len(rows), len(cols)))
+    shared = 0
+    for a, i in enumerate(rows):
+        for b, j in enumerate(cols):
+            out[a, b] = kernel_dag(ann, w, i, j)
+            if not square or a <= b:
+                shared += len(ann.matching(i, j))
+    return out, shared
+
+
+def forest_with_edge_members(rng, mode, n_trees):
+    """Random trees, plus a duplicate of the first and two single-vertex trees."""
+    labels = "ab" if mode.labeled else None
+    trees = [random_tree(rng, rng.randint(1, 14), labels) for _ in range(n_trees)]
+    leaf_label = "a" if mode.labeled else None
+    return trees + [trees[0], Tree.leaf(leaf_label), Tree.leaf(leaf_label)]
+
+
+class TestBlockGram:
+    """The block-product Gram path against the per-pair reference."""
+
+    def check(self, ann, rows, cols, lam):
+        # Arbitrary weights make (A * w) @ A.T itself asymmetric in the last bits.
+        arbitrary = np.random.default_rng(len(rows) + 31 * len(cols)).random(len(ann.dag))
+        weightings = [(np.ones(len(ann.dag)), True), (exponential_weights(ann.dag, lam), False),
+                      (arbitrary, False)]
+        for w, exact in weightings:
+            comp = GramComputer(ann, w)
+            got = comp.gram(rows, cols)
+            want, shared = pairwise_reference(ann, w, rows, cols)
+            assert got.shape == (len(rows), len(cols))
+            assert comp.visited_vertices == shared
+            if list(rows) == list(cols):
+                assert np.array_equal(got, got.T)
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_calls(self, mode, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        trees = forest_with_edge_members(rng, mode, data.draw(st.integers(1, 6), label="n"))
+        ann = annotated_for(trees, mode)
+        members = st.lists(st.integers(0, len(trees) - 1), max_size=9)
+        rows = data.draw(members, label="rows")
+        cols = rows if data.draw(st.booleans(), label="square") else data.draw(members, label="cols")
+        self.check(ann, rows, cols, data.draw(st.sampled_from([0.0, 0.37, 0.5, 0.9])))
+
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_edge_shapes(self, mode):
+        trees = forest_with_edge_members(random.Random(62), mode, 4)
+        ann = annotated_for(trees, mode)
+        leaf_a, leaf_b = len(trees) - 2, len(trees) - 1
+        calls = [
+            ([], []),
+            ([], [0, 1]),
+            ([0, 1], []),
+            ([0, 2, 1], [0, 2, 1]),  # square
+            ([0, 1, 2], [1, 2, 3]),  # overlapping rectangular
+            ([0, 0, 4, 1], [0, 0, 4, 1]),  # repeated index and duplicate tree
+            ([0, 0, 4], [4, 0]),
+            ([leaf_a, leaf_b, 0], [leaf_a, leaf_b, 0]),  # single-vertex trees
+            ([leaf_a], [leaf_b]),
+            ([leaf_a], [leaf_a]),
+        ]
+        for rows, cols in calls:
+            self.check(ann, rows, cols, 0.5)
+
+    def test_index_out_of_range(self):
+        ann = annotated_for([Tree.leaf()], UNORDERED)
+        comp = GramComputer(ann, np.ones(len(ann.dag)))
+        for rows, cols in (([0, 1], [0, 1]), ([0], [-1])):
+            with pytest.raises(IndexError):
+                comp.gram(rows, cols)

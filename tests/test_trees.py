@@ -268,6 +268,70 @@ class TestBuilders:
         assert t.children(0) == (1, 3) or len(t.children(0)) == 2
 
 
+# Characters that break the text format or a signature when put in a label,
+# next to ordinary ones.
+ADVERSARIAL_LABELS = st.text(
+    alphabet=st.sampled_from(["a", "b", "é", ",", "(", ")", " ", "\t", "\n", "\x00", "\xa0"]),
+    max_size=4,
+)
+
+
+# Labels that pass the rule, prefixes of each other included ("a", "aa").
+VALID_LABELS = st.text(alphabet=st.sampled_from(["a", "b", "é", ",", "[", "]", "\\"]),
+                       min_size=1, max_size=3)
+
+
+def follows_label_rule(label):
+    return label != "" and all(
+        ch.isprintable() and not ch.isspace() and ch not in "()" for ch in label
+    )
+
+
+class TestLabelRule:
+    def test_signature_collision_rejected(self):
+        # "a(" over a leaf and "a" over a leaf labeled "(" would both have
+        # the signature "a((())".
+        with pytest.raises(ValueError):
+            Tree.node([Tree.leaf()], label="a(")
+        with pytest.raises(ValueError):
+            Tree.leaf("(")
+
+    @settings(max_examples=150, deadline=None)
+    @given(label=ADVERSARIAL_LABELS)
+    def test_every_construction_path(self, label):
+        constructors = [
+            lambda: Tree.leaf(label),
+            lambda: Tree.node([Tree.leaf()], label=label),
+            lambda: Tree.from_parents([None, 0], [None, label]),
+            lambda: Tree([None, 0], [[1], []], [label, None]),
+        ]
+        for build in constructors:
+            if follows_label_rule(label):
+                t = build()
+                assert parse_tree(serialize_tree(t)) == t
+            else:
+                with pytest.raises(ValueError):
+                    build()
+
+    def test_non_string_label_rejected(self):
+        with pytest.raises(ValueError):
+            Tree.leaf(3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alphabet=st.lists(VALID_LABELS, min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_signatures_injective(self, alphabet, seed):
+        rng = random.Random(seed)
+        trees = [random_tree(rng, rng.randint(1, 5), alphabet) for _ in range(4)]
+        for mode in MODES[2:]:
+            for t1 in trees:
+                for t2 in trees:
+                    same = canonical_signature(t1, mode) == canonical_signature(t2, mode)
+                    assert same == brute_isomorphic(t1, t2, mode)
+
+
 class TestForest:
     def test_join_forest(self):
         t = join_forest([Tree.leaf(), chain(2)])

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagkernel import (
     AnnotatedDag,
@@ -24,7 +26,7 @@ from dagkernel import (
 )
 from dagkernel.weights import _delta_array
 
-from conftest import FIG3_TREE, UNORDERED
+from conftest import FIG3_TREE, MODES, UNORDERED
 
 
 class TestExponential:
@@ -178,6 +180,35 @@ class TestClassProfile:
         (leaf_v,) = [v for v in range(len(ann.dag)) if ann.dag.height(v) == 0]
         np.testing.assert_array_equal(profile.rho[leaf_v], [1.0, 1.0])
         assert profile.dist[leaf_v] == 1.0
+
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_origin_set_definition(self, mode, data):
+        # rho[v, k]: the share of distinct class-k weight-training members
+        # whose origin set holds v.  The forest has a duplicate tree and two
+        # single-vertex trees; the training list may repeat members.
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        labels = "ab" if mode.labeled else None
+        trees = [random_tree(rng, rng.randint(1, 14), labels)
+                 for _ in range(data.draw(st.integers(1, 6), label="n"))]
+        leaf = Tree.leaf("a" if mode.labeled else None)
+        trees += [trees[0], leaf, leaf]
+        n_classes = data.draw(st.integers(2, 3), label="n_classes")
+        classes = [i % n_classes for i in range(len(trees))]
+        extra = data.draw(st.lists(st.integers(0, len(trees) - 1), max_size=8), label="train")
+        train = list(range(n_classes)) + extra
+        ann = self.make(trees, mode)
+        profile = class_profile(ann, classes, train, n_classes)
+        members = set(train)
+        sizes = [sum(1 for i in members if classes[i] == k) for k in range(n_classes)]
+        expected = np.zeros((len(ann.dag), n_classes))
+        for v in range(len(ann.dag)):
+            for k in range(n_classes):
+                held = sum(1 for i in members & ann.origins[v] if classes[i] == k)
+                expected[v, k] = held / sizes[k]
+        np.testing.assert_array_equal(profile.rho, expected)
+        assert profile.class_sizes == tuple(sizes)
 
     def test_unseen_vertex_zero_profile(self):
         rng = random.Random(34)
