@@ -9,17 +9,7 @@ stochastic benchmark used to validate the kernel's separation guarantees.
 __version__ = "0.1.0"
 
 from .annotate import AnnotatedDag
-from .dag import (
-    Dag,
-    add_to_forest,
-    build_superdag,
-    expand,
-    format_dag,
-    recompress,
-    recompress_traced,
-    reduce_forest,
-    reduce_tree,
-)
+from .dag import Dag, add_to_forest, expand, format_dag, reduce_forest, reduce_tree
 from .generate import all_ordered_shapes, random_tree, random_tree_of_height
 from .kernel import GramComputer, export_gram_csv, gram, kernel_brute, kernel_dag
 from .markup import MarkupParseError, generate_template_corpus, markup_to_tree

@@ -1,19 +1,16 @@
-"""Annotation of a forest DAG with the data needed for kernel evaluation.
+"""Kernel-facing view of a forest DAG's member x subtree-class count matrix.
 
-Two annotations are computed on the recompressed DAG of a dataset, each in
-a single traversal:
+`reduce_forest` already yields, for every dataset member, the sorted ids of
+the DAG vertices its tree holds and how often each of those subtrees occurs
+in it: the rows of the sparse member x vertex count matrix F.  An
+:class:`AnnotatedDag` adopts those rows as they are and answers the queries
+the kernel and the weight learning need; ``matching(i, j)`` intersects the
+rows of members i and j on demand.
 
-* origins -- for every vertex, the set of dataset members whose tree contains
-  the subtree this vertex represents;
-* frequency vectors -- for every vertex, how many times that subtree occurs
-  in each member, stored per member as sorted vertex ids with their counts
-  (the rows of the sparse member x vertex count matrix).
-
-``matching(i, j)`` intersects the rows of members i and j on demand.
-
-The artificial root represents no subtree and is excluded everywhere.
-Member indices are 0-based.  The finished :class:`AnnotatedDag` is immutable,
-so Gram computations can share it freely and reweighting costs nothing.
+The artificial root represents no subtree and is in no row.  Member indices
+are 0-based; every query raises ``IndexError`` on an index outside
+``0 .. n_members - 1``.  The finished :class:`AnnotatedDag` is immutable, so
+Gram computations can share it freely and reweighting costs nothing.
 """
 
 from __future__ import annotations
@@ -28,79 +25,32 @@ __all__ = ["AnnotatedDag"]
 
 
 class AnnotatedDag:
-    """Forest DAG plus origins and per-member frequencies."""
+    """Forest DAG plus its per-member count rows."""
 
-    __slots__ = ("dag", "n_members", "origins", "_occ", "_cnt", "build_traversals")
+    __slots__ = ("dag", "n_members", "_occ", "_cnt")
 
     def __init__(self, dag: Dag):
         if not dag.is_forest:
             raise ValueError("annotation requires a forest DAG with an artificial root")
         self.dag = dag
         self.n_members = dag.n_members
-        self.build_traversals = 0
-        self._compute_origins()
-        self._compute_frequencies()
+        self._occ = [ids for ids, _ in dag.member_counts]
+        self._cnt = [counts for _, counts in dag.member_counts]
 
-    # -- annotation passes ------------------------------------------------------
-
-    def _compute_origins(self) -> None:
-        # Top-down by decreasing height; vertex ids are height-sorted, so a
-        # reversed id scan visits every parent before its children.
-        dag = self.dag
-        root = dag.root
-        sets: list[set[int]] = [set() for _ in range(len(dag))]
-        for i, r in enumerate(dag.member_roots or ()):
-            sets[r].add(i)
-        for v in range(len(dag) - 1, -1, -1):
-            if v == root:
-                continue
-            ov = sets[v]
-            for c, _ in dag.aggregated_children(v):
-                sets[c] |= ov
-        self.origins: tuple[frozenset[int], ...] = tuple(
-            frozenset() if v == root else frozenset(sets[v]) for v in range(len(dag))
-        )
-        self.build_traversals += 1
-
-    def _compute_frequencies(self) -> None:
-        # freq[v][i] = occurrences of the subtree of v inside tree i.  Seeded
-        # with 1 at each member root, then pushed down: a child reached by an
-        # edge of multiplicity L inherits L times the parent's counts.
-        dag = self.dag
-        root = dag.root
-        freq: list[dict[int, int]] = [{} for _ in range(len(dag))]
-        for i, r in enumerate(dag.member_roots or ()):
-            freq[r][i] = freq[r].get(i, 0) + 1
-        for v in range(len(dag) - 1, -1, -1):
-            if v == root:
-                continue
-            fv = freq[v]
-            if not fv:
-                continue
-            for c, mult in dag.aggregated_children(v):
-                fc = freq[c]
-                for i, count in fv.items():
-                    fc[i] = fc.get(i, 0) + mult * count
-        occ_lists: list[list[int]] = [[] for _ in range(self.n_members)]
-        cnt_lists: list[list[int]] = [[] for _ in range(self.n_members)]
-        for v in range(len(dag)):
-            if v == root:
-                continue
-            for i in sorted(freq[v]):
-                occ_lists[i].append(v)
-                cnt_lists[i].append(freq[v][i])
-        self._occ = [np.asarray(o, dtype=np.int64) for o in occ_lists]
-        self._cnt = [np.asarray(c, dtype=np.float64) for c in cnt_lists]
-        self.build_traversals += 1
+    def _check(self, *members: int) -> None:
+        if not all(0 <= i < self.n_members for i in members):
+            raise IndexError("member index out of range")
 
     # -- queries -----------------------------------------------------------------
 
     def subdag_size(self, i: int) -> int:
         """Number of DAG vertices of member ``i`` (#D_i)."""
+        self._check(i)
         return len(self._occ[i])
 
     def frequency(self, v: int, i: int) -> int:
         """Occurrences of the subtree of vertex ``v`` inside tree ``i``."""
+        self._check(i)
         occ = self._occ[i]
         k = int(np.searchsorted(occ, v))
         if k < len(occ) and occ[k] == v:
@@ -109,12 +59,12 @@ class AnnotatedDag:
 
     def member_vertices(self, i: int) -> np.ndarray:
         """Sorted DAG vertices of member ``i`` (equals matching(i, i))."""
+        self._check(i)
         return self._occ[i]
 
     def matching(self, i: int, j: int) -> np.ndarray:
-        """Sorted DAG vertices whose origin contains both ``i`` and ``j``."""
-        if not (0 <= i < self.n_members and 0 <= j < self.n_members):
-            raise IndexError("member index out of range")
+        """Sorted DAG vertices held by both members ``i`` and ``j``."""
+        self._check(i, j)
         if i == j:
             return self._occ[i]
         return np.intersect1d(self._occ[i], self._occ[j], assume_unique=True)
@@ -122,6 +72,7 @@ class AnnotatedDag:
     def frequencies_on(self, i: int, vertices: np.ndarray) -> np.ndarray:
         """Frequency of member ``i`` restricted to the given vertex ids, which
         must all belong to member ``i``."""
+        self._check(i)
         pos = np.searchsorted(self._occ[i], vertices)
         return self._cnt[i][pos]
 
@@ -129,8 +80,7 @@ class AnnotatedDag:
         """Rows of the count matrix for ``members`` (a repeat repeats its row)
         as coordinate triplets: row positions, vertex ids and counts."""
         members = list(members)
-        if not all(0 <= i < self.n_members for i in members):
-            raise IndexError("member index out of range")
+        self._check(*members)
         if not members:
             return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
         lengths = [len(self._occ[i]) for i in members]

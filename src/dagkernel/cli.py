@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .dag import format_dag, recompress_traced, build_superdag, reduce_tree
+from .dag import format_dag, reduce_forest, reduce_tree
 from .kernel import GramComputer, export_gram_csv
 from .markup import MarkupParseError, generate_template_corpus, markup_to_tree
 from .model import (
@@ -106,12 +106,11 @@ def cmd_reduce(input_file: str, order: str, labeled: bool, out: str):
     if not trees:
         raise ConfigError(f"{input_file}: no trees found")
     total_vertices = sum(len(t) for t in trees)
-    dags = [reduce_tree(t, mode) for t in trees]
-    if len(dags) == 1:
-        dag = dags[0]
+    if len(trees) == 1:
+        dag = reduce_tree(trees[0], mode)
         merged = len(dag)
     else:
-        dag, _ = recompress_traced(build_superdag(dags))
+        dag = reduce_forest(trees, mode)
         merged = len(dag) - 1  # artificial root is bookkeeping, not data
     with open(out, "w") as fh:
         fh.write(format_dag(dag))

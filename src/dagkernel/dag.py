@@ -1,39 +1,39 @@
 """Lossless DAG compression of trees and forests.
 
-A tree is compressed by merging vertices whose subtrees are isomorphic
-(hash-consing): the result is a directed acyclic graph with one vertex per
-subtree isomorphism class.  In ordered mode the outgoing edges of a vertex
-form an ordered list (repetitions allowed); in unordered mode they form a
-set of (child, multiplicity) pairs.  Compression is invertible: `expand`
-rebuilds a tree isomorphic to the input.
+A tree is compressed by merging vertices whose subtrees are isomorphic: the
+result is a directed acyclic graph with one vertex per subtree isomorphism
+class.  In ordered mode the outgoing edges of a vertex form an ordered list
+(repetitions allowed); in unordered mode they form a set of (child,
+multiplicity) pairs.  Compression is invertible: `expand` rebuilds a tree
+isomorphic to the input.
 
-Forests are compressed jointly: every member DAG is placed under an
-artificial root, and `recompress` merges equal-structure vertices bottom-up,
-height by height, stopping at the first height where nothing merges.  The
-artificial root records which child is which dataset member (`member_roots`),
-which downstream annotation relies on.
+Compression is hash-consing (Downey, Sethi & Tarjan, 1980).  A postorder
+pass looks every vertex up in a table keyed by (label, children structure)
+and gives it the class id found there, or the next free id.  A forest is
+compressed in one such pass with one table shared by all its trees, so a
+subtree class that occurs in several members gets a single vertex.  The same
+pass yields the member x subtree-class count matrix: counting the class ids
+of tree i's vertices gives row i (`Dag.member_counts`).  A forest DAG also
+has an artificial root above the member roots; it represents no subtree.
 
 Vertex ids of a compacted DAG are sorted by (height, discovery), so every
 edge goes from a higher id to a strictly lower one and the unique maximal id
-is the root.
+is the root.  A member's root is the last id of its count row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .trees import Tree, TreeMode
 
 __all__ = [
     "Dag",
-    "RecompressTrace",
     "add_to_forest",
-    "build_superdag",
     "expand",
     "format_dag",
-    "recompress",
-    "recompress_traced",
     "reduce_forest",
     "reduce_tree",
 ]
@@ -48,7 +48,7 @@ UnorderedChildren = tuple[tuple[int, int], ...]
 class Dag:
     """Immutable compressed DAG; see module docstring for the encoding."""
 
-    __slots__ = ("mode", "_heights", "_labels", "_children", "_roots", "_member_roots")
+    __slots__ = ("mode", "_heights", "_labels", "_children", "_roots", "_rows")
 
     def __init__(
         self,
@@ -57,7 +57,7 @@ class Dag:
         labels: Sequence[Optional[str]],
         children: Sequence[tuple],
         roots: Sequence[int],
-        member_roots: Optional[Sequence[int]] = None,
+        member_counts: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None,
     ):
         if not (len(heights) == len(labels) == len(children)):
             raise ValueError("heights, labels and children must have equal length")
@@ -68,7 +68,10 @@ class Dag:
         self._labels = tuple(labels)
         self._children = tuple(children)
         self._roots = tuple(roots)
-        self._member_roots = None if member_roots is None else tuple(member_roots)
+        self._rows = None if member_counts is None else tuple(
+            (_frozen(ids, np.int64), _frozen(counts, np.float64))
+            for ids, counts in member_counts
+        )
         self._validate()
 
     def _validate(self) -> None:
@@ -92,10 +95,11 @@ class Dag:
         root = self._roots[0]
         if not 0 <= root < n:
             raise ValueError("invalid root id")
-        if self._member_roots is not None:
-            for r in self._member_roots:
-                if not 0 <= r < n:
-                    raise ValueError("invalid member root id")
+        for ids, counts in self._rows or ():
+            if not (len(ids) == len(counts) > 0 and 0 <= ids[0] and ids[-1] < n
+                    and np.all(ids[1:] > ids[:-1]) and np.all(counts >= 1)):
+                raise ValueError("a member count row needs increasing vertex ids "
+                                 "and positive counts")
 
     # -- accessors -------------------------------------------------------------
 
@@ -108,19 +112,28 @@ class Dag:
         return self._roots[0]
 
     @property
+    def member_counts(self) -> Optional[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """Row i of the member x vertex count matrix, only on forest DAGs: the
+        increasing ids of tree i's vertices, and how often each of their
+        subtrees occurs in tree i (float64, ready for products)."""
+        return self._rows
+
+    @property
     def member_roots(self) -> Optional[tuple[int, ...]]:
         """Dataset member -> DAG vertex of its root; only on forest DAGs."""
-        return self._member_roots
+        if self._rows is None:
+            return None
+        return tuple(int(ids[-1]) for ids, _ in self._rows)
 
     @property
     def is_forest(self) -> bool:
-        return self._member_roots is not None
+        return self._rows is not None
 
     @property
     def n_members(self) -> int:
-        if self._member_roots is None:
+        if self._rows is None:
             raise ValueError("not a forest DAG")
-        return len(self._member_roots)
+        return len(self._rows)
 
     def __len__(self) -> int:
         return len(self._heights)
@@ -154,15 +167,6 @@ class Dag:
             return tuple((c, 1) for c in self._children[v])
         return self._children[v]
 
-    def aggregated_children(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Distinct children of ``v`` with total edge multiplicities."""
-        if not self.mode.ordered:
-            return self._children[v]
-        counts: dict[int, int] = {}
-        for c in self._children[v]:
-            counts[c] = counts.get(c, 0) + 1
-        return tuple(sorted(counts.items()))
-
     def n_edges(self) -> int:
         return sum(len(self._children[v]) for v in range(len(self)))
 
@@ -181,39 +185,104 @@ class Dag:
         return f"Dag({kind}{self.mode}, {len(self)} vertices, height {self.height()})"
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 # -- compression ----------------------------------------------------------------
+
+
+def _children_struct(mode: TreeMode, kids: list[int]) -> tuple:
+    """The children encoding of a vertex whose children have ids ``kids``."""
+    if mode.ordered or not kids:
+        return tuple(kids)
+    if len(kids) == 1:
+        return ((kids[0], 1),)
+    counts: dict[int, int] = {}
+    for c in kids:
+        counts[c] = counts.get(c, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def _intern(tree: Tree, mode: TreeMode, table: dict, heights: list, labels: list,
+            children: list) -> list[int]:
+    """Class id of every vertex of ``tree``, indexed by vertex.
+
+    ``table`` maps (label, children struct) to a class id.  A class missing
+    from it takes the next id, and its height, label and struct are appended
+    to the parallel lists, so ids follow discovery order.
+    """
+    # The tree's own arrays: this loop runs once per vertex of the forest.
+    kids_of, labels_of, heights_of = tree._children, tree._labels, tree._heights
+    class_of = [0] * len(kids_of)
+    # Reverse preorder visits every child before its parent.
+    for v in range(len(kids_of) - 1, -1, -1):
+        struct = _children_struct(mode, [class_of[c] for c in kids_of[v]])
+        key = (labels_of[v] if mode.labeled else None, struct)
+        cid = table.get(key)
+        if cid is None:
+            cid = table[key] = len(heights)
+            heights.append(heights_of[v])
+            labels.append(key[0])
+            children.append(struct)
+        class_of[v] = cid
+    return class_of
 
 
 def reduce_tree(tree: Tree, mode: TreeMode) -> Dag:
     """Compress a tree into its reduced DAG: one vertex per subtree class."""
-    n = len(tree)
-    class_of = [0] * n
-    key_to_id: dict[tuple, int] = {}
     heights: list[int] = []
     labels: list[Optional[str]] = []
     children: list[tuple] = []
-    # Postorder so children classes exist before their parents.
-    for v in range(n - 1, -1, -1):
-        kid_classes = [class_of[c] for c in tree.children(v)]
-        struct: tuple
-        if mode.ordered:
-            struct = tuple(kid_classes)
-        else:
-            counts: dict[int, int] = {}
-            for c in kid_classes:
-                counts[c] = counts.get(c, 0) + 1
-            struct = tuple(sorted(counts.items()))
-        label = tree.label(v) if mode.labeled else None
-        key = (label, struct)
-        cid = key_to_id.get(key)
-        if cid is None:
-            cid = len(heights)
-            key_to_id[key] = cid
-            heights.append(tree.height(v))
-            labels.append(label)
-            children.append(struct)
-        class_of[v] = cid
-    return _compact(mode, heights, labels, children, class_of[0], None)
+    class_of = _intern(tree, mode, {}, heights, labels, children)
+    new_id, heights, labels, children = _compact(mode, heights, labels, children)
+    return Dag(mode, heights, labels, children, (new_id[class_of[0]],))
+
+
+def reduce_forest(trees: Sequence[Tree], mode: TreeMode) -> Dag:
+    """Compress a forest with one table shared by its trees (see module doc)."""
+    if not trees:
+        raise ValueError("cannot reduce an empty forest")
+    return _extend_forest(mode, {}, [], [], [], [], trees)
+
+
+def add_to_forest(forest: Dag, newcomer: Tree) -> Dag:
+    """Add one tree to a forest DAG as its last member.
+
+    Equal to reducing the extended forest from scratch: the table is seeded
+    with the forest's vertices, and only the newcomer's vertices are looked up.
+    """
+    if not forest.is_forest:
+        raise ValueError("first argument must be a forest DAG with an artificial root")
+    if not isinstance(newcomer, Tree):
+        raise TypeError("newcomer must be a Tree")
+    root = forest.root  # the maximal id; every other id is a table entry
+    labels = list(forest._labels[:root])
+    children = list(forest._children[:root])
+    table = {key: v for v, key in enumerate(zip(labels, children))}
+    return _extend_forest(forest.mode, table, list(forest.heights()[:root]), labels,
+                          children, list(forest.member_counts), [newcomer])
+
+
+def _extend_forest(mode, table, heights, labels, children, rows, trees) -> Dag:
+    # ``rows`` are the count rows of the members already in the table.
+    classes = [_intern(t, mode, table, heights, labels, children) for t in trees]
+    member_roots = [int(ids[-1]) for ids, _ in rows] + [c[0] for c in classes]
+    root = len(heights)
+    heights.append(1 + max(heights[r] for r in member_roots))
+    labels.append(None)
+    children.append(_children_struct(mode, member_roots))
+    new_id, heights, labels, children = _compact(mode, heights, labels, children)
+    remap = np.asarray(new_id, dtype=np.int64)
+    # Renumbering keeps the relative order of ids that were already sorted by
+    # height, so the old rows stay sorted.
+    rows = [(remap[ids], counts) for ids, counts in rows]
+    for class_of in classes:
+        ids, counts = np.unique(remap[class_of], return_counts=True)
+        rows.append((ids, counts.astype(np.float64)))
+    return Dag(mode, heights, labels, children, (new_id[root],), rows)
 
 
 def expand(dag: Dag, v: Optional[int] = None) -> Tree:
@@ -242,221 +311,23 @@ def expand(dag: Dag, v: Optional[int] = None) -> Tree:
     return Tree.from_parents(parents, labels)
 
 
-def build_superdag(dags: Sequence[Dag]) -> Dag:
-    """Place member DAGs, in order, under one artificial root (no merging yet)."""
-    if not dags:
-        raise ValueError("cannot build a super-DAG from an empty forest")
-    mode = dags[0].mode
-    for d in dags:
-        if d.mode != mode:
-            raise ValueError("all forest members must share one tree mode")
-    heights: list[int] = []
-    labels: list[Optional[str]] = []
-    children: list[tuple] = []
-    member_roots: list[int] = []
-    for d in dags:
-        offset = len(heights)
-        heights.extend(d.heights())
-        labels.extend(d.label(v) for v in range(len(d)))
-        if mode.ordered:
-            children.extend(
-                tuple(c + offset for c in d.children_struct(v)) for v in range(len(d))
-            )
-        else:
-            children.extend(
-                tuple((c + offset, m) for c, m in d.children_struct(v))
-                for v in range(len(d))
-            )
-        member_roots.append(d.root + offset)
-    root = len(heights)
-    heights.append(1 + max(heights[r] for r in member_roots))
-    labels.append(None)
-    children.append(_root_struct(mode, member_roots))
-    return Dag(mode, heights, labels, children, (root,), member_roots)
+def _compact(mode, heights, labels, children):
+    """Renumber table ids by (height, discovery).
 
-
-def _root_struct(mode: TreeMode, member_roots: Sequence[int]) -> tuple:
-    if mode.ordered:
-        return tuple(member_roots)
-    counts: dict[int, int] = {}
-    for r in member_roots:
-        counts[r] = counts.get(r, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
-@dataclass
-class RecompressTrace:
-    """What a recompression run did: merges per height, where it stopped, and
-    how many (vertex, child) inspections it spent (complexity accounting)."""
-
-    merged_by_height: dict[int, int] = field(default_factory=dict)
-    stop_height: Optional[int] = None
-    inspections: int = 0
-
-
-def recompress(superdag: Dag) -> Dag:
-    """Merge equal-structure vertices of a super-DAG bottom-up (see module doc)."""
-    dag, _ = recompress_traced(superdag)
-    return dag
-
-
-def recompress_traced(superdag: Dag) -> tuple[Dag, RecompressTrace]:
-    if not superdag.is_forest:
-        raise ValueError("recompress expects a forest super-DAG")
-    mode = superdag.mode
-    n = len(superdag)
-    heights = list(superdag.heights())
-    labels = list(superdag._labels)
-    children: list[tuple] = list(superdag._children)
-    member_roots = list(superdag.member_roots or ())
-    root = superdag.root
-    alive = [True] * n
-    trace = RecompressTrace()
-
-    by_height: dict[int, list[int]] = {}
-    for v in range(n):
-        by_height.setdefault(heights[v], []).append(v)
-        trace.inspections += 1
-    top = heights[root]
-
-    for h in range(top):
-        groups: dict[tuple, list[int]] = {}
-        for v in by_height.get(h, ()):
-            struct = children[v]
-            trace.inspections += _key_cost(mode, len(struct))
-            groups.setdefault((labels[v], struct), []).append(v)
-        remap: dict[int, int] = {}
-        merged = 0
-        for members in groups.values():
-            trace.inspections += len(members)
-            if len(members) < 2:
-                continue
-            rep = members[0]  # smallest id: deterministic representative
-            for other in members[1:]:
-                remap[other] = rep
-                alive[other] = False
-                merged += 1
-        if not remap:
-            trace.stop_height = h
-            break
-        trace.merged_by_height[h] = merged
-        # Rewire every higher vertex; duplicate unordered edges collapse with
-        # summed multiplicities, ordered repetitions stay in place.
-        for hh in range(h + 1, top + 1):
-            for v in by_height.get(hh, ()):
-                if not alive[v]:
-                    continue
-                struct = children[v]
-                trace.inspections += len(struct)
-                if mode.ordered:
-                    if any(c in remap for c in struct):
-                        children[v] = tuple(remap.get(c, c) for c in struct)
-                else:
-                    if any(c in remap for c, _ in struct):
-                        counts: dict[int, int] = {}
-                        for c, m in struct:
-                            c = remap.get(c, c)
-                            counts[c] = counts.get(c, 0) + m
-                        children[v] = tuple(sorted(counts.items()))
-        by_height[h] = [v for v in by_height[h] if alive[v]]
-        member_roots = [remap.get(r, r) for r in member_roots]
-
-    order = [v for v in range(n) if alive[v]]
-    dag = _compact_alive(mode, heights, labels, children, order, root, member_roots)
-    return dag, trace
-
-
-def _key_cost(mode: TreeMode, length: int) -> int:
-    # Inspections charged for building one merge key: copying the children,
-    # plus a comparison budget for sorting them in unordered mode.
-    if mode.ordered or length < 2:
-        return length
-    return length + length * max(1, (length - 1).bit_length())
-
-
-def add_to_forest(forest: Dag, newcomer: Dag) -> Dag:
-    """Add one reduced tree DAG to an already recompressed forest DAG.
-
-    Equivalent to recompressing the extended forest from scratch, but runs a
-    single recompression pass over the spliced DAG.
+    Returns the map from table id to new id, and the heights, labels and
+    children in the new numbering.
     """
-    if not forest.is_forest:
-        raise ValueError("first argument must be a forest DAG with an artificial root")
-    if newcomer.is_forest:
-        raise ValueError("newcomer must be a single-tree DAG")
-    if forest.mode != newcomer.mode:
-        raise ValueError("tree mode mismatch between forest and newcomer")
-    mode = forest.mode
-    old_root = forest.root
-    heights = list(forest.heights())
-    labels = list(forest._labels)
-    children: list[tuple] = list(forest._children)
-    offset = len(heights)
-    heights.extend(newcomer.heights())
-    labels.extend(newcomer.label(v) for v in range(len(newcomer)))
+    order = sorted(range(len(heights)), key=heights.__getitem__)  # stable
+    new_id = [0] * len(order)
+    for new, old in enumerate(order):
+        new_id[old] = new
     if mode.ordered:
-        children.extend(
-            tuple(c + offset for c in newcomer.children_struct(v))
-            for v in range(len(newcomer))
-        )
+        out_children = [tuple(new_id[c] for c in children[old]) for old in order]
     else:
-        children.extend(
-            tuple((c + offset, m) for c, m in newcomer.children_struct(v))
-            for v in range(len(newcomer))
-        )
-    member_roots = list(forest.member_roots or ()) + [newcomer.root + offset]
-    # Rebuild the artificial root as the rightmost parent of the newcomer.
-    keep = [v for v in range(len(heights)) if v != old_root]
-    new_id = {old: new for new, old in enumerate(keep)}
-    heights2 = [heights[v] for v in keep]
-    labels2 = [labels[v] for v in keep]
-    children2: list[tuple] = []
-    for v in keep:
-        if mode.ordered:
-            children2.append(tuple(new_id[c] for c in children[v]))
-        else:
-            children2.append(tuple((new_id[c], m) for c, m in children[v]))
-    member_roots2 = [new_id[r] for r in member_roots]
-    root = len(heights2)
-    heights2.append(1 + max(heights2[r] for r in member_roots2))
-    labels2.append(None)
-    children2.append(_root_struct(mode, member_roots2))
-    spliced = Dag(mode, heights2, labels2, children2, (root,), member_roots2)
-    return recompress(spliced)
-
-
-def reduce_forest(trees: Sequence[Tree], mode: TreeMode) -> Dag:
-    """Reduce every tree, join under an artificial root, and recompress."""
-    return recompress(build_superdag([reduce_tree(t, mode) for t in trees]))
-
-
-# -- compaction ------------------------------------------------------------------
-
-
-def _compact(mode, heights, labels, children, root, member_roots) -> Dag:
-    order = list(range(len(heights)))
-    return _compact_alive(mode, heights, labels, children, order, root, member_roots)
-
-
-def _compact_alive(mode, heights, labels, children, order, root, member_roots) -> Dag:
-    order = sorted(order, key=lambda v: (heights[v], v))
-    new_id = {old: new for new, old in enumerate(order)}
-    out_children: list[tuple] = []
-    for old in order:
-        if mode.ordered:
-            out_children.append(tuple(new_id[c] for c in children[old]))
-        else:
-            out_children.append(
-                tuple(sorted((new_id[c], m) for c, m in children[old]))
-            )
-    return Dag(
-        mode,
-        [heights[old] for old in order],
-        [labels[old] for old in order],
-        out_children,
-        (new_id[root],),
-        None if member_roots is None else [new_id[r] for r in member_roots],
-    )
+        out_children = [tuple(sorted((new_id[c], m) for c, m in children[old]))
+                        for old in order]
+    return (new_id, [heights[old] for old in order], [labels[old] for old in order],
+            out_children)
 
 
 # -- text format -------------------------------------------------------------------

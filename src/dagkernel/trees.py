@@ -256,18 +256,12 @@ class Tree:
     def subtree_size(self, v: int) -> int:
         """Number of vertices of the subtree rooted at ``v``."""
         self._check(v)
-        # Preorder numbering makes every subtree a contiguous id block.
-        size = 1
-        while v + size < len(self) and self._is_descendant(v + size, v):
-            size += 1
-        return size
-
-    def _is_descendant(self, u: int, v: int) -> bool:
-        while u is not None:
-            if u == v:
-                return True
-            u = self._parents[u]
-        return False
+        # Preorder numbering makes every subtree a contiguous id block, and
+        # its last vertex is reached by following last children to a leaf.
+        end = v
+        while self._children[end]:
+            end = self._children[end][-1]
+        return end - v + 1
 
     def descendants(self, v: int) -> range:
         """Proper and improper descendants of ``v`` (includes ``v``)."""

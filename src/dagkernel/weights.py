@@ -138,9 +138,9 @@ def _delta_array(rho: np.ndarray) -> np.ndarray:
 class ClassProfile:
     """Per-vertex class-presence profiles and their corner distances.
 
-    ``rho[v, k]`` is the fraction of class-k weight-training trees whose
-    origin set contains vertex ``v``; ``dist[v]`` is the distance of that row
-    to its nearest corner.  The artificial root keeps an all-zero row.
+    ``rho[v, k]`` is the fraction of class-k weight-training trees that
+    contain the subtree of vertex ``v``; ``dist[v]`` is the distance of that
+    row to its nearest corner.  The artificial root keeps an all-zero row.
     """
 
     n_classes: int

@@ -6,11 +6,13 @@ import pytest
 from dagkernel import (
     AnnotatedDag,
     Tree,
+    canonical_signature,
     count_occurrences,
     expand,
     parse_tree,
     random_tree,
     reduce_forest,
+    reduce_tree,
     subtree_signatures,
 )
 
@@ -21,12 +23,26 @@ def annotated_for(trees, mode):
     return AnnotatedDag(reduce_forest(trees, mode))
 
 
+def holders(ann, v):
+    """Members whose count row holds vertex ``v``."""
+    return frozenset(i for i in range(ann.n_members) if v in ann.member_vertices(i))
+
+
+def signature_holders(ann, trees, mode, v):
+    """Members with a subtree isomorphic to the expansion of ``v``."""
+    sig = canonical_signature(expand(ann.dag, v), mode)
+    return frozenset(i for i, t in enumerate(trees) if sig in subtree_signatures(t, mode))
+
+
 class TestOrigins:
     def test_member_roots_have_own_index(self):
         trees = [parse_tree(FIG3_TREE), parse_tree(FIG5_T2)]
         ann = annotated_for(trees, UNORDERED)
         for i, r in enumerate(ann.dag.member_roots):
-            assert i in ann.origins[r]
+            assert i in holders(ann, r)
+            assert canonical_signature(expand(ann.dag, r), UNORDERED) == (
+                canonical_signature(trees[i], UNORDERED)
+            )
 
     def test_shared_leaf_has_all_origins(self):
         rng = random.Random(21)
@@ -34,24 +50,20 @@ class TestOrigins:
         ann = annotated_for(trees, UNORDERED)
         leaf_vertices = [v for v in range(len(ann.dag)) if ann.dag.height(v) == 0]
         assert len(leaf_vertices) == 1
-        assert ann.origins[leaf_vertices[0]] == frozenset(range(6))
+        assert holders(ann, leaf_vertices[0]) == frozenset(range(6))
 
     def test_origin_oracle(self):
-        # origin(v) must equal the set of trees containing the expanded subtree.
+        # Member i holds v iff tree i has a subtree isomorphic to expand(v).
         rng = random.Random(22)
         for mode in MODES:
             labels = "ab" if mode.labeled else None
             trees = [random_tree(rng, rng.randint(1, 12), labels) for _ in range(5)]
             ann = annotated_for(trees, mode)
-            tree_sigs = [set(subtree_signatures(t, mode)) for t in trees]
-            from dagkernel import canonical_signature
-
             for v in range(len(ann.dag)):
                 if v == ann.dag.root:
+                    assert holders(ann, v) == frozenset()
                     continue
-                sig = canonical_signature(expand(ann.dag, v), mode)
-                expected = frozenset(i for i in range(5) if sig in tree_sigs[i])
-                assert ann.origins[v] == expected
+                assert holders(ann, v) == signature_holders(ann, trees, mode, v)
 
     def test_disjoint_trees_have_singleton_internal_origins(self):
         t0 = parse_tree(FIG3_TREE)
@@ -60,11 +72,10 @@ class TestOrigins:
         for v in range(len(ann.dag)):
             if v == ann.dag.root or ann.dag.height(v) == 0:
                 continue
-            assert len(ann.origins[v]) == 1
+            assert len(holders(ann, v)) == 1
+            assert holders(ann, v) == signature_holders(ann, [t0, t1], UNORDERED, v)
 
     def test_non_forest_rejected(self):
-        from dagkernel import reduce_tree
-
         with pytest.raises(ValueError):
             AnnotatedDag(reduce_tree(Tree.leaf(), UNORDERED))
 
@@ -96,8 +107,6 @@ class TestFrequencies:
     def test_frequency_oracle(self, mode):
         rng = random.Random(24)
         labels = "ab" if mode.labeled else None
-        from dagkernel import canonical_signature
-
         for _ in range(8):
             trees = [random_tree(rng, rng.randint(1, 18), labels) for _ in range(4)]
             ann = annotated_for(trees, mode)
@@ -115,8 +124,9 @@ class TestFrequencies:
         for v in range(len(ann.dag)):
             if v == ann.dag.root:
                 continue
+            held = signature_holders(ann, trees, UNORDERED, v)
             for i in range(6):
-                assert (ann.frequency(v, i) > 0) == (i in ann.origins[v])
+                assert (ann.frequency(v, i) > 0) == (i in held)
 
     def test_total_count_is_tree_size(self):
         # Every vertex of T_i roots exactly one subtree, so per-member counts
@@ -175,16 +185,33 @@ class TestMatching:
             ann.matching(0, 1)
 
 
-class TestTraversalCounters:
-    def test_single_traversal_per_annotation(self):
-        trees = [parse_tree(FIG3_TREE), parse_tree(FIG5_T2)]
-        ann = annotated_for(trees, UNORDERED)
-        assert ann.build_traversals == 2  # origins, frequencies
+class TestMemberRange:
+    """Every member query rejects an index outside 0 .. n_members - 1; a
+    negative index must not wrap to the last members."""
 
-    def test_queries_do_not_traverse(self):
-        trees = [parse_tree(FIG3_TREE), parse_tree(FIG5_T2)]
-        ann = annotated_for(trees, UNORDERED)
-        before = ann.build_traversals
-        ann.matching(0, 1)
-        ann.frequency(0, 0)
-        assert ann.build_traversals == before
+    QUERIES = {
+        "subdag_size": lambda ann, i: ann.subdag_size(i),
+        "frequency": lambda ann, i: ann.frequency(0, i),
+        "member_vertices": lambda ann, i: ann.member_vertices(i),
+        "matching": lambda ann, i: ann.matching(0, i),
+        "frequencies_on": lambda ann, i: ann.frequencies_on(i, np.array([0])),
+        "occurrences": lambda ann, i: ann.occurrences([0, i]),
+    }
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    @pytest.mark.parametrize("index", [-1, -2, 2])
+    def test_out_of_range_raises(self, query, index):
+        ann = annotated_for([parse_tree(FIG3_TREE), Tree.leaf()], UNORDERED)
+        with pytest.raises(IndexError):
+            self.QUERIES[query](ann, index)
+
+
+class TestAdoption:
+    def test_rows_are_the_forest_rows(self):
+        # The annotation adopts the count rows of the forest DAG as they are.
+        dag = reduce_forest([parse_tree(FIG3_TREE), parse_tree(FIG5_T2)], UNORDERED)
+        ann = AnnotatedDag(dag)
+        for i, (ids, counts) in enumerate(dag.member_counts):
+            assert ann.member_vertices(i) is ids
+            np.testing.assert_array_equal(ann.frequencies_on(i, ids), counts)
+            assert not ids.flags.writeable and not counts.flags.writeable

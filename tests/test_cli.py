@@ -5,6 +5,8 @@ import sys
 import dagkernel
 from dagkernel import cli
 
+from conftest import FIG3_TREE, FIG5_T2
+
 
 class TestSimulate:
     def test_default_arguments_pass(self, capsys):
@@ -38,3 +40,24 @@ class TestImports:
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+
+class TestReduce:
+    def test_two_tree_output_golden(self, tmp_path, capsys):
+        # The 15- and 11-vertex figure trees share their classes of heights
+        # 0 to 2; vertex 7 is the artificial root above the two members.
+        trees = tmp_path / "two.trees"
+        trees.write_text(f"{FIG3_TREE}\n{FIG5_T2}\n")
+        out = tmp_path / "two.dag"
+        assert cli.run(["reduce", str(trees), "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "0 0 -> \n"
+            "1 1 -> (0,1)\n"
+            "2 2 -> (0,1)(1,1)\n"
+            "3 3 -> (2,2)\n"
+            "4 3 -> (2,1)\n"
+            "5 4 -> (0,1)(2,1)(3,1)\n"
+            "6 4 -> (0,1)(2,1)(4,1)\n"
+            "7 5 -> (5,1)(6,1)\n"
+        )
+        assert capsys.readouterr().out == "trees: 2\nvertices: 26 -> 7 (ratio 0.269)\n"

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,15 +10,13 @@ from dagkernel import (
     Tree,
     TreeMode,
     add_to_forest,
-    build_superdag,
     canonical_signature,
+    count_occurrences,
     expand,
     format_dag,
     join_forest,
     parse_tree,
     random_tree,
-    recompress,
-    recompress_traced,
     reduce_forest,
     reduce_tree,
     subtree_signatures,
@@ -113,49 +112,41 @@ class TestReduceExpand:
 
 
 class TestSuperdag:
+    """The forest DAG: members under one artificial root, shared classes merged."""
+
     def test_single_member(self):
         d = reduce_tree(parse_tree(FIG3_TREE), UNORDERED)
-        sd = build_superdag([d])
-        assert len(sd) == len(d) + 1
-        assert sd.member_roots == (d.root,)
-        # Already reduced: recompression is a no-op that stops at height 0.
-        out, trace = recompress_traced(sd)
-        assert len(out) == len(sd) and trace.stop_height == 0
+        forest = reduce_forest([parse_tree(FIG3_TREE)], UNORDERED)
+        assert len(forest) == len(d) + 1
+        assert forest.member_roots == (d.root,)
+        assert forest.children_struct(forest.root) == ((d.root, 1),)
 
     def test_two_leaf_members(self):
-        sd = build_superdag([reduce_tree(Tree.leaf(), UNORDERED)] * 2)
-        assert len(sd) == 3
-        merged = recompress(sd)
-        assert len(merged) == 2  # shared leaf + artificial root
+        forest = reduce_forest([Tree.leaf()] * 2, UNORDERED)
+        assert len(forest) == 2  # shared leaf + artificial root
 
     def test_empty_forest_rejected(self):
         with pytest.raises(ValueError):
-            build_superdag([])
-
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            build_superdag(
-                [reduce_tree(Tree.leaf(), UNORDERED), reduce_tree(Tree.leaf(), ORDERED)]
-            )
+            reduce_forest([], UNORDERED)
 
     def test_fig5_walkthrough(self):
         t1 = parse_tree(FIG3_TREE)
         t2 = parse_tree(FIG5_T2)
         assert len(t2) == 11
-        d1 = reduce_tree(t1, UNORDERED)
-        d2 = reduce_tree(t2, UNORDERED)
-        assert len(d1) == 5 and len(d2) == 5
-        merged, trace = recompress_traced(build_superdag([d1, d2]))
-        assert sorted(trace.merged_by_height) == [0, 1, 2]
-        assert trace.stop_height == 3
+        assert len(reduce_tree(t1, UNORDERED)) == len(reduce_tree(t2, UNORDERED)) == 5
+        merged = reduce_forest([t1, t2], UNORDERED)
         assert len(merged) == 8
+        # The two members share their classes of heights 0, 1 and 2 only.
+        (ids1, _), (ids2, _) = merged.member_counts
+        shared = sorted(merged.height(int(v)) for v in set(ids1) & set(ids2))
+        assert shared == [0, 1, 2]
 
     def test_duplicate_members_share_subdag(self):
         t = parse_tree(FIG3_TREE)
-        d = reduce_tree(t, UNORDERED)
-        merged = recompress(build_superdag([d, d]))
-        assert len(merged) == len(d) + 1
+        merged = reduce_forest([t, t], UNORDERED)
+        assert len(merged) == len(reduce_tree(t, UNORDERED)) + 1
         assert merged.member_roots[0] == merged.member_roots[1]
+        assert merged.children_struct(merged.root) == ((merged.member_roots[0], 2),)
 
 
 def supertree_oracle(trees, mode):
@@ -170,7 +161,7 @@ class TestRecompressEquivalence:
         labels = "ab" if mode.labeled else None
         for _ in range(60):
             trees = random_forest(rng, rng.randint(1, 8), 20, labels)
-            fast = recompress(build_superdag([reduce_tree(t, mode) for t in trees]))
+            fast = reduce_forest(trees, mode)
             slow = supertree_oracle(trees, mode)
             assert len(fast) == len(slow)
             assert fast.is_reduced()
@@ -181,9 +172,10 @@ class TestRecompressEquivalence:
     def test_heights_preserved(self):
         rng = random.Random(15)
         trees = random_forest(rng, 6, 25)
-        sd = build_superdag([reduce_tree(t, UNORDERED) for t in trees])
-        merged = recompress(sd)
-        assert merged.height() == sd.height()
+        merged = reduce_forest(trees, UNORDERED)
+        assert merged.height() == join_forest(trees).height()
+        for t, r in zip(trees, merged.member_roots):
+            assert merged.height(r) == t.height()
 
 
 def expand_forest(forest_dag):
@@ -200,39 +192,112 @@ def expand_forest(forest_dag):
     )
 
 
+def assert_same_forest(a, b):
+    """Identical vertex numbering, structure and member count rows."""
+    assert a.mode == b.mode and a.roots == b.roots
+    assert a.heights() == b.heights()
+    assert [a.label(v) for v in range(len(a))] == [b.label(v) for v in range(len(b))]
+    assert [a.children_struct(v) for v in range(len(a))] == (
+        [b.children_struct(v) for v in range(len(b))]
+    )
+    assert len(a.member_counts) == len(b.member_counts)
+    for (ids_a, cnt_a), (ids_b, cnt_b) in zip(a.member_counts, b.member_counts):
+        np.testing.assert_array_equal(ids_a, ids_b)
+        np.testing.assert_array_equal(cnt_a, cnt_b)
+
+
 class TestAddToForest:
     def test_add_existing_member(self):
         trees = [parse_tree(FIG3_TREE), parse_tree(FIG5_T2)]
         forest = reduce_forest(trees, UNORDERED)
-        newcomer = reduce_tree(trees[0], UNORDERED)
-        extended = add_to_forest(forest, newcomer)
+        extended = add_to_forest(forest, trees[0])
         assert len(extended) == len(forest)
         assert extended.n_members == 3
         assert extended.member_roots[2] == extended.member_roots[0]
 
-    @pytest.mark.parametrize("mode", MODES[:2], ids=str)
+    @pytest.mark.parametrize("mode", MODES, ids=str)
     def test_matches_full_recompression(self, mode):
         rng = random.Random(16)
+        labels = "ab" if mode.labeled else None
         for _ in range(40):
-            trees = random_forest(rng, rng.randint(1, 5), 15)
-            extra = random_tree(rng, rng.randint(1, 15))
-            forest = reduce_forest(trees, mode)
-            extended = add_to_forest(forest, reduce_tree(extra, mode))
-            full = reduce_forest(trees + [extra], mode)
-            assert len(extended) == len(full)
-            assert canonical_signature(
-                expand_forest(extended), mode
-            ) == canonical_signature(expand_forest(full), mode)
+            trees = random_forest(rng, rng.randint(1, 5), 15, labels)
+            extra = random_tree(rng, rng.randint(1, 15), labels)
+            extended = add_to_forest(reduce_forest(trees, mode), extra)
+            assert_same_forest(extended, reduce_forest(trees + [extra], mode))
 
     def test_rejects_non_forest(self):
         d = reduce_tree(Tree.leaf(), UNORDERED)
         with pytest.raises(ValueError):
-            add_to_forest(d, d)
+            add_to_forest(d, Tree.leaf())
 
-    def test_rejects_mode_mismatch(self):
+    def test_rejects_dag_newcomer(self):
         forest = reduce_forest([Tree.leaf()], UNORDERED)
-        with pytest.raises(ValueError):
-            add_to_forest(forest, reduce_tree(Tree.leaf(), ORDERED))
+        with pytest.raises(TypeError):
+            add_to_forest(forest, reduce_tree(Tree.leaf(), UNORDERED))
+
+
+def chain(n, labels):
+    return Tree.from_parents([None] + list(range(n - 1)), labels)
+
+
+@st.composite
+def forests(draw):
+    """A mode and a forest mixing random trees, single vertices, deep chains
+    and repeated members."""
+    mode = draw(st.sampled_from(MODES), label="mode")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    kinds = draw(st.lists(st.sampled_from(["random", "leaf", "chain", "repeat"]),
+                          min_size=1, max_size=7), label="kinds")
+
+    alphabet = "ab" if mode.labeled else None
+
+    def label():
+        return rng.choice(alphabet) if alphabet else None
+
+    trees = []
+    for kind in kinds:
+        if kind == "repeat" and trees:
+            trees.append(rng.choice(trees))
+        elif kind == "leaf":
+            trees.append(Tree.leaf(label()))
+        elif kind == "chain":
+            n = rng.randint(2, 60)
+            trees.append(chain(n, [label() for _ in range(n)]))
+        else:
+            trees.append(random_tree(rng, rng.randint(1, 25), alphabet))
+    return mode, trees
+
+
+class TestOneTable:
+    """Forest compression against string signatures, which share no code with it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=forests())
+    def test_signature_oracle(self, case):
+        mode, trees = case
+        forest = reduce_forest(trees, mode)
+        tree_sigs = [subtree_signatures(t, mode) for t in trees]
+        assert len(forest) == len(set().union(*tree_sigs)) + 1  # + artificial root
+        assert forest.is_reduced()
+        assert canonical_signature(expand_forest(forest), mode) == (
+            canonical_signature(join_forest(trees), mode)
+        )
+        for sigs, r in zip(tree_sigs, forest.member_roots):
+            assert canonical_signature(expand(forest, r), mode) == sigs[0]
+        # The root is the last id, so pattern v is the subtree of vertex v.
+        patterns = [expand(forest, v) for v in range(forest.root)]
+        for t, (ids, counts) in zip(trees, forest.member_counts):
+            row = dict(zip(ids.tolist(), counts.tolist()))
+            for v, pattern in enumerate(patterns):
+                assert row.get(v, 0) == count_occurrences(pattern, t, mode)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=forests())
+    def test_add_to_forest_continues_the_table(self, case):
+        mode, trees = case
+        if len(trees) > 1:
+            extended = add_to_forest(reduce_forest(trees[:-1], mode), trees[-1])
+            assert_same_forest(extended, reduce_forest(trees, mode))
 
 
 class TestDagStructure:
@@ -268,17 +333,3 @@ class TestDagStructure:
         d = reduce_tree(parse_tree("((())(()))"), ORDERED)
         lines = format_dag(d).splitlines()
         assert lines[-1].endswith("(1,1)(1,1)")
-
-
-class TestComplexityCounter:
-    def test_inspections_grow_with_input(self):
-        rng = random.Random(18)
-        small = [random_tree(rng, 10) for _ in range(2)]
-        large = [random_tree(rng, 10) for _ in range(20)]
-        _, tr_small = recompress_traced(
-            build_superdag([reduce_tree(t, UNORDERED) for t in small])
-        )
-        _, tr_large = recompress_traced(
-            build_superdag([reduce_tree(t, UNORDERED) for t in large])
-        )
-        assert tr_large.inspections > tr_small.inspections > 0

@@ -245,13 +245,15 @@ class TestReweight:
         ann = annotated_for(trees, UNORDERED)
         from dagkernel import exponential_weights
 
+        rows = ann.occurrences(range(6))
         counts = []
         for lam in (0.2, 0.9):
             comp = GramComputer(ann, exponential_weights(ann.dag, lam))
             comp.gram(range(6), range(6))
             counts.append(comp.visited_vertices)
         assert counts[0] == counts[1]
-        assert ann.build_traversals <= 3  # annotation untouched by kernels
+        for before, after in zip(rows, ann.occurrences(range(6))):
+            np.testing.assert_array_equal(before, after)  # annotation untouched by kernels
 
     def test_work_bound(self):
         rng = random.Random(61)

@@ -111,11 +111,17 @@ class TestSubtree:
 
     def test_descendants_contiguous(self):
         rng = random.Random(2)
-        for _ in range(20):
-            t = random_tree(rng, 20)
-            for v in t.vertices():
+        deep = Tree.from_parents([None] + list(range(2999)))  # a 3000-vertex chain
+        for t in [random_tree(rng, 20) for _ in range(20)] + [deep]:
+            # Subtree sizes counted from the parent array, leaves upwards.
+            sizes = [1] * len(t)
+            for u in range(len(t) - 1, 0, -1):
+                sizes[t.parent(u)] += sizes[u]
+            small = len(t) <= 20
+            for v in (t.vertices() if small else (0, 1, 1500, 2999)):
                 block = t.descendants(v)
-                assert all(v in (u, *t.ancestors(u)) for u in block)
+                assert len(block) == t.subtree_size(v) == sizes[v]
+                assert not small or all(v in (u, *t.ancestors(u)) for u in block)
 
     def test_replace_subtree(self):
         t = parse_tree("((()())())")

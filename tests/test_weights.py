@@ -12,9 +12,11 @@ from dagkernel import (
     ClassProfile,
     ShapingFn,
     Tree,
+    canonical_signature,
     class_profile,
     delta,
     discriminance_weights,
+    expand,
     exponential_weights,
     export_weight_table,
     parse_tree,
@@ -22,6 +24,7 @@ from dagkernel import (
     reduce_forest,
     reduce_tree,
     smoothstep,
+    subtree_signatures,
     weight_distribution_by_height,
 )
 from dagkernel.weights import _delta_array
@@ -186,8 +189,9 @@ class TestClassProfile:
     @given(data=st.data())
     def test_origin_set_definition(self, mode, data):
         # rho[v, k]: the share of distinct class-k weight-training members
-        # whose origin set holds v.  The forest has a duplicate tree and two
-        # single-vertex trees; the training list may repeat members.
+        # whose tree has a subtree isomorphic to expand(v).  The forest has a
+        # duplicate tree and two single-vertex trees; the training list may
+        # repeat members.
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         labels = "ab" if mode.labeled else None
         trees = [random_tree(rng, rng.randint(1, 14), labels)
@@ -202,10 +206,12 @@ class TestClassProfile:
         profile = class_profile(ann, classes, train, n_classes)
         members = set(train)
         sizes = [sum(1 for i in members if classes[i] == k) for k in range(n_classes)]
+        tree_sigs = [set(subtree_signatures(t, mode)) for t in trees]
         expected = np.zeros((len(ann.dag), n_classes))
-        for v in range(len(ann.dag)):
+        for v in range(ann.dag.root):  # the artificial root is the last id
+            sig = canonical_signature(expand(ann.dag, v), mode)
             for k in range(n_classes):
-                held = sum(1 for i in members & ann.origins[v] if classes[i] == k)
+                held = sum(1 for i in members if classes[i] == k and sig in tree_sigs[i])
                 expected[v, k] = held / sizes[k]
         np.testing.assert_array_equal(profile.rho, expected)
         assert profile.class_sizes == tuple(sizes)
@@ -216,8 +222,8 @@ class TestClassProfile:
         ann = self.make(trees)
         classes = [0, 0, 0, 1, 1, 1]
         profile = class_profile(ann, classes, [0, 3])  # members 1,2,4,5 unseen
-        seen_union = ann.origins[ann.dag.member_roots[1]]
-        if 0 not in seen_union and 3 not in seen_union:
+        sig = canonical_signature(trees[1], UNORDERED)
+        if all(sig not in subtree_signatures(trees[i], UNORDERED) for i in (0, 3)):
             v = ann.dag.member_roots[1]
             np.testing.assert_array_equal(profile.rho[v], [0.0, 0.0])
 
@@ -236,6 +242,14 @@ class TestClassProfile:
         ann = self.make(trees)
         with pytest.raises(ValueError):
             class_profile(ann, [0, 0, 1, 1], [0, 1], n_classes=2)
+
+    def test_negative_member_rejected(self):
+        # A negative index must not wrap to the last member of the forest.
+        ann = self.make([parse_tree(FIG3_TREE), Tree.leaf()])
+        with pytest.raises(IndexError):
+            class_profile(ann, [0, 0], [-1])
+        with pytest.raises(IndexError):
+            class_profile(ann, [0, 1], [0, -1])
 
     def test_missing_class_rejected(self):
         rng = random.Random(36)
