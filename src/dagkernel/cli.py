@@ -6,8 +6,8 @@ Subcommands: ``reduce`` (compress tree files), ``gram`` (Gram matrix CSVs),
 (synthetic corpus), ``viz`` (weight-scaled DOT), ``weights-hist`` (weight
 distribution per height).
 
-Exit codes: 0 success, 1 usage, 2 parse error, 3 configuration error,
-4 internal assertion.
+Exit codes: 0 success, 1 usage, 2 parse error, 3 configuration error
+(including a file that cannot be read or written), 4 internal assertion.
 """
 
 from __future__ import annotations
@@ -421,7 +421,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except (TreeParseError, MarkupParseError) as exc:
         click.echo(f"parse error: {exc}", err=True)
         return EXIT_PARSE
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         click.echo(f"configuration error: {exc}", err=True)
         return EXIT_CONFIG
     except AssertionError as exc:

@@ -7,22 +7,37 @@ class.  In ordered mode the outgoing edges of a vertex form an ordered list
 multiplicity) pairs.  Compression is invertible: `expand` rebuilds a tree
 isomorphic to the input.
 
-Compression is hash-consing (Downey, Sethi & Tarjan, 1980).  A postorder
-pass looks every vertex up in a table keyed by (label, children structure)
-and gives it the class id found there, or the next free id.  A forest is
-compressed in one such pass with one table shared by all its trees, so a
-subtree class that occurs in several members gets a single vertex.  The same
-pass yields the member x subtree-class count matrix: counting the class ids
-of tree i's vertices gives row i (`Dag.member_counts`).  A forest DAG also
-has an artificial root above the member roots; it represents no subtree.
+Compression names subtrees level by level with integers, as in the AHU tree
+isomorphism test (Aho, Hopcroft & Ullman, 1974).  Levels are peeled from the
+leaves upward: a vertex joins level h when its last child is done, so its
+level is its height.  Within a level, every vertex gets an exact integer key
+from its label and its children's class ids (in order; sorted in unordered
+mode), built by pairing one child column at a time with ``np.unique``.
+Vertices with equal keys form one class.  No hashing is involved, so there
+are no collisions.  A forest is compressed in one such pass over all its
+trees, so a subtree class that occurs in several members gets a single
+vertex, and one ``np.unique`` over the member x class pairs of its tree
+vertices gives the member x subtree-class count matrix (`Dag.member_counts`).
+A forest DAG also has an artificial root above the member roots; it
+represents no subtree.
 
-Vertex ids of a compacted DAG are sorted by (height, discovery), so every
-edge goes from a higher id to a strictly lower one and the unique maximal id
-is the root.  A member's root is the last id of its count row.
+Numbering: ids are sorted by (height, first discovery).  Vertices are
+discovered tree by tree, each tree in reverse preorder; `add_to_forest`
+discovers the forest's own vertices first, in id order.  Every edge goes
+from a higher id to a strictly lower one, the unique maximal id is the root,
+and a member's root is the last id of its count row.
+
+Layout: heights are an int array and children are CSR arrays: the edges of
+vertex v are positions ``offsets[v]:offsets[v + 1]`` of a child-id array and
+a multiplicity array.  Ordered mode stores one edge per child, in order,
+with multiplicity 1; unordered mode stores distinct children sorted by id,
+with their multiplicities.  The count matrix is stored the same way (row
+offsets, vertex ids, counts) and handed out as read-only row views.
 """
 
 from __future__ import annotations
 
+from itertools import chain, zip_longest
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,102 +53,121 @@ __all__ = [
     "reduce_tree",
 ]
 
-# Children encodings: ordered mode stores a tuple of child ids (order and
-# repetitions significant); unordered mode stores a tuple of (child, mult)
-# pairs with distinct children, sorted by child id.
-OrderedChildren = tuple[int, ...]
-UnorderedChildren = tuple[tuple[int, int], ...]
-
 
 class Dag:
-    """Immutable compressed DAG; see module docstring for the encoding."""
+    """Immutable compressed DAG; see module docstring for the encoding.
 
-    __slots__ = ("mode", "_heights", "_labels", "_children", "_roots", "_rows")
+    ``children`` is the CSR triple (offsets, child ids, multiplicities).
+    ``member_counts``, given on forest DAGs only, is the CSR triple (row
+    offsets, vertex ids, counts) of the member x vertex count matrix.
+    """
+
+    __slots__ = ("mode", "_heights", "_labels", "_offsets", "_kids", "_mults", "_root",
+                 "_counts", "_rows")
 
     def __init__(
         self,
         mode: TreeMode,
         heights: Sequence[int],
         labels: Sequence[Optional[str]],
-        children: Sequence[tuple],
-        roots: Sequence[int],
-        member_counts: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None,
+        children: tuple[Sequence[int], Sequence[int], Sequence[int]],
+        root: int,
+        member_counts: Optional[tuple[Sequence[int], Sequence[int], Sequence[float]]] = None,
     ):
-        if not (len(heights) == len(labels) == len(children)):
-            raise ValueError("heights, labels and children must have equal length")
-        if len(roots) != 1:
-            raise ValueError("a Dag has exactly one root vertex")
         self.mode = mode
-        self._heights = tuple(heights)
+        self._heights = _frozen(heights, np.int64)
         self._labels = tuple(labels)
-        self._children = tuple(children)
-        self._roots = tuple(roots)
-        self._rows = None if member_counts is None else tuple(
-            (_frozen(ids, np.int64), _frozen(counts, np.float64))
-            for ids, counts in member_counts
+        self._offsets, self._kids, self._mults = (_frozen(a, np.int64) for a in children)
+        self._root = root
+        self._counts = None if member_counts is None else tuple(
+            _frozen(a, dtype)
+            for a, dtype in zip(member_counts, (np.int64, np.int64, np.float64))
         )
         self._validate()
+        self._rows = None
+        if self._counts is not None:
+            row_offsets, ids, counts = self._counts
+            bounds = row_offsets.tolist()
+            self._rows = tuple((ids[a:b], counts[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def _validate(self) -> None:
         n = len(self._heights)
-        for v in range(n):
-            h = self._heights[v]
-            kids = self.edges(v)
-            if not kids:
-                if h != 0:
-                    raise ValueError(f"childless vertex {v} must have height 0")
-                continue
-            if h != 1 + max(self._heights[c] for c, _ in kids):
-                raise ValueError(f"vertex {v} has inconsistent height")
-            for c, mult in kids:
-                if not 0 <= c < n:
-                    raise ValueError(f"vertex {v} references invalid child {c}")
-                if self._heights[c] >= h:
-                    raise ValueError(f"edge {v}->{c} does not decrease height")
-                if mult < 1:
-                    raise ValueError("edge multiplicity must be >= 1")
-        root = self._roots[0]
-        if not 0 <= root < n:
+        heights, offsets, kids, mults = self._heights, self._offsets, self._kids, self._mults
+        if not len(self._labels) == n == len(offsets) - 1:
+            raise ValueError("heights, labels and children must have equal length")
+        if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]) or not (
+                offsets[-1] == len(kids) == len(mults)):
+            raise ValueError("children offsets must rise from 0 to the number of edges")
+        owner = np.repeat(np.arange(n), np.diff(offsets))
+        bad = np.flatnonzero((kids < 0) | (kids >= n))
+        if len(bad):
+            raise ValueError(f"vertex {owner[bad[0]]} references invalid child {kids[bad[0]]}")
+        if np.any(mults < 1) or (self.mode.ordered and np.any(mults != 1)):
+            raise ValueError("edge multiplicity must be >= 1, and 1 in ordered mode")
+        has_kids = offsets[1:] > offsets[:-1]
+        bad = np.flatnonzero(~has_kids & (heights != 0))
+        if len(bad):
+            raise ValueError(f"childless vertex {bad[0]} must have height 0")
+        below = heights[kids]
+        bad = np.flatnonzero(below >= heights[owner])
+        if len(bad):
+            raise ValueError(f"edge {owner[bad[0]]}->{kids[bad[0]]} does not decrease height")
+        if len(kids):
+            top = np.maximum.reduceat(below, offsets[:-1][has_kids])
+            bad = np.flatnonzero(heights[has_kids] != top + 1)
+            if len(bad):
+                raise ValueError(f"vertex {np.flatnonzero(has_kids)[bad[0]]} has "
+                                 "inconsistent height")
+        if not 0 <= self._root < n:
             raise ValueError("invalid root id")
-        for ids, counts in self._rows or ():
-            if not (len(ids) == len(counts) > 0 and 0 <= ids[0] and ids[-1] < n
-                    and np.all(ids[1:] > ids[:-1]) and np.all(counts >= 1)):
-                raise ValueError("a member count row needs increasing vertex ids "
-                                 "and positive counts")
+        if self._counts is None:
+            return
+        row_offsets, ids, counts = self._counts
+        message = "a member count row needs increasing vertex ids and positive counts"
+        if not (row_offsets[0] == 0 and np.all(row_offsets[1:] > row_offsets[:-1])
+                and row_offsets[-1] == len(ids) == len(counts)):
+            raise ValueError(message)
+        # Consecutive ids must rise, except where a new row starts.
+        rising = ids[1:] > ids[:-1]
+        rising[row_offsets[1:-1] - 1] = True
+        if not (np.all((ids >= 0) & (ids < n)) and np.all(rising) and np.all(counts >= 1)):
+            raise ValueError(message)
 
     # -- accessors -------------------------------------------------------------
 
     @property
     def roots(self) -> tuple[int, ...]:
-        return self._roots
+        return (self._root,)
 
     @property
     def root(self) -> int:
-        return self._roots[0]
+        return self._root
 
     @property
     def member_counts(self) -> Optional[tuple[tuple[np.ndarray, np.ndarray], ...]]:
         """Row i of the member x vertex count matrix, only on forest DAGs: the
         increasing ids of tree i's vertices, and how often each of their
-        subtrees occurs in tree i (float64, ready for products)."""
+        subtrees occurs in tree i (float64, ready for products).  The rows are
+        read-only views of one pair of arrays."""
         return self._rows
 
     @property
     def member_roots(self) -> Optional[tuple[int, ...]]:
         """Dataset member -> DAG vertex of its root; only on forest DAGs."""
-        if self._rows is None:
+        if self._counts is None:
             return None
-        return tuple(int(ids[-1]) for ids, _ in self._rows)
+        row_offsets, ids, _ = self._counts
+        return tuple(ids[row_offsets[1:] - 1].tolist())
 
     @property
     def is_forest(self) -> bool:
-        return self._rows is not None
+        return self._counts is not None
 
     @property
     def n_members(self) -> int:
-        if self._rows is None:
+        if self._counts is None:
             raise ValueError("not a forest DAG")
-        return len(self._rows)
+        return len(self._counts[0]) - 1
 
     def __len__(self) -> int:
         return len(self._heights)
@@ -145,17 +179,20 @@ class Dag:
     def height(self, v: Optional[int] = None) -> int:
         if v is None:
             v = self.root
-        return self._heights[v]
+        return int(self._heights[v])
 
     def heights(self) -> tuple[int, ...]:
-        return self._heights
+        return tuple(self._heights.tolist())
 
     def label(self, v: int) -> Optional[str]:
         return self._labels[v]
 
     def children_struct(self, v: int) -> tuple:
-        """The raw children encoding of ``v`` (mode dependent)."""
-        return self._children[v]
+        """The children encoding of ``v``: a tuple of child ids in ordered
+        mode, of (child, multiplicity) pairs sorted by child in unordered mode."""
+        if self.mode.ordered:
+            return tuple(self._kids[self._offsets[v]:self._offsets[v + 1]].tolist())
+        return self.edges(v)
 
     def edges(self, v: int):
         """Outgoing edges as (child, multiplicity) pairs.
@@ -163,18 +200,17 @@ class Dag:
         Ordered mode yields one pair per edge in order (multiplicity 1);
         unordered mode yields the stored multiplicity pairs.
         """
-        if self.mode.ordered:
-            return tuple((c, 1) for c in self._children[v])
-        return self._children[v]
+        a, b = self._offsets[v], self._offsets[v + 1]
+        return tuple(zip(self._kids[a:b].tolist(), self._mults[a:b].tolist()))
 
     def n_edges(self) -> int:
-        return sum(len(self._children[v]) for v in range(len(self)))
+        return len(self._kids)
 
     def is_reduced(self) -> bool:
         """True iff no two vertices share (label, children-structure)."""
         seen = set()
         for v in range(len(self)):
-            key = (self._labels[v], self._children[v])
+            key = (self._labels[v], self.children_struct(v))
             if key in seen:
                 return False
             seen.add(key)
@@ -186,7 +222,8 @@ class Dag:
 
 
 def _frozen(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+    # A read-only view: the Dag never exposes a writable handle on its arrays.
+    out = np.asarray(values, dtype=dtype).view()
     out.flags.writeable = False
     return out
 
@@ -194,95 +231,196 @@ def _frozen(values, dtype) -> np.ndarray:
 # -- compression ----------------------------------------------------------------
 
 
-def _children_struct(mode: TreeMode, kids: list[int]) -> tuple:
-    """The children encoding of a vertex whose children have ids ``kids``."""
-    if mode.ordered or not kids:
-        return tuple(kids)
-    if len(kids) == 1:
-        return ((kids[0], 1),)
-    counts: dict[int, int] = {}
-    for c in kids:
-        counts[c] = counts.get(c, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
-def _intern(tree: Tree, mode: TreeMode, table: dict, heights: list, labels: list,
-            children: list) -> list[int]:
-    """Class id of every vertex of ``tree``, indexed by vertex.
-
-    ``table`` maps (label, children struct) to a class id.  A class missing
-    from it takes the next id, and its height, label and struct are appended
-    to the parallel lists, so ids follow discovery order.
-    """
-    # The tree's own arrays: this loop runs once per vertex of the forest.
-    kids_of, labels_of, heights_of = tree._children, tree._labels, tree._heights
-    class_of = [0] * len(kids_of)
-    # Reverse preorder visits every child before its parent.
-    for v in range(len(kids_of) - 1, -1, -1):
-        struct = _children_struct(mode, [class_of[c] for c in kids_of[v]])
-        key = (labels_of[v] if mode.labeled else None, struct)
-        cid = table.get(key)
-        if cid is None:
-            cid = table[key] = len(heights)
-            heights.append(heights_of[v])
-            labels.append(key[0])
-            children.append(struct)
-        class_of[v] = cid
-    return class_of
-
-
 def reduce_tree(tree: Tree, mode: TreeMode) -> Dag:
     """Compress a tree into its reduced DAG: one vertex per subtree class."""
-    heights: list[int] = []
-    labels: list[Optional[str]] = []
-    children: list[tuple] = []
-    class_of = _intern(tree, mode, {}, heights, labels, children)
-    new_id, heights, labels, children = _compact(mode, heights, labels, children)
-    return Dag(mode, heights, labels, children, (new_id[class_of[0]],))
+    return _compress(mode, [tree], None, as_forest=False)
 
 
 def reduce_forest(trees: Sequence[Tree], mode: TreeMode) -> Dag:
-    """Compress a forest with one table shared by its trees (see module doc)."""
+    """Compress a forest in one pass over its trees (see module doc)."""
     if not trees:
         raise ValueError("cannot reduce an empty forest")
-    return _extend_forest(mode, {}, [], [], [], [], trees)
+    return _compress(mode, trees, None, as_forest=True)
 
 
 def add_to_forest(forest: Dag, newcomer: Tree) -> Dag:
     """Add one tree to a forest DAG as its last member.
 
-    Equal to reducing the extended forest from scratch: the table is seeded
-    with the forest's vertices, and only the newcomer's vertices are looked up.
+    Equal to reducing the extended forest from scratch: the forest's vertices
+    enter the level-wise naming as classes that already exist, so only the
+    newcomer's vertices are named anew.
     """
     if not forest.is_forest:
         raise ValueError("first argument must be a forest DAG with an artificial root")
     if not isinstance(newcomer, Tree):
         raise TypeError("newcomer must be a Tree")
-    root = forest.root  # the maximal id; every other id is a table entry
-    labels = list(forest._labels[:root])
-    children = list(forest._children[:root])
-    table = {key: v for v, key in enumerate(zip(labels, children))}
-    return _extend_forest(forest.mode, table, list(forest.heights()[:root]), labels,
-                          children, list(forest.member_counts), [newcomer])
+    return _compress(forest.mode, [newcomer], forest, as_forest=True)
 
 
-def _extend_forest(mode, table, heights, labels, children, rows, trees) -> Dag:
-    # ``rows`` are the count rows of the members already in the table.
-    classes = [_intern(t, mode, table, heights, labels, children) for t in trees]
-    member_roots = [int(ids[-1]) for ids, _ in rows] + [c[0] for c in classes]
-    root = len(heights)
-    heights.append(1 + max(heights[r] for r in member_roots))
-    labels.append(None)
-    children.append(_children_struct(mode, member_roots))
-    new_id, heights, labels, children = _compact(mode, heights, labels, children)
-    remap = np.asarray(new_id, dtype=np.int64)
-    # Renumbering keeps the relative order of ids that were already sorted by
-    # height, so the old rows stay sorted.
-    rows = [(remap[ids], counts) for ids, counts in rows]
-    for class_of in classes:
-        ids, counts = np.unique(remap[class_of], return_counts=True)
-        rows.append((ids, counts.astype(np.float64)))
-    return Dag(mode, heights, labels, children, (new_id[root],), rows)
+def _positions(lengths: np.ndarray) -> np.ndarray:
+    """Position of every element inside its segment, for consecutive
+    segments of the given lengths."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _compress(mode: TreeMode, trees: Sequence[Tree], forest: Optional[Dag],
+              as_forest: bool) -> Dag:
+    """Name every subtree class of ``trees`` level by level (module doc).
+
+    Nodes are the vertices of ``forest`` below its artificial root (node i is
+    forest vertex i), then every tree vertex in discovery order: the vertex v
+    of a tree whose nodes end before node e is node e - 1 - v.  Children of a
+    node are CSR lists of nodes, left to right; a forest vertex lists a child
+    once per multiplicity.
+    """
+    n_old = forest.root if forest is not None else 0
+    sizes = np.fromiter(map(len, trees), np.int64, len(trees))
+    ends = n_old + np.cumsum(sizes)
+    n = int(ends[-1])
+    # Node of each tree vertex, in the trees' own preorder, one tree after another.
+    node_of = np.repeat(ends - 1, sizes) - _positions(sizes)
+    is_root = np.zeros(len(node_of), bool)
+    is_root[np.cumsum(sizes) - sizes] = True
+    parent = np.full(n, -1, np.int64)
+    parent[node_of[~is_root]] = np.repeat(ends - 1, sizes - 1) - np.fromiter(
+        chain.from_iterable(t._parents[1:] for t in trees), np.int64, n - n_old - len(trees))
+
+    if mode.labeled:
+        old_labels = forest._labels[:n_old] if forest is not None else ()
+        names = list(dict.fromkeys(chain(old_labels, *(t._labels for t in trees))))
+        name_id = {name: i for i, name in enumerate(names)}
+        label = np.empty(n, np.int64)
+        label[:n_old] = np.fromiter(map(name_id.__getitem__, old_labels), np.int64, n_old)
+        label[node_of] = np.fromiter(
+            map(name_id.__getitem__, chain.from_iterable(t._labels for t in trees)),
+            np.int64, len(node_of))
+    else:
+        names, label = [None], np.zeros(n, np.int64)
+    # Per-vertex temporaries are dropped as soon as they are used up: together
+    # they set the memory peak of a large forest.
+    del node_of, is_root
+
+    # Children of tree nodes: sorting nodes by parent, and within one parent
+    # by descending node, lists every child list left to right.  Roots have
+    # parent -1 and sort first.
+    packed = np.sort(parent[n_old:] * n + np.arange(n - 1 - n_old, -1, -1))
+    kids = (n - 1) - packed[len(trees):] % n
+    deg = np.bincount(parent[n_old:][parent[n_old:] >= 0], minlength=n)
+    old_levels = []
+    if forest is not None:
+        n_edges = forest._offsets[n_old]
+        expanded = np.concatenate(([0], np.cumsum(forest._mults[:n_edges])))
+        deg[:n_old] = np.diff(expanded[forest._offsets[:n_old + 1]])
+        kids = np.concatenate((np.repeat(forest._kids[:n_edges], forest._mults[:n_edges]),
+                               kids))
+        # Forest ids are sorted by height, so each level is one id range.
+        bounds = np.searchsorted(forest._heights[:n_old], np.arange(forest.height() + 1))
+        old_levels = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    offsets = np.concatenate(([0], np.cumsum(deg)))
+    del packed
+
+    # Peel tree nodes from the leaves upward; every level comes out sorted.
+    tree_levels = []
+    pending = deg.copy()
+    level = n_old + np.flatnonzero(deg[n_old:] == 0)
+    while len(level):
+        tree_levels.append(level)
+        up, done = np.unique(parent[level], return_counts=True)
+        if up[0] < 0:  # tree roots have no parent
+            up, done = up[1:], done[1:]
+        pending[up] -= done
+        level = up[pending[up] == 0]
+    del pending, parent
+
+    # Name classes level by level.  A level lists the forest's nodes of that
+    # height, then the tree nodes, all in discovery order.
+    bound = n + 1  # exceeds every class id
+    class_of = np.empty(n, np.int64)
+    reps = []  # the first-discovered node of every class, in id order
+    out_heights = []
+    n_classes = 0
+    empty = np.zeros(0, np.int64)
+    for h, parts in enumerate(zip_longest(old_levels, tree_levels, fillvalue=empty)):
+        level = np.concatenate(parts)
+        key = _level_keys(mode, level, label, offsets, kids, class_of, bound)
+        inverse = np.unique(key, return_inverse=True)[1]
+        first = np.full(inverse.max() + 1, len(level))
+        np.minimum.at(first, inverse, np.arange(len(level)))
+        by_discovery = np.argsort(first)
+        rank = np.empty(len(first), np.int64)
+        rank[by_discovery] = np.arange(len(first))
+        class_of[level] = n_classes + rank[inverse]
+        reps.append(level[first[by_discovery]])
+        out_heights.append(np.full(len(first), h))
+        n_classes += len(first)
+    reps = np.concatenate(reps)
+    out_heights = np.concatenate(out_heights)
+
+    # The children of every class are those of its representative.
+    deg = deg[reps]
+    owner = np.repeat(np.arange(n_classes), deg)
+    child = class_of[kids[np.repeat(offsets[reps], deg) + _positions(deg)]]
+    out_labels = [names[i] for i in label[reps].tolist()]
+    if not as_forest:
+        return Dag(mode, out_heights, out_labels,
+                   _children_csr(mode, n_classes, owner, child), n_classes - 1)
+
+    member_roots = class_of[ends - 1]
+    cells, counts = np.unique(np.repeat(np.arange(len(trees)), sizes) * n_classes
+                              + class_of[n_old:], return_counts=True)
+    rows = cells // n_classes
+    ids = cells - rows * n_classes
+    row_offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(trees)))))
+    if forest is not None:
+        # Old classes keep their relative order, so renumbered rows stay sorted.
+        old_offsets, old_ids, old_counts = forest._counts
+        member_roots = np.concatenate((class_of[old_ids[old_offsets[1:] - 1]], member_roots))
+        ids = np.concatenate((class_of[old_ids], ids))
+        counts = np.concatenate((old_counts, counts))
+        row_offsets = np.concatenate((old_offsets, old_offsets[-1] + row_offsets[1:]))
+    owner = np.concatenate((owner, np.full(len(member_roots), n_classes)))
+    child = np.concatenate((child, member_roots))
+    return Dag(mode, np.append(out_heights, out_heights[-1] + 1), out_labels + [None],
+               _children_csr(mode, n_classes + 1, owner, child), n_classes,
+               (row_offsets, ids, counts.astype(np.float64)))
+
+
+def _level_keys(mode, level, label, offsets, kids, class_of, bound) -> np.ndarray:
+    """One int64 key per node of ``level``: two nodes get equal keys iff they
+    have equal labels and equal child class sequences (sorted in unordered
+    mode).  Every child class id of the level is below ``bound``."""
+    deg = offsets[level + 1] - offsets[level]
+    key = np.unique(label[level] * (deg.max() + 1) + deg, return_inverse=True)[1]
+    first_edge = np.cumsum(deg) - deg
+    child = class_of[kids[np.repeat(offsets[level] - first_edge, deg) + np.arange(deg.sum())]]
+    if not mode.ordered:
+        base = np.repeat(np.arange(len(level)) * bound, deg)
+        child = np.sort(base + child) - base
+    # Pair the keys with one child column at a time.  The nodes that have a
+    # column j get fresh codes above every key in use, so they cannot
+    # collide with nodes that have fewer children.
+    alive = np.arange(len(level))
+    next_code = len(level)
+    for j in range(deg.max()):
+        alive = alive[deg[alive] > j]
+        pairs = key[alive] * bound + child[first_edge[alive] + j]
+        key[alive] = next_code + np.unique(pairs, return_inverse=True)[1]
+        next_code += len(alive)
+    return key
+
+
+def _children_csr(mode, n_vertices, owner, child):
+    """CSR children of vertices 0 .. n_vertices - 1 from one (owner, child)
+    pair per child occurrence, grouped by owner and in order within one."""
+    if mode.ordered:
+        mults = np.ones(len(child), np.int64)
+    else:
+        bound = n_vertices + 1
+        pairs, mults = np.unique(owner * bound + child, return_counts=True)
+        owner = pairs // bound
+        child = pairs - owner * bound
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n_vertices))))
+    return offsets, child, mults
 
 
 def expand(dag: Dag, v: Optional[int] = None) -> Tree:
@@ -309,25 +447,6 @@ def expand(dag: Dag, v: Optional[int] = None) -> Tree:
                 stack.append((child, tid))
     # Stack order already yields preorder with children left-to-right.
     return Tree.from_parents(parents, labels)
-
-
-def _compact(mode, heights, labels, children):
-    """Renumber table ids by (height, discovery).
-
-    Returns the map from table id to new id, and the heights, labels and
-    children in the new numbering.
-    """
-    order = sorted(range(len(heights)), key=heights.__getitem__)  # stable
-    new_id = [0] * len(order)
-    for new, old in enumerate(order):
-        new_id[old] = new
-    if mode.ordered:
-        out_children = [tuple(new_id[c] for c in children[old]) for old in order]
-    else:
-        out_children = [tuple(sorted((new_id[c], m) for c, m in children[old]))
-                        for old in order]
-    return (new_id, [heights[old] for old in order], [labels[old] for old in order],
-            out_children)
 
 
 # -- text format -------------------------------------------------------------------

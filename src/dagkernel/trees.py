@@ -145,7 +145,7 @@ class Tree:
             tuple(new_id[c] for c in children[old]) for old in order
         )
         self._labels: tuple[Optional[str], ...] = tuple(labels[old] for old in order)
-        self._heights: tuple[int, ...] = _heights_of(self._children)
+        self._heights: Optional[tuple[int, ...]] = None  # computed on first use
 
     # -- construction helpers -------------------------------------------------
 
@@ -194,7 +194,7 @@ class Tree:
         tree._parents = parents
         tree._children = children
         tree._labels = labels
-        tree._heights = _heights_of(children)
+        tree._heights = None
         return tree
 
     # -- basic accessors ------------------------------------------------------
@@ -229,11 +229,13 @@ class Tree:
     def height(self, v: Optional[int] = None) -> int:
         """Height of vertex ``v`` (0 for leaves); of the root if omitted."""
         if v is None:
-            return self._heights[0]
+            return self.heights()[0]
         self._check(v)
-        return self._heights[v]
+        return self.heights()[v]
 
     def heights(self) -> tuple[int, ...]:
+        if self._heights is None:
+            self._heights = _heights_of(self._children)
         return self._heights
 
     def _check(self, v: int) -> None:
@@ -251,7 +253,8 @@ class Tree:
         return max(len(ks) for ks in self._children)
 
     def vertices_at_height(self, h: int) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices() if self._heights[v] == h)
+        heights = self.heights()
+        return tuple(v for v in self.vertices() if heights[v] == h)
 
     def subtree_size(self, v: int) -> int:
         """Number of vertices of the subtree rooted at ``v``."""

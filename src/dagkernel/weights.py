@@ -42,13 +42,11 @@ def exponential_weights(dag: Dag, lam: float) -> np.ndarray:
     return np.power(float(lam), np.asarray(dag.heights(), dtype=np.float64))
 
 
-def smoothstep(x: float) -> float:
-    """The cubic easing polynomial 3x^2 - 2x^3, clamped to 0 below 0."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    return 3.0 * x * x - 2.0 * x * x * x
+def smoothstep(x):
+    """The cubic easing polynomial 3x^2 - 2x^3 on x clipped to [0, 1];
+    elementwise on arrays."""
+    x = np.clip(x, 0.0, 1.0)
+    return 3.0 * x**2 - 2.0 * x**3
 
 
 @dataclass(frozen=True)
@@ -71,15 +69,8 @@ class ShapingFn:
             raise ValueError("threshold eps must be in [0, 1)")
 
     def __call__(self, x: float) -> float:
-        if x > 1.0:
-            raise ValueError(f"shaping input must be <= 1, got {x}")
-        if self.kind == "identity":
-            return max(0.0, x)
-        if self.kind == "smoothstep":
-            return smoothstep(x)
-        if self.kind == "smoothstep2":
-            return smoothstep(smoothstep(x))
-        return 1.0 if x > self.eps else 0.0
+        """The value at one point; the same arithmetic as :meth:`apply`."""
+        return float(self.apply(np.array([x], dtype=np.float64))[0])
 
     def apply(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
@@ -88,13 +79,11 @@ class ShapingFn:
         xs = np.minimum(xs, 1.0)
         if self.kind == "threshold":
             return (xs > self.eps).astype(np.float64)
-        clamped = np.clip(xs, 0.0, 1.0)
         if self.kind == "identity":
-            return clamped
-        smooth = 3.0 * clamped**2 - 2.0 * clamped**3
+            return np.clip(xs, 0.0, 1.0)
         if self.kind == "smoothstep":
-            return smooth
-        return 3.0 * smooth**2 - 2.0 * smooth**3
+            return smoothstep(xs)
+        return smoothstep(smoothstep(xs))
 
     @classmethod
     def parse(cls, name: str, eps: float = 0.3) -> "ShapingFn":

@@ -29,6 +29,25 @@ class TestManifestErrors:
         assert "Traceback" not in err
 
 
+class TestFileErrors:
+    """A file that cannot be read or written is a configuration error."""
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        assert cli.run(["reduce", str(tmp_path), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "Traceback" not in err
+
+    def test_output_in_missing_directory(self, tmp_path, capsys):
+        trees = tmp_path / "t.txt"
+        trees.write_text("a(b())\n")
+        out = tmp_path / "missing_dir" / "o.txt"
+        assert cli.run(["reduce", str(trees), "--labeled", "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "missing_dir" in err
+
+
 class TestImports:
     def test_cli_import_leaves_scipy_out(self):
         # Importing scipy.sparse alone costs about 22 MB of resident memory,

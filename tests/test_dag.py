@@ -180,16 +180,7 @@ class TestRecompressEquivalence:
 
 def expand_forest(forest_dag):
     """Expand a forest DAG through its artificial root into the supertree."""
-    return expand(
-        Dag(
-            forest_dag.mode,
-            forest_dag.heights(),
-            [forest_dag.label(v) for v in range(len(forest_dag))],
-            [forest_dag.children_struct(v) for v in range(len(forest_dag))],
-            forest_dag.roots,
-            None,
-        )
-    )
+    return expand(forest_dag, forest_dag.root)
 
 
 def assert_same_forest(a, b):
@@ -298,6 +289,74 @@ class TestOneTable:
         if len(trees) > 1:
             extended = add_to_forest(reduce_forest(trees[:-1], mode), trees[-1])
             assert_same_forest(extended, reduce_forest(trees, mode))
+
+
+class TestNumbering:
+    @settings(max_examples=60, deadline=None)
+    @given(case=forests())
+    def test_ids_follow_height_then_discovery(self, case):
+        # Expected order from string signatures: distinct subtree classes by
+        # (height, first discovery), discovering trees in order, each tree in
+        # reverse preorder.
+        mode, trees = case
+
+        def expected(forest):
+            first = {}
+            for t in forest:
+                sigs = subtree_signatures(t, mode)
+                for v in reversed(t.vertices()):
+                    first.setdefault(sigs[v], (t.height(v), len(first)))
+            return sorted(first, key=first.get)
+
+        def ids(dag, n):
+            return [canonical_signature(expand(dag, v), mode) for v in range(n)]
+
+        tree = reduce_tree(trees[0], mode)
+        assert ids(tree, len(tree)) == expected(trees[:1])
+        forest = reduce_forest(trees, mode)
+        assert ids(forest, forest.root) == expected(trees)
+        if len(trees) > 1:
+            extended = add_to_forest(reduce_forest(trees[:-1], mode), trees[-1])
+            assert ids(extended, extended.root) == expected(trees)
+
+
+def dag_parts(**fault):
+    """Constructor arguments of a valid unordered forest DAG, with ``fault``
+    replacing some: leaf 0, vertex 1 with the leaf twice below it, and the
+    artificial root 2 above one member whose count row is {0: 2, 1: 1}."""
+    parts = dict(mode=UNORDERED, heights=[0, 1, 2], offsets=[0, 0, 1, 2], kids=[0, 1],
+                 mults=[2, 1], root=2, rows=([0, 2], [0, 1], [2.0, 1.0]))
+    parts.update(fault)
+    return (parts["mode"], parts["heights"], [None] * 3,
+            (parts["offsets"], parts["kids"], parts["mults"]), parts["root"], parts["rows"])
+
+
+class TestValidation:
+    def test_valid_parts(self):
+        d = Dag(*dag_parts())
+        assert d.member_roots == (1,) and d.edges(1) == ((0, 2),)
+
+    @pytest.mark.parametrize("fault, message", [
+        (dict(heights=[0, 1]), "equal length"),
+        (dict(offsets=[0, 1, 0, 2]), "offsets"),
+        (dict(heights=[1, 1, 2]), "childless vertex 0 must have height 0"),
+        (dict(heights=[0, 1, 3]), "vertex 2 has inconsistent height"),
+        (dict(kids=[0, 3]), "vertex 2 references invalid child 3"),
+        (dict(kids=[0, -1]), "vertex 2 references invalid child -1"),
+        (dict(heights=[0, 2, 2]), "edge 2->1 does not decrease height"),
+        (dict(mults=[0, 1]), "multiplicity"),
+        (dict(mode=ORDERED), "multiplicity"),  # ordered mode repeats a child instead
+        (dict(root=3), "invalid root"),
+        (dict(root=-1), "invalid root"),
+        (dict(rows=([0, 2, 2], [0, 1], [2.0, 1.0])), "count row"),  # empty row
+        (dict(rows=([0, 2], [1, 0], [1.0, 2.0])), "count row"),  # not increasing
+        (dict(rows=([0, 2], [0, 1], [2.0, 0.5])), "count row"),  # count below 1
+    ], ids=["lengths", "offsets", "childless", "height", "child-high", "child-low", "edge",
+            "mult", "ordered-mult", "root-high", "root-low", "row-empty", "row-order",
+            "row-count"])
+    def test_rejected(self, fault, message):
+        with pytest.raises(ValueError, match=message):
+            Dag(*dag_parts(**fault))
 
 
 class TestDagStructure:
