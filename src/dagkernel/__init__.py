@@ -10,9 +10,14 @@ __version__ = "0.1.0"
 
 from .annotate import AnnotatedDag
 from .dag import Dag, add_to_forest, expand, format_dag, reduce_forest, reduce_tree
-from .generate import all_ordered_shapes, random_tree, random_tree_of_height
-from .kernel import GramComputer, export_gram_csv, gram, kernel_brute, kernel_dag
-from .markup import MarkupParseError, generate_template_corpus, markup_to_tree
+from .generate import (
+    all_ordered_shapes,
+    generate_template_corpus,
+    random_tree,
+    random_tree_of_height,
+)
+from .kernel import GramComputer, export_gram_csv, gram, kernel_brute
+from .markup import MarkupParseError, markup_to_tree
 from .model import (
     ContrastCalculator,
     ModelConstructionError,
@@ -20,8 +25,6 @@ from .model import (
     build_model,
     check_leaf_weight_effect,
     check_separation,
-    contrast_exact,
-    contrast_monte_carlo,
     edit_height_pmf,
     mass_at_most,
     sample_dataset,
@@ -39,7 +42,6 @@ from .pipeline import (
     evaluate,
     load_manifest,
     mean_similarity_classify,
-    relative_improvement,
     run_experiment,
     save_manifest,
     split_thirds,

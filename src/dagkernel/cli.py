@@ -22,8 +22,9 @@ import numpy as np
 
 from . import __version__
 from .dag import format_dag, reduce_forest, reduce_tree
+from .generate import generate_template_corpus
 from .kernel import GramComputer, export_gram_csv
-from .markup import MarkupParseError, generate_template_corpus, markup_to_tree
+from .markup import MarkupParseError, markup_to_tree
 from .model import (
     build_model,
     check_leaf_weight_effect,

@@ -31,8 +31,10 @@ Layout: heights are an int array and children are CSR arrays: the edges of
 vertex v are positions ``offsets[v]:offsets[v + 1]`` of a child-id array and
 a multiplicity array.  Ordered mode stores one edge per child, in order,
 with multiplicity 1; unordered mode stores distinct children sorted by id,
-with their multiplicities.  The count matrix is stored the same way (row
-offsets, vertex ids, counts) and handed out as read-only row views.
+with their multiplicities.  The count matrix is stored the same way: row i
+is positions ``row_offsets[i]:row_offsets[i + 1]`` of an array of increasing
+vertex ids and an array of counts.  `Dag.member_counts` hands out that
+read-only triple, the one the constructor takes.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class Dag:
     """
 
     __slots__ = ("mode", "_heights", "_labels", "_offsets", "_kids", "_mults", "_root",
-                 "_counts", "_rows")
+                 "_counts")
 
     def __init__(
         self,
@@ -84,11 +86,6 @@ class Dag:
             for a, dtype in zip(member_counts, (np.int64, np.int64, np.float64))
         )
         self._validate()
-        self._rows = None
-        if self._counts is not None:
-            row_offsets, ids, counts = self._counts
-            bounds = row_offsets.tolist()
-            self._rows = tuple((ids[a:b], counts[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def _validate(self) -> None:
         n = len(self._heights)
@@ -144,12 +141,12 @@ class Dag:
         return self._root
 
     @property
-    def member_counts(self) -> Optional[tuple[tuple[np.ndarray, np.ndarray], ...]]:
-        """Row i of the member x vertex count matrix, only on forest DAGs: the
-        increasing ids of tree i's vertices, and how often each of their
-        subtrees occurs in tree i (float64, ready for products).  The rows are
-        read-only views of one pair of arrays."""
-        return self._rows
+    def member_counts(self) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The member x vertex count matrix, only on forest DAGs, as the
+        read-only CSR triple (row offsets, vertex ids, counts): row i holds the
+        increasing ids of tree i's vertices and how often each of their
+        subtrees occurs in tree i (float64, ready for products)."""
+        return self._counts
 
     @property
     def member_roots(self) -> Optional[tuple[int, ...]]:

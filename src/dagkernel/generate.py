@@ -1,4 +1,4 @@
-"""Random and exhaustive tree generation for benchmarks and tests."""
+"""Random and exhaustive tree generation, and the synthetic template corpus."""
 
 from __future__ import annotations
 
@@ -6,10 +6,12 @@ import random
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .trees import Tree
+from .pipeline import Dataset
+from .trees import Tree, TreeMode
 
 __all__ = [
     "all_ordered_shapes",
+    "generate_template_corpus",
     "random_tree",
     "random_tree_of_height",
 ]
@@ -122,3 +124,55 @@ def all_ordered_shapes(max_vertices: int, min_vertices: int = 1) -> Iterator[Tre
     for n in range(min_vertices, max_vertices + 1):
         for code in _shape_codes(n):
             yield _code_to_tree(code)
+
+
+# -- synthetic two-template corpus ---------------------------------------------------
+
+
+_TAGS = ("html", "body", "div", "p", "span", "ul", "li", "a")
+
+
+def generate_template_corpus(
+    per_class: int,
+    edit_rate: float,
+    seed: int = 0,
+    template_height: int = 4,
+    template_extra: int = 26,
+    mode: TreeMode = TreeMode(ordered=True, labeled=True),
+) -> Dataset:
+    """A two-class corpus of template-like markup trees.
+
+    Two random labeled templates of equal height are fixed per seed.  Every
+    instance replaces one uniformly chosen vertex of its class template by a
+    replacement tree of the same height, shared between the classes; the
+    height of the edited vertex is Binomial(height, edit_rate), so
+    ``edit_rate = 0`` leaves the templates untouched and ``edit_rate = 1``
+    replaces whole trees, making the classes indistinguishable.
+    """
+    if per_class < 1:
+        raise ValueError("need at least one tree per class")
+    if not 0.0 <= edit_rate <= 1.0:
+        raise ValueError("edit rate must be in [0, 1]")
+    rng = random.Random(f"corpus:{seed}")
+    labels = _TAGS if mode.labeled else None
+    templates = [
+        random_tree_of_height(rng, template_height, template_extra, labels)
+        for _ in range(2)
+    ]
+    fillers = [
+        random_tree_of_height(rng, h, 2 * h, labels)
+        for h in range(template_height + 1)
+    ]
+    trees: list[Tree] = []
+    classes: list[int] = []
+    for cls in (0, 1):
+        template = templates[cls]
+        for _ in range(per_class):
+            h = sum(rng.random() < edit_rate for _ in range(template_height))
+            if h == 0:
+                trees.append(template)
+            else:
+                u = rng.choice(template.vertices_at_height(h))
+                trees.append(template.replace_subtree(u, fillers[h]))
+            classes.append(cls)
+    return Dataset(tuple(trees), tuple(classes), mode)

@@ -1,14 +1,12 @@
 """Subtree-kernel evaluation and Gram matrix assembly.
 
 The kernel between two trees is the weighted sum, over their shared subtree
-isomorphism classes, of the product of occurrence counts.  Two evaluation
-paths exist:
-
-* :func:`kernel_brute` enumerates subtree signatures explicitly.  It is the
-  ground-truth oracle: slow, but independent of the compressed path, and it
-  preserves exact arithmetic (integers, fractions) end to end.
-* :func:`kernel_dag` evaluates on an annotated forest DAG, touching only the
-  vertices shared by the two members; it is the per-pair reference.
+isomorphism classes, of the product of occurrence counts:
+K(i, j) = sum_v w(v) F[i, v] F[j, v] over the member x vertex count matrix F
+of an :class:`AnnotatedDag`.  :func:`kernel_brute` evaluates it from
+explicit subtree signatures instead; it is the ground-truth oracle: slow,
+but independent of the compressed path, and it preserves exact arithmetic
+(integers, fractions) end to end.
 
 A Gram matrix is one dense block product ``G = (A * w) @ B.T``, where A and
 B hold the row and column members' counts on the vertices that occur in some
@@ -36,7 +34,6 @@ __all__ = [
     "export_gram_csv",
     "gram",
     "kernel_brute",
-    "kernel_dag",
     "min_eig_and_norm",
 ]
 
@@ -75,34 +72,6 @@ def kernel_brute(
     return total
 
 
-def kernel_dag(
-    annotated: AnnotatedDag,
-    weights: np.ndarray,
-    i: int,
-    j: int,
-    kappa: Optional[Callable[[int, int], float]] = None,
-) -> float:
-    """Kernel between members ``i`` and ``j`` from the annotated DAG.
-
-    Visits exactly the vertices shared by the two members.  The pair is
-    normalized to ``i <= j`` so the summation order, hence the result, is
-    identical under argument swap.
-    """
-    _check_weights(annotated, weights)
-    if i > j:
-        i, j = j, i
-    shared = annotated.matching(i, j)
-    if len(shared) == 0:
-        return 0.0
-    pi = annotated.frequencies_on(i, shared)
-    pj = annotated.frequencies_on(j, shared)
-    if kappa is None:
-        return float(np.dot(weights[shared] * pi, pj))
-    return float(
-        sum(w * kappa(int(a), int(b)) for w, a, b in zip(weights[shared], pi, pj))
-    )
-
-
 def gram(
     annotated: AnnotatedDag,
     weights: np.ndarray,
@@ -118,8 +87,8 @@ class GramComputer:
     """Reusable kernel evaluator: one annotation, many weightings.
 
     ``reweight`` swaps the weight table without touching the annotation;
-    ``visited_vertices`` counts, over all kernel calls, the vertices shared
-    by each evaluated pair (the work a per-pair evaluation does).
+    ``visited_vertices`` counts, over all Gram calls, the vertices shared by
+    each evaluated pair (the work a per-pair evaluation would do).
     """
 
     def __init__(self, annotated: AnnotatedDag, weights: np.ndarray):
@@ -129,10 +98,6 @@ class GramComputer:
 
     def reweight(self, weights: np.ndarray) -> None:
         self.weights = _check_weights(self.annotated, weights)
-
-    def value(self, i: int, j: int) -> float:
-        self.visited_vertices += len(self.annotated.matching(i, j))
-        return kernel_dag(self.annotated, self.weights, i, j)
 
     def gram(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         rows, cols = list(rows), list(cols)

@@ -1,4 +1,4 @@
-"""Markup (XML/HTML subset) ingestion and synthetic corpus generation.
+"""Markup (XML/HTML subset) ingestion.
 
 A markup document maps to a rooted ordered tree: one vertex per element,
 children in document order, text content discarded.  The accepted dialect is
@@ -15,19 +15,16 @@ deliberately explicit rather than browser-grade:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from typing import Optional
 
-from .pipeline import Dataset
-from .trees import Tree, TreeMode
+from .trees import Tree
 
 __all__ = [
     "MarkupNode",
     "MarkupParseError",
     "VOID_ELEMENTS",
-    "generate_template_corpus",
     "markup_to_tree",
 ]
 
@@ -115,57 +112,3 @@ def markup_to_tree(document: str, labeled: bool = True) -> Tree:
         for child in reversed(node.children):
             stack.append((child, vid))
     return Tree.from_parents(parents, labels)
-
-
-# -- synthetic two-template corpus ---------------------------------------------------
-
-
-_TAGS = ("html", "body", "div", "p", "span", "ul", "li", "a")
-
-
-def generate_template_corpus(
-    per_class: int,
-    edit_rate: float,
-    seed: int = 0,
-    template_height: int = 4,
-    template_extra: int = 26,
-    mode: TreeMode = TreeMode(ordered=True, labeled=True),
-) -> Dataset:
-    """A two-class corpus of template-like markup trees.
-
-    Two random labeled templates of equal height are fixed per seed.  Every
-    instance replaces one uniformly chosen vertex of its class template by a
-    replacement tree of the same height, shared between the classes; the
-    height of the edited vertex is Binomial(height, edit_rate), so
-    ``edit_rate = 0`` leaves the templates untouched and ``edit_rate = 1``
-    replaces whole trees, making the classes indistinguishable.
-    """
-    if per_class < 1:
-        raise ValueError("need at least one tree per class")
-    if not 0.0 <= edit_rate <= 1.0:
-        raise ValueError("edit rate must be in [0, 1]")
-    rng = random.Random(f"corpus:{seed}")
-    from .generate import random_tree_of_height
-
-    labels = _TAGS if mode.labeled else None
-    templates = [
-        random_tree_of_height(rng, template_height, template_extra, labels)
-        for _ in range(2)
-    ]
-    fillers = [
-        random_tree_of_height(rng, h, 2 * h, labels)
-        for h in range(template_height + 1)
-    ]
-    trees: list[Tree] = []
-    classes: list[int] = []
-    for cls in (0, 1):
-        template = templates[cls]
-        for _ in range(per_class):
-            h = sum(rng.random() < edit_rate for _ in range(template_height))
-            if h == 0:
-                trees.append(template)
-            else:
-                u = rng.choice(template.vertices_at_height(h))
-                trees.append(template.replace_subtree(u, fillers[h]))
-            classes.append(cls)
-    return Dataset(tuple(trees), tuple(classes), mode)

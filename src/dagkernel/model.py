@@ -36,8 +36,6 @@ __all__ = [
     "build_model",
     "check_leaf_weight_effect",
     "check_separation",
-    "contrast_exact",
-    "contrast_monte_carlo",
     "edit_height_pmf",
     "mass_at_most",
     "sample_dataset",
@@ -394,22 +392,6 @@ class ContrastCalculator:
         mean = sum(diffs) / n_samples
         var = sum((d - mean) ** 2 for d in diffs) / max(1, n_samples - 1)
         return mean, math.sqrt(var / n_samples)
-
-
-def contrast_exact(instance: ModelInstance, weight_fn: WeightFn, cls: int, x: int):
-    """Closed-form contrast of one vertex (see :class:`ContrastCalculator`)."""
-    return ContrastCalculator(instance, weight_fn).exact(cls, x)
-
-
-def contrast_monte_carlo(
-    instance: ModelInstance,
-    weight_fn: WeightFn,
-    cls: int,
-    x: int,
-    n_samples: int,
-    rng: random.Random,
-) -> tuple[float, float]:
-    return ContrastCalculator(instance, weight_fn).monte_carlo(cls, x, n_samples, rng)
 
 
 def _with_leaf_weight(weight_fn: WeightFn, leaf_weight) -> WeightFn:

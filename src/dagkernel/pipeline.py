@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import random
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "evaluate",
     "load_manifest",
     "mean_similarity_classify",
-    "relative_improvement",
     "run_experiment",
     "save_manifest",
     "split_thirds",
@@ -77,9 +76,6 @@ class Dataset:
         if not known:
             raise ValueError("dataset has no class information")
         return max(known) + 1
-
-    def with_split(self, split: Split) -> "Dataset":
-        return replace(self, split=split)
 
 
 def annotate_dataset(dataset: Dataset) -> AnnotatedDag:
@@ -192,14 +188,6 @@ def evaluate(
     return MetricsReport(
         accuracy, sum(precisions) / k, sum(recalls) / k, sum(fscores) / k, tuple(counts)
     )
-
-
-def relative_improvement(metric_discr: float, metrics_lambda: Sequence[float]) -> float:
-    """(discriminance - best exponential) / best exponential."""
-    best = max(metrics_lambda)
-    if best <= 0:
-        raise ValueError("all exponential metrics are zero; improvement undefined")
-    return (metric_discr - best) / best
 
 
 # -- repeated experiments -------------------------------------------------------------

@@ -193,10 +193,10 @@ def class_profile(
         empty = [k for k, s in enumerate(sizes) if s == 0]
         raise ValueError(f"classes without weight-training members: {empty}")
 
-    counts = np.zeros((len(annotated.dag), n_classes))
-    for i, k in class_of.items():
-        counts[annotated.member_vertices(i), k] += 1
-    rho = counts / np.asarray(sizes, dtype=np.float64)
+    rows, ids, _ = annotated.occurrences(list(class_of))
+    cells = ids * n_classes + np.fromiter(class_of.values(), np.int64, len(class_of))[rows]
+    counts = np.bincount(cells, minlength=len(annotated.dag) * n_classes)
+    rho = counts.reshape(-1, n_classes) / np.asarray(sizes, dtype=np.float64)
     dist = _delta_array(rho)
     return ClassProfile(n_classes, rho, dist, tuple(sizes))
 

@@ -80,3 +80,43 @@ class TestReduce:
             "7 5 -> (5,1)(6,1)\n"
         )
         assert capsys.readouterr().out == "trees: 2\nvertices: 26 -> 7 (ratio 0.269)\n"
+
+
+class TestExitCodes:
+    """Every exit code of ``cli.run`` prints its stderr prefix and no traceback."""
+
+    def run(self, argv, capsys):
+        code = cli.run(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_unknown_option_is_usage_error(self, capsys):
+        code, err = self.run(["reduce", "--nope"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error: ")
+
+    def test_unclosed_bracket_is_parse_error(self, tmp_path, capsys):
+        trees = tmp_path / "bad.trees"
+        trees.write_text("(()\n")
+        code, err = self.run(["reduce", str(trees), "--out", str(tmp_path / "o")], capsys)
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("parse error: unclosed '(' (at position 3)")
+
+    def test_unclosed_element_is_parse_error(self, tmp_path, capsys):
+        doc = tmp_path / "bad.html"
+        doc.write_text("<a><b>")
+        code, err = self.run(["ingest", str(doc), "--out", str(tmp_path / "m.csv")], capsys)
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("parse error: unclosed element <a> ")
+
+    def test_failed_assertion_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        def broken(trees, mode):
+            raise AssertionError("broken invariant")
+
+        monkeypatch.setattr(cli, "reduce_forest", broken)
+        trees = tmp_path / "two.trees"
+        trees.write_text(f"{FIG3_TREE}\n{FIG5_T2}\n")
+        code, err = self.run(["reduce", str(trees), "--out", str(tmp_path / "o")], capsys)
+        assert code == cli.EXIT_INTERNAL
+        assert err.startswith("internal assertion failed: broken invariant")

@@ -137,7 +137,8 @@ class TestSuperdag:
         merged = reduce_forest([t1, t2], UNORDERED)
         assert len(merged) == 8
         # The two members share their classes of heights 0, 1 and 2 only.
-        (ids1, _), (ids2, _) = merged.member_counts
+        row_offsets, ids, _ = merged.member_counts
+        ids1, ids2 = np.split(ids, row_offsets[1:-1])
         shared = sorted(merged.height(int(v)) for v in set(ids1) & set(ids2))
         assert shared == [0, 1, 2]
 
@@ -191,10 +192,8 @@ def assert_same_forest(a, b):
     assert [a.children_struct(v) for v in range(len(a))] == (
         [b.children_struct(v) for v in range(len(b))]
     )
-    assert len(a.member_counts) == len(b.member_counts)
-    for (ids_a, cnt_a), (ids_b, cnt_b) in zip(a.member_counts, b.member_counts):
-        np.testing.assert_array_equal(ids_a, ids_b)
-        np.testing.assert_array_equal(cnt_a, cnt_b)
+    for array_a, array_b in zip(a.member_counts, b.member_counts, strict=True):
+        np.testing.assert_array_equal(array_a, array_b)
 
 
 class TestAddToForest:
@@ -277,8 +276,10 @@ class TestOneTable:
             assert canonical_signature(expand(forest, r), mode) == sigs[0]
         # The root is the last id, so pattern v is the subtree of vertex v.
         patterns = [expand(forest, v) for v in range(forest.root)]
-        for t, (ids, counts) in zip(trees, forest.member_counts):
-            row = dict(zip(ids.tolist(), counts.tolist()))
+        row_offsets, ids, counts = forest.member_counts
+        bounds = row_offsets[1:-1]
+        for t, row_ids, row_counts in zip(trees, np.split(ids, bounds), np.split(counts, bounds)):
+            row = dict(zip(row_ids.tolist(), row_counts.tolist()))
             for v, pattern in enumerate(patterns):
                 assert row.get(v, 0) == count_occurrences(pattern, t, mode)
 

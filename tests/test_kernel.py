@@ -11,11 +11,12 @@ from dagkernel import (
     AnnotatedDag,
     GramComputer,
     Tree,
+    canonical_signature,
+    expand,
     exponential_weights,
     export_gram_csv,
     gram,
     kernel_brute,
-    kernel_dag,
     parse_tree,
     random_tree,
     reduce_forest,
@@ -85,25 +86,22 @@ class TestDagEqualsBrute:
             ]
             ann = annotated_for(trees, mode)
             lam = rng.choice([0.0, 0.5, 1.0])
-            from dagkernel import exponential_weights
-
-            w = exponential_weights(ann.dag, lam)
-            for i in range(len(trees)):
-                for j in range(len(trees)):
+            n = len(trees)
+            g = gram(ann, exponential_weights(ann.dag, lam), range(n), range(n))
+            for i in range(n):
+                for j in range(n):
                     expected = kernel_brute(trees[i], trees[j], mode, lam_w(lam))
-                    got = kernel_dag(ann, w, i, j)
-                    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                    assert g[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_exhaustive_small_shapes_unit_weights(self):
         trees = list(all_ordered_shapes(5))
+        n = len(trees)
         for mode in (UNORDERED, ORDERED):
             ann = annotated_for(trees, mode)
-            w = np.ones(len(ann.dag))
-            for i in range(len(trees)):
-                for j in range(i, len(trees)):
-                    assert kernel_dag(ann, w, i, j) == kernel_brute(
-                        trees[i], trees[j], mode, unit_w
-                    )
+            g = gram(ann, np.ones(len(ann.dag)), range(n), range(n))
+            for i in range(n):
+                for j in range(i, n):
+                    assert g[i, j] == kernel_brute(trees[i], trees[j], mode, unit_w)
 
     def test_self_kernel_matches(self):
         rng = random.Random(53)
@@ -111,25 +109,25 @@ class TestDagEqualsBrute:
         ann = annotated_for(trees, UNORDERED)
         w = np.ones(len(ann.dag))
         for i, t in enumerate(trees):
-            assert kernel_dag(ann, w, i, i) == kernel_brute(t, t, UNORDERED, unit_w)
+            assert gram(ann, w, [i], [i])[0, 0] == kernel_brute(t, t, UNORDERED, unit_w)
 
     def test_disjoint_trees_leaf_product(self):
         t0 = parse_tree(FIG1_T0)
         t1 = parse_tree(FIG1_T1)
         ann = annotated_for([t0, t1], UNORDERED)
         w = np.full(len(ann.dag), 2.0)
-        assert kernel_dag(ann, w, 0, 1) == 2.0 * 36
+        assert gram(ann, w, [0], [1])[0, 0] == 2.0 * 36
 
     def test_duplicates(self):
         t = parse_tree(FIG1_T0)
         ann = annotated_for([t, t], UNORDERED)
-        w = np.ones(len(ann.dag))
-        assert kernel_dag(ann, w, 0, 1) == kernel_dag(ann, w, 0, 0)
+        g = gram(ann, np.ones(len(ann.dag)), [0, 1], [0, 1])
+        assert g[0, 1] == g[0, 0]
 
     def test_index_out_of_range(self):
         ann = annotated_for([Tree.leaf()], UNORDERED)
         with pytest.raises(IndexError):
-            kernel_dag(ann, np.ones(len(ann.dag)), 0, 4)
+            gram(ann, np.ones(len(ann.dag)), [0], [4])
 
 
 class TestLeafDecomposition:
@@ -191,7 +189,7 @@ class TestGram:
         assert np.array_equal(g, g.T)
         for i in range(8):
             for j in range(8):
-                assert kernel_dag(ann, w, i, j) == kernel_dag(ann, w, j, i)
+                assert gram(ann, w, [i], [j])[0, 0] == gram(ann, w, [j], [i])[0, 0]
 
     def test_psd(self):
         rng = random.Random(57)
@@ -212,7 +210,7 @@ class TestGram:
         w = np.ones(len(ann.dag))
         g = gram(ann, w, [0, 1], [2, 3, 4])
         assert g.shape == (2, 3)
-        assert g[1, 2] == kernel_dag(ann, w, 1, 4)
+        assert g[1, 2] == gram(ann, w, [1], [4])[0, 0]
 
     def test_export_csv(self):
         g = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -256,16 +254,18 @@ class TestReweight:
             np.testing.assert_array_equal(before, after)  # annotation untouched by kernels
 
     def test_work_bound(self):
+        # One pair visits one vertex per subtree class the two trees share.
         rng = random.Random(61)
         trees = [random_tree(rng, rng.randint(1, 20)) for _ in range(6)]
         ann = annotated_for(trees, UNORDERED)
+        sigs = [set(subtree_signatures(t, UNORDERED)) for t in trees]
         comp = GramComputer(ann, np.ones(len(ann.dag)))
         for i in range(6):
             for j in range(6):
                 before = comp.visited_vertices
-                comp.value(i, j)
+                comp.gram([i], [j])
                 visited = comp.visited_vertices - before
-                assert visited == len(ann.matching(i, j))
+                assert visited == len(sigs[i] & sigs[j])
                 assert visited <= min(ann.subdag_size(i), ann.subdag_size(j))
 
     def test_weight_size_mismatch(self):
@@ -277,17 +277,24 @@ class TestReweight:
             comp.reweight(np.ones(1 + len(ann.dag)))
 
 
-def pairwise_reference(ann, w, rows, cols):
-    """Per-pair ``kernel_dag`` matrix, and the vertices shared by the pairs a
-    Gram call evaluates (a <= b only when rows and cols coincide)."""
+def pairwise_reference(ann, trees, mode, w, rows, cols):
+    """Per-pair ``kernel_brute`` matrix under the weight table ``w``, and the
+    subtree classes shared by the pairs a Gram call evaluates (a <= b only
+    when rows and cols coincide)."""
+    sig_to_v = {canonical_signature(expand(ann.dag, v), mode): v for v in range(ann.dag.root)}
+
+    def weight(t):
+        return w[sig_to_v[canonical_signature(t, mode)]]
+
+    sigs = [set(subtree_signatures(t, mode)) for t in trees]
     square = list(rows) == list(cols)
     out = np.zeros((len(rows), len(cols)))
     shared = 0
     for a, i in enumerate(rows):
         for b, j in enumerate(cols):
-            out[a, b] = kernel_dag(ann, w, i, j)
+            out[a, b] = kernel_brute(trees[i], trees[j], mode, weight)
             if not square or a <= b:
-                shared += len(ann.matching(i, j))
+                shared += len(sigs[i] & sigs[j])
     return out, shared
 
 
@@ -300,9 +307,10 @@ def forest_with_edge_members(rng, mode, n_trees):
 
 
 class TestBlockGram:
-    """The block-product Gram path against the per-pair reference."""
+    """The block-product Gram path against the per-pair brute-force oracle."""
 
-    def check(self, ann, rows, cols, lam):
+    def check(self, trees, mode, rows, cols, lam):
+        ann = annotated_for(trees, mode)
         # Arbitrary weights make (A * w) @ A.T itself asymmetric in the last bits.
         arbitrary = np.random.default_rng(len(rows) + 31 * len(cols)).random(len(ann.dag))
         weightings = [(np.ones(len(ann.dag)), True), (exponential_weights(ann.dag, lam), False),
@@ -310,7 +318,7 @@ class TestBlockGram:
         for w, exact in weightings:
             comp = GramComputer(ann, w)
             got = comp.gram(rows, cols)
-            want, shared = pairwise_reference(ann, w, rows, cols)
+            want, shared = pairwise_reference(ann, trees, mode, w, rows, cols)
             assert got.shape == (len(rows), len(cols))
             assert comp.visited_vertices == shared
             if list(rows) == list(cols):
@@ -326,16 +334,14 @@ class TestBlockGram:
     def test_random_calls(self, mode, data):
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         trees = forest_with_edge_members(rng, mode, data.draw(st.integers(1, 6), label="n"))
-        ann = annotated_for(trees, mode)
         members = st.lists(st.integers(0, len(trees) - 1), max_size=9)
         rows = data.draw(members, label="rows")
         cols = rows if data.draw(st.booleans(), label="square") else data.draw(members, label="cols")
-        self.check(ann, rows, cols, data.draw(st.sampled_from([0.0, 0.37, 0.5, 0.9])))
+        self.check(trees, mode, rows, cols, data.draw(st.sampled_from([0.0, 0.37, 0.5, 0.9])))
 
     @pytest.mark.parametrize("mode", MODES, ids=str)
     def test_edge_shapes(self, mode):
         trees = forest_with_edge_members(random.Random(62), mode, 4)
-        ann = annotated_for(trees, mode)
         leaf_a, leaf_b = len(trees) - 2, len(trees) - 1
         calls = [
             ([], []),
@@ -350,7 +356,7 @@ class TestBlockGram:
             ([leaf_a], [leaf_a]),
         ]
         for rows, cols in calls:
-            self.check(ann, rows, cols, 0.5)
+            self.check(trees, mode, rows, cols, 0.5)
 
     def test_index_out_of_range(self):
         ann = annotated_for([Tree.leaf()], UNORDERED)

@@ -12,7 +12,6 @@ from dagkernel import (
     canonical_signature,
     check_leaf_weight_effect,
     check_separation,
-    contrast_exact,
     edit_height_pmf,
     kernel_brute,
     mass_at_most,
@@ -211,7 +210,7 @@ class TestContrast:
     def test_root_contrast_zero(self):
         inst = build_model(3, seed=4)
         for cls in (0, 1):
-            assert contrast_exact(inst, unit_weight, cls, 0) == 0
+            assert ContrastCalculator(inst, unit_weight).exact(cls, 0) == 0
 
     def test_nonroot_contrast_positive(self):
         inst = build_model(4, seed=4)
@@ -224,13 +223,17 @@ class TestContrast:
 
     def test_exact_matches_definitional_expectation(self):
         # Exhaustive finite-space expectation of the defining difference.
-        inst = build_model(3, seed=6)
-        calc = ContrastCalculator(inst, unit_weight)
-        report = check_leaf_weight_effect(inst, unit_weight, Fraction(1))
-        by_key = {(e.cls, e.x): e for e in report.entries}
-        for cls in (0, 1):
-            for x in inst.tree(cls).vertices():
-                assert calc.exact(cls, x) == by_key[(cls, x)].contrast
+        for height in (2, 3, 4, 5):
+            for seed in (0, 1, 2):
+                for mode in (UNORDERED, ORDERED):
+                    inst = build_model(height, seed=seed, mode=mode)
+                    calc = ContrastCalculator(inst, unit_weight)
+                    report = check_leaf_weight_effect(inst, unit_weight, Fraction(1))
+                    by_key = {(e.cls, e.x): e for e in report.entries}
+                    for cls in (0, 1):
+                        for x in inst.tree(cls).vertices():
+                            assert calc.exact(cls, x) == by_key[(cls, x)].contrast, (
+                                height, seed, mode, cls, x)
 
     def test_monte_carlo_agrees(self):
         inst = build_model(3, seed=7)
@@ -274,7 +277,7 @@ class TestContrast:
             + 4 * Fraction(1, 16) / 5 * 2  # u = one of 4 leaves under star4
         )
         assert expected == Fraction(7, 16)
-        assert contrast_exact(inst, unit_weight, 0, 1) == expected
+        assert ContrastCalculator(inst, unit_weight).exact(0, 1) == expected
 
 
 class TestSeparationBound:
