@@ -318,7 +318,11 @@ def cmd_ingest(inputs, labeled, class_id, out, trees_out):
         raise ConfigError("no input documents")
     trees = []
     for name in inputs:
-        text = sys.stdin.read() if name == "-" else open(name).read()
+        if name == "-":
+            text = sys.stdin.read()
+        else:
+            with open(name) as fh:
+                text = fh.read()
         trees.append(markup_to_tree(text, labeled))
     mode = TreeMode(ordered=True, labeled=labeled)
     classes = tuple(0 if class_id else None for _ in trees)

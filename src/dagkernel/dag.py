@@ -133,10 +133,6 @@ class Dag:
     # -- accessors -------------------------------------------------------------
 
     @property
-    def roots(self) -> tuple[int, ...]:
-        return (self._root,)
-
-    @property
     def root(self) -> int:
         return self._root
 
@@ -169,10 +165,6 @@ class Dag:
     def __len__(self) -> int:
         return len(self._heights)
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self._heights)
-
     def height(self, v: Optional[int] = None) -> int:
         if v is None:
             v = self.root
@@ -183,13 +175,6 @@ class Dag:
 
     def label(self, v: int) -> Optional[str]:
         return self._labels[v]
-
-    def children_struct(self, v: int) -> tuple:
-        """The children encoding of ``v``: a tuple of child ids in ordered
-        mode, of (child, multiplicity) pairs sorted by child in unordered mode."""
-        if self.mode.ordered:
-            return tuple(self._kids[self._offsets[v]:self._offsets[v + 1]].tolist())
-        return self.edges(v)
 
     def edges(self, v: int):
         """Outgoing edges as (child, multiplicity) pairs.
@@ -204,10 +189,10 @@ class Dag:
         return len(self._kids)
 
     def is_reduced(self) -> bool:
-        """True iff no two vertices share (label, children-structure)."""
+        """True iff no two vertices share (label, edges)."""
         seen = set()
         for v in range(len(self)):
-            key = (self._labels[v], self.children_struct(v))
+            key = (self._labels[v], self.edges(v))
             if key in seen:
                 return False
             seen.add(key)
@@ -442,8 +427,7 @@ def expand(dag: Dag, v: Optional[int] = None) -> Tree:
         for child, mult in reversed(dag.edges(node)):
             for _ in range(mult):
                 stack.append((child, tid))
-    # Stack order already yields preorder with children left-to-right.
-    return Tree.from_parents(parents, labels)
+    return Tree(parents, labels)
 
 
 # -- text format -------------------------------------------------------------------

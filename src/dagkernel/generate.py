@@ -42,7 +42,7 @@ def random_tree(
         counts[p] += 1
         counts.append(0)
     labs = [rng.choice(labels) for _ in range(n_vertices)] if labels else None
-    return Tree.from_parents(parents, labs)
+    return Tree(parents, labs)
 
 
 def random_tree_of_height(
@@ -70,7 +70,7 @@ def random_tree_of_height(
         parents.append(p)
         depths.append(depths[p] + 1)
     labs = [rng.choice(labels) for _ in range(len(parents))] if labels else None
-    return Tree.from_parents(parents, labs)
+    return Tree(parents, labs)
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +115,7 @@ def _code_to_tree(code: tuple) -> Tree:
             emit(child, v)
 
     emit(code, None)
-    return Tree.from_parents(parents)
+    return Tree(parents)
 
 
 def all_ordered_shapes(max_vertices: int, min_vertices: int = 1) -> Iterator[Tree]:

@@ -111,4 +111,4 @@ def markup_to_tree(document: str, labeled: bool = True) -> Tree:
         labels.append(node.tag if labeled else None)
         for child in reversed(node.children):
             stack.append((child, vid))
-    return Tree.from_parents(parents, labels)
+    return Tree(parents, labels)

@@ -1,10 +1,12 @@
 """Rooted trees with ordered/unordered and labeled/unlabeled semantics.
 
-A :class:`Tree` is an immutable, arena-backed rooted tree.  Vertices are the
-integers ``0 .. len(tree) - 1`` in depth-first preorder (the root is ``0``,
-leftmost child first), so iteration order is deterministic and reproducible.
-Each vertex may carry a label drawn from a finite alphabet; labels are plain
-strings compared by equality.
+A :class:`Tree` is an immutable rooted tree stored as two tuples: the parent
+of every vertex and its label.  Vertices are the integers
+``0 .. len(tree) - 1`` in depth-first preorder (the root is ``0``, leftmost
+child first), so iteration order is deterministic and reproducible, and every
+subtree is one contiguous id block.  Child lists and heights are derived from
+the parents when first asked for.  Labels are plain strings compared by
+equality; ``None`` means unlabeled.
 
 How sibling order and labels enter isomorphism is controlled by
 :class:`TreeMode`; the four combinations (ordered/unordered x
@@ -74,78 +76,76 @@ def _check_label(label: Optional[str]) -> None:
                          "strings without whitespace or parentheses")
 
 
-def _heights_of(children: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def _heights_of(parents: Sequence[Optional[int]]) -> tuple[int, ...]:
     # Children follow their parent in preorder, so a reverse scan sees them first.
-    heights = [0] * len(children)
-    for v in range(len(children) - 1, -1, -1):
-        kids = children[v]
-        if kids:
-            heights[v] = 1 + max(heights[c] for c in kids)
+    heights = [0] * len(parents)
+    for v in range(len(parents) - 1, 0, -1):
+        p = parents[v]
+        if heights[p] <= heights[v]:
+            heights[p] = heights[v] + 1
     return tuple(heights)
 
 
 class Tree:
-    """Immutable rooted tree backed by parallel arrays in preorder.
+    """Immutable rooted tree stored as its preorder parent array and labels.
 
-    Use :meth:`leaf`, :meth:`node`, :meth:`from_parents` or
-    :func:`parse_tree` to build trees; the raw constructor normalizes an
-    arbitrary arena to preorder and validates it (single root, connected,
-    acyclic, consistent parent/child references).  Every path checks labels
-    against the text format's rule.
+    ``Tree(parents, labels)`` takes a parent array in any vertex order
+    (``None`` marks the root), orders the children of each vertex by vertex
+    id and renumbers the vertices to preorder.  It checks that there is one
+    root, that every parent is a vertex and that the tree is connected.
+    :meth:`leaf`, :meth:`node` and :func:`parse_tree` build trees too.  Every
+    path checks labels against the text format's rule.  Child lists and
+    heights are derived from the parent array on first use.
     """
 
-    __slots__ = ("_parents", "_children", "_labels", "_heights")
+    __slots__ = ("_parents", "_labels", "_children", "_heights")
 
     def __init__(
         self,
         parents: Sequence[Optional[int]],
-        children: Sequence[Sequence[int]],
         labels: Optional[Sequence[Optional[str]]] = None,
     ):
         n = len(parents)
         if n == 0:
             raise ValueError("empty trees are not allowed")
-        if len(children) != n or (labels is not None and len(labels) != n):
-            raise ValueError("parents, children and labels must have equal length")
         if labels is None:
-            labels = [None] * n
+            labels = (None,) * n
+        elif len(labels) != n:
+            raise ValueError("parents and labels must have equal length")
         for label in labels:
             _check_label(label)
 
-        roots = [v for v in range(n) if parents[v] is None]
+        roots = []
+        children: list[list[int]] = [[] for _ in range(n)]
+        for v, p in enumerate(parents):
+            if p is None:
+                roots.append(v)
+            elif not 0 <= p < n:
+                raise ValueError(f"vertex {v} has invalid parent {p}")
+            else:
+                children[p].append(v)
         if len(roots) != 1:
             raise ValueError(f"tree must have exactly one root, found {len(roots)}")
-        root = roots[0]
 
-        for v in range(n):
-            kids = children[v]
-            if len(set(kids)) != len(kids):
-                raise ValueError(f"vertex {v} has duplicate children")
-            for c in kids:
-                if not 0 <= c < n:
-                    raise ValueError(f"vertex {v} references invalid child {c}")
-                if parents[c] != v:
-                    raise ValueError(f"child {c} of {v} disagrees with parent array")
-
-        # Renumber to preorder: root first, leftmost child first.
+        # Renumber to preorder: root first, leftmost child first.  A vertex on
+        # a cycle or its own parent is never reached from the root.
         order: list[int] = []
-        stack = [root]
+        stack = [roots[0]]
         while stack:
             v = stack.pop()
             order.append(v)
             stack.extend(reversed(children[v]))
         if len(order) != n:
             raise ValueError("tree is not connected")
-        new_id = {old: new for new, old in enumerate(order)}
-
-        self._parents: tuple[Optional[int], ...] = tuple(
-            None if parents[old] is None else new_id[parents[old]] for old in order
-        )
-        self._children: tuple[tuple[int, ...], ...] = tuple(
-            tuple(new_id[c] for c in children[old]) for old in order
+        new_id = [0] * n
+        for new, old in enumerate(order):
+            new_id[old] = new
+        self._parents: tuple[Optional[int], ...] = (None,) + tuple(
+            new_id[parents[old]] for old in order[1:]
         )
         self._labels: tuple[Optional[str], ...] = tuple(labels[old] for old in order)
-        self._heights: Optional[tuple[int, ...]] = None  # computed on first use
+        self._children: Optional[tuple[tuple[int, ...], ...]] = None
+        self._heights: Optional[tuple[int, ...]] = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -153,47 +153,28 @@ class Tree:
     def leaf(cls, label: Optional[str] = None) -> "Tree":
         """A single-vertex tree."""
         _check_label(label)
-        return cls._raw((None,), ((),), (label,))
+        return cls._raw((None,), (label,))
 
     @classmethod
     def node(cls, children: Iterable["Tree"], label: Optional[str] = None) -> "Tree":
         """A new root with the given trees attached as subtrees, in order."""
         _check_label(label)
         parents: list[Optional[int]] = [None]
-        childlists: list[list[int]] = [[]]
         labels: list[Optional[str]] = [label]
         for child in children:
             offset = len(parents)
-            childlists[0].append(offset)
-            for v in range(len(child)):
-                p = child._parents[v]
-                parents.append(0 if p is None else p + offset)
-                childlists.append([c + offset for c in child._children[v]])
-                labels.append(child._labels[v])
-        return cls._raw(
-            tuple(parents), tuple(tuple(ks) for ks in childlists), tuple(labels)
-        )
+            parents.append(0)
+            parents.extend(p + offset for p in child._parents[1:])
+            labels.extend(child._labels)
+        return cls._raw(tuple(parents), tuple(labels))
 
     @classmethod
-    def from_parents(
-        cls,
-        parents: Sequence[Optional[int]],
-        labels: Optional[Sequence[Optional[str]]] = None,
-    ) -> "Tree":
-        """Build from a parent array; children are ordered by vertex index."""
-        children: list[list[int]] = [[] for _ in parents]
-        for v, p in enumerate(parents):
-            if p is not None:
-                children[p].append(v)
-        return cls(parents, children, labels)
-
-    @classmethod
-    def _raw(cls, parents, children, labels) -> "Tree":
-        # Already-normalized arrays; skip validation and renumbering.
+    def _raw(cls, parents, labels) -> "Tree":
+        # An already-valid preorder parent tuple; skip validation and renumbering.
         tree = object.__new__(cls)
         tree._parents = parents
-        tree._children = children
         tree._labels = labels
+        tree._children = None
         tree._heights = None
         return tree
 
@@ -216,6 +197,11 @@ class Tree:
 
     def children(self, v: int) -> tuple[int, ...]:
         self._check(v)
+        if self._children is None:
+            kids: list[list[int]] = [[] for _ in self._parents]
+            for u, p in enumerate(self._parents[1:], 1):
+                kids[p].append(u)
+            self._children = tuple(map(tuple, kids))
         return self._children[v]
 
     def label(self, v: int) -> Optional[str]:
@@ -223,8 +209,9 @@ class Tree:
         return self._labels[v]
 
     def is_leaf(self, v: int) -> bool:
+        # In preorder, a vertex with children is the parent of its successor.
         self._check(v)
-        return not self._children[v]
+        return v + 1 == len(self._parents) or self._parents[v + 1] != v
 
     def height(self, v: Optional[int] = None) -> int:
         """Height of vertex ``v`` (0 for leaves); of the root if omitted."""
@@ -235,7 +222,7 @@ class Tree:
 
     def heights(self) -> tuple[int, ...]:
         if self._heights is None:
-            self._heights = _heights_of(self._children)
+            self._heights = _heights_of(self._parents)
         return self._heights
 
     def _check(self, v: int) -> None:
@@ -246,11 +233,11 @@ class Tree:
 
     def leaves(self) -> tuple[int, ...]:
         """All vertices without children, in preorder."""
-        return tuple(v for v in self.vertices() if not self._children[v])
+        return tuple(v for v in self.vertices() if self.is_leaf(v))
 
     def outdegree(self) -> int:
         """Maximal branching factor over all vertices."""
-        return max(len(ks) for ks in self._children)
+        return max(len(self.children(v)) for v in self.vertices())
 
     def vertices_at_height(self, h: int) -> tuple[int, ...]:
         heights = self.heights()
@@ -259,12 +246,13 @@ class Tree:
     def subtree_size(self, v: int) -> int:
         """Number of vertices of the subtree rooted at ``v``."""
         self._check(v)
-        # Preorder numbering makes every subtree a contiguous id block, and
-        # its last vertex is reached by following last children to a leaf.
-        end = v
-        while self._children[end]:
-            end = self._children[end][-1]
-        return end - v + 1
+        # Preorder numbering makes every subtree a contiguous id block; the
+        # first vertex after it hangs below a strict ancestor of v.
+        parents = self._parents
+        end = v + 1
+        while end < len(parents) and parents[end] >= v:
+            end += 1
+        return end - v
 
     def descendants(self, v: int) -> range:
         """Proper and improper descendants of ``v`` (includes ``v``)."""
@@ -282,53 +270,35 @@ class Tree:
 
     def subtree(self, v: int) -> "Tree":
         """A copy of the subtree rooted at ``v``, preserving order and labels."""
-        self._check(v)
-        size = self.subtree_size(v)
-        parents = tuple(
-            None if u == v else self._parents[u] - v for u in range(v, v + size)
-        )
-        children = tuple(
-            tuple(c - v for c in self._children[u]) for u in range(v, v + size)
-        )
-        labels = self._labels[v : v + size]
-        return Tree._raw(parents, children, labels)
+        end = v + self.subtree_size(v)
+        parents = (None,) + tuple(p - v for p in self._parents[v + 1 : end])
+        return Tree._raw(parents, self._labels[v:end])
 
     def replace_subtree(self, v: int, replacement: "Tree") -> "Tree":
         """A new tree where the subtree rooted at ``v`` is ``replacement``."""
         self._check(v)
         if v == 0:
             return replacement
-        size = self.subtree_size(v)
-        keep = [u for u in range(len(self)) if not v <= u < v + size]
-        new_id = {old: new for new, old in enumerate(keep)}
-        offset = len(keep)
-        parents: list[Optional[int]] = []
-        children: list[list[int]] = []
-        labels: list[Optional[str]] = []
-        for old in keep:
-            parents.append(
-                None if self._parents[old] is None else new_id[self._parents[old]]
-            )
-            kids = [new_id[c] if c not in range(v, v + size) else offset
-                    for c in self._children[old]]
-            children.append(kids)
-            labels.append(self._labels[old])
-        for u in range(len(replacement)):
-            p = replacement._parents[u]
-            parents.append(new_id[self._parents[v]] if p is None else p + offset)
-            children.append([c + offset for c in replacement._children[u]])
-            labels.append(replacement._labels[u])
-        return Tree(parents, children, labels)
+        # Splice the replacement's preorder block in place of v's block.
+        end = v + self.subtree_size(v)
+        shift = len(replacement) - (end - v)
+        parents = (
+            self._parents[: v + 1]
+            + tuple(p + v for p in replacement._parents[1:])
+            + tuple(p if p < v else p + shift for p in self._parents[end:])
+        )
+        labels = self._labels[:v] + replacement._labels + self._labels[end:]
+        return Tree._raw(parents, labels)
 
-    # -- equality is exact arena equality (ordered, labeled) -------------------
+    # -- equality is exact equality of ordered, labeled trees ------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tree):
             return NotImplemented
-        return self._children == other._children and self._labels == other._labels
+        return self._parents == other._parents and self._labels == other._labels
 
     def __hash__(self) -> int:
-        return hash((self._children, self._labels))
+        return hash((self._parents, self._labels))
 
     def __repr__(self) -> str:
         text = serialize_tree(self)
@@ -386,10 +356,8 @@ def parse_tree(text: str, mode: Optional[TreeMode] = None) -> Tree:
     nesting or bad label characters.
     """
     parents: list[Optional[int]] = []
-    children: list[list[int]] = []
     labels: list[Optional[str]] = []
     stack: list[int] = []
-    root: Optional[int] = None
     i = 0
     n = len(text)
     while i < n:
@@ -414,25 +382,18 @@ def parse_tree(text: str, mode: Optional[TreeMode] = None) -> Tree:
             raise TreeParseError("expected '('", i)
         if label is not None and mode is not None and not mode.labeled:
             raise TreeParseError("label not allowed in unlabeled mode", start)
-        if root is not None and not stack:
+        if parents and not stack:
             raise TreeParseError("trailing content after root tree", start)
         v = len(parents)
         parents.append(stack[-1] if stack else None)
-        if stack:
-            children[stack[-1]].append(v)
-        children.append([])
         labels.append(label)
-        if root is None:
-            root = v
         stack.append(v)
         i += 1
     if stack:
         raise TreeParseError("unclosed '('", n)
-    if root is None:
+    if not parents:
         raise TreeParseError("empty input", 0)
-    return Tree._raw(
-        tuple(parents), tuple(tuple(ks) for ks in children), tuple(labels)
-    )
+    return Tree._raw(tuple(parents), tuple(labels))
 
 
 def serialize_tree(tree: Tree) -> str:

@@ -55,12 +55,8 @@ def discriminance_dot(
     for v in range(len(dag)):
         if v == root:
             continue
-        if dag.mode.ordered:
-            for c in dag.children_struct(v):
-                lines.append(f"  n{v} -> n{c};")
-        else:
-            for c, mult in dag.children_struct(v):
-                attr = f' [label="{mult}"]' if mult > 1 else ""
-                lines.append(f"  n{v} -> n{c}{attr};")
+        for c, mult in dag.edges(v):
+            attr = f' [label="{mult}"]' if mult > 1 else ""
+            lines.append(f"  n{v} -> n{c}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,6 @@ occurring in all classes -- leaves in particular -- get weight zero.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import IO, Mapping, Optional, Sequence
 
@@ -109,18 +108,19 @@ def delta(rho: Sequence[float], n_classes: int) -> float:
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (n_classes,):
         raise ValueError("profile length must equal the number of classes")
-    return float(_delta_array(rho.reshape(1, -1))[0])
+    return float(np.sqrt(max(_corner_sq_dists(rho.reshape(1, -1)).min(), 0.0)))
 
 
-def _delta_array(rho: np.ndarray) -> np.ndarray:
-    # Squared distance to e_k:     |rho|^2 - 2 rho_k + 1
-    # Squared distance to e_k-bar: |rho - 1|^2 - (rho_k - 1)^2 + rho_k^2
-    sq = np.sum(rho * rho, axis=1, keepdims=True)
-    d_onehot = sq - 2.0 * rho + 1.0
-    sq_comp = np.sum((rho - 1.0) ** 2, axis=1, keepdims=True)
-    d_comp = sq_comp - (rho - 1.0) ** 2 + rho * rho
-    best = np.minimum(d_onehot.min(axis=1), d_comp.min(axis=1))
-    return np.sqrt(np.maximum(best, 0.0))
+def _corner_sq_dists(rho: np.ndarray) -> np.ndarray:
+    """Squared distances of the (n, K) profile rows to the 2K corners, as a
+    (2K, n) array: corners e_0..e_{K-1}, then their complements.  Expanded as
+    |c|^2 - 2 c.rho + |rho|^2 over the transposed profile, so every
+    reduction runs along axis 0."""
+    k = rho.shape[1]
+    corners = np.concatenate((np.eye(k), 1.0 - np.eye(k)))
+    rows = np.ascontiguousarray(rho.T)
+    return ((corners * corners).sum(axis=1)[:, None] - 2.0 * (corners @ rows)
+            + (rows * rows).sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -144,22 +144,11 @@ class ClassProfile:
         class id, so a class-pure subtree always reads as "present in its
         class".
         """
-        row = self.rho[v]
-        best_d = math.inf
-        best = (0, True)
-        for presence in (True, False):
-            for k in range(self.n_classes):
-                corner = np.zeros(self.n_classes)
-                if presence:
-                    corner[k] = 1.0
-                else:
-                    corner[:] = 1.0
-                    corner[k] = 0.0
-                d = float(np.linalg.norm(row - corner))
-                if d < best_d:
-                    best_d = d
-                    best = (k, presence)
-        return best
+        d = _corner_sq_dists(self.rho[v : v + 1])[:, 0]
+        # The first corner within rounding of the nearest: floating point can
+        # split an exact tie in its last bits.
+        i = int(np.flatnonzero(d <= d.min() + 1e-12)[0])
+        return i % self.n_classes, i < self.n_classes
 
 
 def class_profile(
@@ -197,7 +186,7 @@ def class_profile(
     cells = ids * n_classes + np.fromiter(class_of.values(), np.int64, len(class_of))[rows]
     counts = np.bincount(cells, minlength=len(annotated.dag) * n_classes)
     rho = counts.reshape(-1, n_classes) / np.asarray(sizes, dtype=np.float64)
-    dist = _delta_array(rho)
+    dist = np.sqrt(np.maximum(_corner_sq_dists(rho).min(axis=0), 0.0))
     return ClassProfile(n_classes, rho, dist, tuple(sizes))
 
 

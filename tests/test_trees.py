@@ -61,20 +61,34 @@ class TestBasics:
         assert len(parse_tree(FIG1_T1).leaves()) == 6
 
     def test_empty_tree_rejected(self):
-        with pytest.raises(ValueError):
-            Tree([], [], [])
+        with pytest.raises(ValueError, match="empty"):
+            Tree([])
 
     def test_two_roots_rejected(self):
-        with pytest.raises(ValueError):
-            Tree([None, None], [[], []], None)
+        with pytest.raises(ValueError, match="one root"):
+            Tree([None, None])
 
     def test_cycle_rejected(self):
-        with pytest.raises(ValueError):
-            Tree([1, 0], [[1], [0]], None)
+        with pytest.raises(ValueError, match="one root"):
+            Tree([1, 0])
 
-    def test_duplicate_children_rejected(self):
-        with pytest.raises(ValueError):
-            Tree([None, 0], [[1, 1], []], None)
+    @pytest.mark.parametrize("parents", [[None, 2], [None, -1], [None, 0, 7]])
+    def test_parent_out_of_range_rejected(self, parents):
+        with pytest.raises(ValueError, match="invalid parent"):
+            Tree(parents)
+
+    def test_self_parent_rejected(self):
+        with pytest.raises(ValueError, match="not connected"):
+            Tree([None, 0, 2])
+
+    def test_cycle_away_from_root_rejected(self):
+        with pytest.raises(ValueError, match="not connected"):
+            Tree([None, 0, 3, 2])
+
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"], []])
+    def test_label_length_rejected(self, labels):
+        with pytest.raises(ValueError, match="equal length"):
+            Tree([None, 0], labels)
 
     def test_heights_are_monotone_to_root(self):
         rng = random.Random(1)
@@ -111,7 +125,7 @@ class TestSubtree:
 
     def test_descendants_contiguous(self):
         rng = random.Random(2)
-        deep = Tree.from_parents([None] + list(range(2999)))  # a 3000-vertex chain
+        deep = Tree([None] + list(range(2999)))  # a 3000-vertex chain
         for t in [random_tree(rng, 20) for _ in range(20)] + [deep]:
             # Subtree sizes counted from the parent array, leaves upwards.
             sizes = [1] * len(t)
@@ -269,9 +283,54 @@ class TestBuilders:
         assert t == parse_tree(serialize_tree(t))
         assert len(t.subtree(1)) == 2
 
-    def test_from_parents(self):
-        t = Tree.from_parents([None, 0, 0, 1])
-        assert t.children(0) == (1, 3) or len(t.children(0)) == 2
+    def test_children_ordered_by_vertex_id(self):
+        # Children of 0 are 1 then 2, and 3 hangs below 1: preorder 0, 1, 3, 2.
+        t = Tree([None, 0, 0, 1], ["r", "a", "b", "c"])
+        assert t.children(0) == (1, 3) and t.children(1) == (2,)
+        assert serialize_tree(t) == "r(a(c())b())"
+        assert Tree([2, 2, None]) == parse_tree("(()())")
+
+
+def rebuilt_shuffled(t, rng):
+    """``t`` rebuilt through the constructor from a shuffled vertex order that
+    keeps every sibling list increasing, so the same tree must come back."""
+    new = list(range(len(t)))
+    rng.shuffle(new)
+    for v in t.vertices():
+        kids = t.children(v)
+        for c, nid in zip(kids, sorted(new[c] for c in kids)):
+            new[c] = nid
+    parents = [None] * len(t)
+    labels = [None] * len(t)
+    for v in t.vertices():
+        p = t.parent(v)
+        parents[new[v]] = None if p is None else new[p]
+        labels[new[v]] = t.label(v)
+    return Tree(parents, labels)
+
+
+class TestSplice:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), m=st.integers(1, 8),
+           lab=st.booleans())
+    def test_splices_match_text_and_constructor(self, seed, n, m, lab):
+        rng = random.Random(seed)
+        labels = "ab" if lab else None
+        t = random_tree(rng, n, labels)
+        r = random_tree(rng, m, labels)
+        text = serialize_tree(t)
+        # Labels hold no parentheses, so vertex v opens the v-th "(" of the text.
+        opens = [i for i, ch in enumerate(text) if ch == "("]
+        for v in t.vertices():
+            sub = t.subtree(v)
+            start = opens[v] - len(t.label(v) or "")
+            end = start + len(serialize_tree(sub))
+            assert text[start:end] == serialize_tree(sub)
+            out = t.replace_subtree(v, r)
+            assert serialize_tree(out) == text[:start] + serialize_tree(r) + text[end:]
+            joined = Tree.node([sub, r, t], label=labels and "a")
+            for built in (sub, out, joined):
+                assert rebuilt_shuffled(built, rng) == built
 
 
 # Characters that break the text format or a signature when put in a label,
@@ -308,8 +367,8 @@ class TestLabelRule:
         constructors = [
             lambda: Tree.leaf(label),
             lambda: Tree.node([Tree.leaf()], label=label),
-            lambda: Tree.from_parents([None, 0], [None, label]),
-            lambda: Tree([None, 0], [[1], []], [label, None]),
+            lambda: Tree([None, 0], [None, label]),
+            lambda: Tree([1, None], [None, label]),
         ]
         for build in constructors:
             if follows_label_rule(label):

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from dagkernel import (
     subtree_signatures,
     weight_distribution_by_height,
 )
-from dagkernel.weights import _delta_array
 
 from conftest import FIG3_TREE, MODES, UNORDERED
 
@@ -296,7 +296,7 @@ class TestDiscriminance:
         profile = ClassProfile(
             2,
             np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, 1.0]]),
-            _delta_array(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, 1.0]])),
+            np.array([0.0, 0.0, math.sqrt(0.5), 1.0]),
             (1, 1),
         )
         assert profile.nearest_corner(0) == (0, True)
@@ -306,6 +306,22 @@ class TestDiscriminance:
         # (0.5, 0.5) and (1, 1) tie all corners: presence of class 0.
         assert profile.nearest_corner(2) == (0, True)
         assert profile.nearest_corner(3) == (0, True)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_nearest_corner_matches_exact_arithmetic(self, k):
+        # Profiles are class fractions; exact ties such as (0.2, 0.2) can come
+        # out unequal in floating point and must still follow the tie rule.
+        rng = random.Random(43 + k)
+        rows = [[Fraction(rng.randint(0, d), d) for _ in range(k)]
+                for d in (4, 6, 7, 10) for _ in range(100)]
+        rho = np.array(rows, dtype=np.float64)
+        profile = ClassProfile(k, rho, np.zeros(len(rows)), (1,) * k)
+        for v, row in enumerate(rows):
+            corners = [[int(j == c) for j in range(k)] for c in range(k)]
+            corners += [[1 - x for x in corner] for corner in corners]
+            sq = [sum((a - b) ** 2 for a, b in zip(row, corner)) for corner in corners]
+            i = sq.index(min(sq))
+            assert profile.nearest_corner(v) == (i % k, i < k)
 
 
 class TestExports:
