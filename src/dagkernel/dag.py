@@ -185,9 +185,6 @@ class Dag:
         a, b = self._offsets[v], self._offsets[v + 1]
         return tuple(zip(self._kids[a:b].tolist(), self._mults[a:b].tolist()))
 
-    def n_edges(self) -> int:
-        return len(self._kids)
-
     def is_reduced(self) -> bool:
         """True iff no two vertices share (label, edges)."""
         seen = set()

@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .kernel import WeightFn, kernel_brute
 from .trees import Tree, TreeMode, subtree_signatures
@@ -67,6 +67,12 @@ class ModelInstance:
         if cls not in (0, 1):
             raise ValueError("class must be 0 or 1")
         return self.t0 if cls == 0 else self.t1
+
+    def edited(self, cls: int, u: int) -> Tree:
+        """Template ``cls`` with vertex ``u`` replaced by the replacement tree
+        of the same height."""
+        tree = self.tree(cls)
+        return tree.replace_subtree(u, self.fillers[tree.height(u)])
 
 
 def unit_weight(tree: Tree):
@@ -145,11 +151,15 @@ def _nonleaf_sigs(tree: Tree, mode: TreeMode) -> set[str]:
     return {s for s in subtree_signatures(tree, mode) if not _is_leaf_sig(s)}
 
 
-def _outside_nonleaf_sigs(edited: Tree, filler: Tree, mode: TreeMode) -> set[str]:
-    # Signatures of edited-tree vertices that are not leaves and do not belong
-    # to the inserted replacement block: multiset difference of signatures.
+def _outside_nonleaf_sigs(
+    tree: Tree, u: int, fillers: Sequence[Tree], mode: TreeMode
+) -> set[str]:
+    # Signatures of the vertices of tree edited at u that are not leaves and
+    # do not belong to the inserted replacement block: multiset difference of
+    # signatures.
+    filler = fillers[tree.height(u)]
     counts: dict[str, int] = {}
-    for s in subtree_signatures(edited, mode):
+    for s in subtree_signatures(tree.replace_subtree(u, filler), mode):
         counts[s] = counts.get(s, 0) + 1
     for s in subtree_signatures(filler, mode):
         counts[s] -= 1
@@ -190,16 +200,10 @@ def verify_model(
         raise ModelConstructionError("the height-0 replacement must be a leaf")
     # Cross-isomorphisms after simultaneous edits, exhaustively over vertex
     # pairs: nothing outside the inserted blocks and the leaves may coincide.
-    outside0 = [
-        _outside_nonleaf_sigs(t0.replace_subtree(u, fillers[t0.height(u)]),
-                              fillers[t0.height(u)], mode)
-        for u in t0.vertices()
-    ]
-    outside1 = [
-        _outside_nonleaf_sigs(t1.replace_subtree(v, fillers[t1.height(v)]),
-                              fillers[t1.height(v)], mode)
-        for v in t1.vertices()
-    ]
+    outside0, outside1 = (
+        [_outside_nonleaf_sigs(tree, u, fillers, mode) for u in tree.vertices()]
+        for tree in (t0, t1)
+    )
     for u in t0.vertices():
         for v in t1.vertices():
             common = outside0[u] & outside1[v]
@@ -235,11 +239,10 @@ def sample_edited(
 ) -> tuple[Tree, int]:
     """One random datum of the given class: the template with a uniformly
     chosen vertex of Binomial-drawn height replaced.  Returns (tree, vertex)."""
-    tree = instance.tree(cls)
     pmf = edit_height_pmf(instance.height, instance.rho)
     h = rng.choices(range(instance.height + 1), weights=[float(p) for p in pmf])[0]
-    u = rng.choice(tree.vertices_at_height(h))
-    return tree.replace_subtree(u, instance.fillers[h]), u
+    u = rng.choice(instance.tree(cls).vertices_at_height(h))
+    return instance.edited(cls, u), u
 
 
 def sample_dataset(
@@ -318,20 +321,24 @@ class _ClassTables:
             return self.w_fam[u]
         return self.w_fam[x] + self.w_fam[u] - self.w_upchain[self._lca(x, u)]
 
+    def expectation(self, values: Sequence):
+        """Expectation over the edited vertex u of per-vertex ``values``."""
+        return sum(p * v for p, v in zip(self.pick_prob, values))
+
     def contrast(self, x: int):
-        expected = sum(
-            self.pick_prob[u] * self.affected_weight(x, u)
-            for u in self.tree.vertices()
+        return self.self_kernel - self.expectation(
+            self.affected_weight(x, u) for u in self.tree.vertices()
         )
-        return self.self_kernel - expected
 
 
 class ContrastCalculator:
     """Exact and Monte-Carlo contrast evaluation for a model instance.
 
+    ``exact`` evaluates the closed form; ``monte_carlo`` samples the defining
+    expectation, whose kernel values all come from :func:`kernel_brute`.
     ``weight_fn`` must be isomorphism-invariant and give leaves weight zero
-    (the closed form relies on it).  Rational weights keep every result an
-    exact :class:`fractions.Fraction`.
+    (the closed form relies on it).  Rational weights keep every exact
+    result an exact :class:`fractions.Fraction`.
     """
 
     def __init__(self, instance: ModelInstance, weight_fn: WeightFn):
@@ -340,50 +347,22 @@ class ContrastCalculator:
             raise ValueError("exact contrast requires leaf weight 0")
         self.instance = instance
         self.weight_fn = weight_fn
-        self.tables = (
-            _ClassTables(instance, 0, weight_fn),
-            _ClassTables(instance, 1, weight_fn),
-        )
+        self.tables = tuple(_ClassTables(instance, c, weight_fn) for c in (0, 1))
 
     def exact(self, cls: int, x: int):
         """Closed-form contrast of vertex ``x`` of template ``cls``."""
         return self.tables[cls].contrast(x)
 
     def monte_carlo(
-        self,
-        cls: int,
-        x: int,
-        n_samples: int,
-        rng: random.Random,
-        leaf_weight=0,
+        self, cls: int, x: int, n_samples: int, rng: random.Random
     ) -> tuple[float, float]:
-        """Estimate the defining expectation by sampling edit pairs; returns
-        (estimate, standard error).  ``leaf_weight`` optionally augments the
-        weight function on leaves."""
-        inst = self.instance
-        wfn = _with_leaf_weight(self.weight_fn, leaf_weight)
-        edited_x = inst.tree(cls).replace_subtree(x, inst.fillers[inst.tree(cls).height(x)])
-        table = _SigKernelTable(inst.mode, wfn)
-        same_tree = inst.tree(cls)
-        other_tree = inst.tree(1 - cls)
-        same_vals = [
-            float(
-                table.kernel(
-                    edited_x,
-                    same_tree.replace_subtree(u, inst.fillers[same_tree.height(u)]),
-                )
-            )
-            for u in same_tree.vertices()
-        ]
-        cross_vals = [
-            float(
-                table.kernel(
-                    edited_x,
-                    other_tree.replace_subtree(v, inst.fillers[other_tree.height(v)]),
-                )
-            )
-            for v in other_tree.vertices()
-        ]
+        """Estimate the defining expectation by sampling edit pairs from the
+        :func:`kernel_brute` values of the edited trees; returns (estimate,
+        standard error)."""
+        same_vals, cross_vals = (
+            [float(k) for k in ks]
+            for ks in _edit_kernels(self.instance, cls, x, self.weight_fn)
+        )
         p_same = [float(p) for p in self.tables[cls].pick_prob]
         p_cross = [float(p) for p in self.tables[1 - cls].pick_prob]
         us = rng.choices(range(len(same_vals)), weights=p_same, k=n_samples)
@@ -394,44 +373,19 @@ class ContrastCalculator:
         return mean, math.sqrt(var / n_samples)
 
 
-def _with_leaf_weight(weight_fn: WeightFn, leaf_weight) -> WeightFn:
-    if leaf_weight == 0:
-        return weight_fn
-    return lambda t: leaf_weight if len(t) == 1 else weight_fn(t)
-
-
-class _SigKernelTable:
-    """Kernel evaluation with cached per-tree signature counters."""
-
-    def __init__(self, mode: TreeMode, weight_fn: WeightFn):
-        self.mode = mode
-        self.weight_fn = weight_fn
-        self._counters: dict[Tree, dict[str, int]] = {}
-        self._weights: dict[str, object] = {}
-
-    def counter(self, tree: Tree) -> dict[str, int]:
-        cached = self._counters.get(tree)
-        if cached is None:
-            sigs = subtree_signatures(tree, self.mode)
-            cached = {}
-            for v, s in enumerate(sigs):
-                cached[s] = cached.get(s, 0) + 1
-                if s not in self._weights:
-                    self._weights[s] = self.weight_fn(tree.subtree(v))
-            self._counters[tree] = cached
-        return cached
-
-    def kernel(self, t1: Tree, t2: Tree):
-        c1 = self.counter(t1)
-        c2 = self.counter(t2)
-        if len(c2) < len(c1):
-            c1, c2 = c2, c1
-        total = 0
-        for s in sorted(c1):
-            n2 = c2.get(s)
-            if n2:
-                total += self._weights[s] * c1[s] * n2
-        return total
+def _edit_kernels(
+    instance: ModelInstance, cls: int, x: int, weight_fn: WeightFn
+) -> tuple[list, list]:
+    """K(T_x, template c edited at u) for every vertex u, first for c = cls
+    and then for c = 1 - cls: the values that define the contrast of x."""
+    edited_x = instance.edited(cls, x)
+    return tuple(
+        [
+            kernel_brute(edited_x, instance.edited(c, u), instance.mode, weight_fn)
+            for u in instance.tree(c).vertices()
+        ]
+        for c in (cls, 1 - cls)
+    )
 
 
 # -- separation bound (contrast lower bound) ----------------------------------------
@@ -573,55 +527,30 @@ def check_leaf_weight_effect(
     """
     if leaf_weight <= 0:
         raise ValueError("leaf weight must be positive")
-    if weight_fn(Tree.leaf()) != 0:
-        raise ValueError("base weights must give leaves weight 0")
-    calc = ContrastCalculator(instance, weight_fn)
-    base = _SigKernelTable(instance.mode, weight_fn)
-    plus = _SigKernelTable(instance.mode, _with_leaf_weight(weight_fn, leaf_weight))
+    tables = ContrastCalculator(instance, weight_fn).tables
 
-    edited: dict[tuple[int, int], Tree] = {}
-    leaf_count: dict[tuple[int, int], int] = {}
-    for cls in (0, 1):
-        tree = instance.tree(cls)
-        for u in tree.vertices():
-            t = tree.replace_subtree(u, instance.fillers[tree.height(u)])
-            edited[(cls, u)] = t
-            leaf_count[(cls, u)] = len(t.leaves())
+    def plus_weight(t: Tree):
+        return leaf_weight if len(t) == 1 else weight_fn(t)
 
-    def expected(cls: int, values: dict[int, object]):
-        probs = calc.tables[cls].pick_prob
-        return sum(probs[u] * values[u] for u in instance.tree(cls).vertices())
+    weight_fns = (weight_fn, plus_weight)
 
-    mean_leaves = [
-        expected(cls, {u: leaf_count[(cls, u)] for u in instance.tree(cls).vertices()})
+    leaf_counts = [
+        [len(instance.edited(cls, u).leaves()) for u in instance.tree(cls).vertices()]
         for cls in (0, 1)
     ]
+    mean_leaves = [tables[cls].expectation(leaf_counts[cls]) for cls in (0, 1)]
     gaps = (mean_leaves[0] - mean_leaves[1], mean_leaves[1] - mean_leaves[0])
 
     entries = []
     for cls in (0, 1):
-        tree = instance.tree(cls)
-        other = 1 - cls
-        for x in tree.vertices():
-            ex = edited[(cls, x)]
-
-            def defn(table: _SigKernelTable):
-                same = expected(
-                    cls,
-                    {u: table.kernel(ex, edited[(cls, u)]) for u in tree.vertices()},
+        for x in instance.tree(cls).vertices():
+            contrast, contrast_plus = (
+                tables[cls].expectation(same) - tables[1 - cls].expectation(cross)
+                for same, cross in (
+                    _edit_kernels(instance, cls, x, fn) for fn in weight_fns
                 )
-                cross = expected(
-                    other,
-                    {
-                        v: table.kernel(ex, edited[(other, v)])
-                        for v in instance.tree(other).vertices()
-                    },
-                )
-                return same - cross
-
-            contrast = defn(base)
-            contrast_plus = defn(plus)
-            predicted = contrast + leaf_weight * leaf_count[(cls, x)] * gaps[cls]
+            )
+            predicted = contrast + leaf_weight * leaf_counts[cls][x] * gaps[cls]
             entries.append(
                 LeafWeightEntry(cls, x, contrast, contrast_plus,
                                 contrast_plus == predicted)

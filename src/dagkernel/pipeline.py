@@ -60,7 +60,6 @@ class Dataset:
     trees: tuple[Tree, ...]
     classes: tuple[Optional[int], ...]
     mode: TreeMode
-    split: Optional[Split] = None
     class_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
@@ -202,6 +201,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.repeats < 1:
+            raise ValueError("repeats must be >= 1")
         if self.scheme == "exponential":
             if self.lam is None:
                 raise ValueError("exponential scheme needs a lambda")

@@ -2,8 +2,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import dagkernel
-from dagkernel import cli
+from dagkernel import ExperimentConfig, cli
 
 from conftest import FIG3_TREE, FIG5_T2
 
@@ -16,6 +18,48 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "leaf-weight identity: pass" in out
         assert "FAIL" not in out
+
+    def test_report_golden(self, tmp_path, capsys):
+        # Height-3 model from seed 1: one CSV row per template vertex.
+        out = tmp_path / "report.csv"
+        argv = ["simulate", "--height", "3", "--seed", "1", "--leaf-weight", "2/7",
+                "--out", str(out)]
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == (
+            "model: height=3 rho=9/4 seed=1\n"
+            "conditioning mass G(h=2) = 0.578125\n"
+            "class 0: zero-contrast-only-at-root pass\n"
+            "class 0: contrast >= 0.003125 for height <= 2: pass\n"
+            "class 1: zero-contrast-only-at-root pass\n"
+            "class 1: contrast >= 0.001563 for height <= 2: pass\n"
+            "leaf-weight identity: pass\n"
+            "leaf-weight never raises the minimum: pass\n"
+            "sufficient training size (delta=0.1, log(2/delta)=2.9957): 53934\n"
+        )
+        assert out.read_bytes() == (
+            b"class,x,height,contrast,bound,pass\r\n"
+            b"0,0,3,0.0,0.003125,\r\n"
+            b"0,1,2,0.421875,0.003125,True\r\n"
+            b"0,2,1,0.28125,0.003125,True\r\n"
+            b"0,3,0,0.046875,0.003125,True\r\n"
+            b"0,4,0,0.046875,0.003125,True\r\n"
+            b"0,5,0,0.046875,0.003125,True\r\n"
+            b"0,6,0,0.046875,0.003125,True\r\n"
+            b"0,7,0,0.046875,0.003125,True\r\n"
+            b"1,0,3,0.0,0.0015625,\r\n"
+            b"1,1,2,0.421875,0.0015625,True\r\n"
+            b"1,2,1,0.28125,0.0015625,True\r\n"
+            b"1,3,0,0.046875,0.0015625,True\r\n"
+            b"1,4,0,0.046875,0.0015625,True\r\n"
+            b"1,5,0,0.046875,0.0015625,True\r\n"
+            b"1,6,0,0.046875,0.0015625,True\r\n"
+            b"1,7,0,0.046875,0.0015625,True\r\n"
+            b"1,8,0,0.046875,0.0015625,True\r\n"
+            b"1,9,0,0.046875,0.0015625,True\r\n"
+            b"1,10,0,0.046875,0.0015625,True\r\n"
+            b"1,11,0,0.046875,0.0015625,True\r\n"
+            b"1,12,0,0.046875,0.0015625,True\r\n"
+        )
 
 
 class TestManifestErrors:
@@ -120,3 +164,18 @@ class TestExitCodes:
         code, err = self.run(["reduce", str(trees), "--out", str(tmp_path / "o")], capsys)
         assert code == cli.EXIT_INTERNAL
         assert err.startswith("internal assertion failed: broken invariant")
+
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_is_configuration_error(self, tmp_path, capsys, repeats):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("tree,class\n" + "(()),a\n(()()),b\n" * 3)
+        code, err = self.run(["classify", str(manifest), "--repeats", repeats], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error: repeats must be >= 1")
+
+
+class TestExperimentConfig:
+    def test_repeats_below_one_rejected(self):
+        # run_experiment would return no outcomes at all.
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            ExperimentConfig("exponential", lam=0.5, repeats=0)

@@ -36,6 +36,15 @@ def brooms_for(t0, t1):
     return tuple(_broom(h, width) for h in range(t0.height() + 1))
 
 
+def halving_weight(tree):
+    # Exact like unit_weight, but it tells subtrees of different heights
+    # apart, so a check fed the wrong weight function shows.
+    return 0 if len(tree) == 1 else Fraction(1, 2 ** tree.height())
+
+
+WEIGHTS = [pytest.param(unit_weight, id="unit"), pytest.param(halving_weight, id="halving")]
+
+
 class TestVerification:
     def test_generated_models_verify(self):
         for height in (2, 3, 4, 5):
@@ -177,9 +186,8 @@ class TestEditedKernelDecomposition:
             k_self = kernel_brute(tree, tree, inst.mode, unit_weight)
             for u in tree.vertices():
                 for v in tree.vertices():
-                    eu = tree.replace_subtree(u, inst.fillers[tree.height(u)])
-                    ev = tree.replace_subtree(v, inst.fillers[tree.height(v)])
-                    lhs = kernel_brute(eu, ev, inst.mode, unit_weight)
+                    lhs = kernel_brute(inst.edited(cls, u), inst.edited(cls, v),
+                                       inst.mode, unit_weight)
                     tau = kernel_brute(
                         inst.fillers[tree.height(u)],
                         inst.fillers[tree.height(v)],
@@ -194,9 +202,7 @@ class TestEditedKernelDecomposition:
         inst = build_model(height, seed=height + 10)
         for u in inst.t0.vertices():
             for v in inst.t1.vertices():
-                eu = inst.t0.replace_subtree(u, inst.fillers[inst.t0.height(u)])
-                ev = inst.t1.replace_subtree(v, inst.fillers[inst.t1.height(v)])
-                lhs = kernel_brute(eu, ev, inst.mode, unit_weight)
+                lhs = kernel_brute(inst.edited(0, u), inst.edited(1, v), inst.mode, unit_weight)
                 rhs = kernel_brute(
                     inst.fillers[inst.t0.height(u)],
                     inst.fillers[inst.t1.height(v)],
@@ -221,14 +227,15 @@ class TestContrast:
                 assert (value == 0) == (x == 0)
                 assert value >= 0
 
-    def test_exact_matches_definitional_expectation(self):
+    @pytest.mark.parametrize("weight", WEIGHTS)
+    def test_exact_matches_definitional_expectation(self, weight):
         # Exhaustive finite-space expectation of the defining difference.
         for height in (2, 3, 4, 5):
             for seed in (0, 1, 2):
                 for mode in (UNORDERED, ORDERED):
                     inst = build_model(height, seed=seed, mode=mode)
-                    calc = ContrastCalculator(inst, unit_weight)
-                    report = check_leaf_weight_effect(inst, unit_weight, Fraction(1))
+                    calc = ContrastCalculator(inst, weight)
+                    report = check_leaf_weight_effect(inst, weight, Fraction(1))
                     by_key = {(e.cls, e.x): e for e in report.entries}
                     for cls in (0, 1):
                         for x in inst.tree(cls).vertices():
@@ -343,9 +350,10 @@ class TestSufficientSize:
 
 
 class TestLeafWeightEffect:
-    def test_identity_and_min(self):
+    @pytest.mark.parametrize("weight", WEIGHTS)
+    def test_identity_and_min(self, weight):
         inst = build_model(3, seed=15)
-        report = check_leaf_weight_effect(inst, unit_weight, Fraction(2, 7))
+        report = check_leaf_weight_effect(inst, weight, Fraction(2, 7))
         assert report.identity_holds
         assert report.min_not_increased
         assert report.expected_leaf_gap[0] == -report.expected_leaf_gap[1]
