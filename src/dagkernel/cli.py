@@ -253,6 +253,7 @@ def cmd_simulate(height, rho, h_level, delta, leaf_weight, seed, out):
     leaf_w = Fraction(leaf_weight)
     plus = check_leaf_weight_effect(instance, unit_weight, leaf_w)
     pmf = edit_height_pmf(instance.height, instance.rho)
+    size = sufficient_size(instance, unit_weight, h_level, delta)
 
     def flag(ok: bool) -> str:
         return "pass" if ok else "FAIL"
@@ -275,7 +276,6 @@ def cmd_simulate(height, rho, h_level, delta, leaf_weight, seed, out):
             )
     click.echo(f"leaf-weight identity: {flag(plus.identity_holds)}")
     click.echo(f"leaf-weight never raises the minimum: {flag(plus.min_not_increased)}")
-    size = sufficient_size(instance, unit_weight, h_level, delta)
     click.echo(
         f"sufficient training size (delta={delta}, log(2/delta)="
         f"{np.log(2 / delta):.4f}): {size}"

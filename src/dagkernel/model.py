@@ -359,6 +359,8 @@ class ContrastCalculator:
         """Estimate the defining expectation by sampling edit pairs from the
         :func:`kernel_brute` values of the edited trees; returns (estimate,
         standard error)."""
+        if n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
         same_vals, cross_vals = (
             [float(k) for k in ks]
             for ks in _edit_kernels(self.instance, cls, x, self.weight_fn)

@@ -24,7 +24,7 @@ import numpy as np
 from .annotate import AnnotatedDag
 from .dag import reduce_forest
 from .kernel import GramComputer, min_eig_and_norm
-from .trees import Tree, TreeMode, parse_tree, serialize_tree
+from .trees import Tree, TreeMode, TreeParseError, parse_tree, serialize_tree
 from .weights import ShapingFn, class_profile, discriminance_weights, exponential_weights
 
 __all__ = [
@@ -270,7 +270,8 @@ def load_manifest(
     file containing one bracket tree.  Classes may be arbitrary strings; they
     are mapped to ids 0..K-1 in sorted order (``class_names`` records the
     mapping).  Roles, when present on every row, must be one of weight /
-    train / pred and are returned as a role -> indices map.
+    train / pred and are returned as a role -> indices map.  A
+    :class:`TreeParseError` names the 1-based data row of the bad tree.
     """
     import os
 
@@ -282,7 +283,7 @@ def load_manifest(
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "tree" not in reader.fieldnames:
             raise ValueError(f"{path}: manifest needs a header with a 'tree' column")
-        for row in reader:
+        for row_number, row in enumerate(reader, 1):
             text = (row.get("tree") or "").strip()
             if text.startswith("@"):
                 try:
@@ -290,7 +291,10 @@ def load_manifest(
                         text = tree_fh.read().strip()
                 except OSError as exc:
                     raise ValueError(f"{path}: cannot read {text}: {exc.strerror or exc}") from exc
-            trees.append(parse_tree(text, mode))
+            try:
+                trees.append(parse_tree(text, mode))
+            except TreeParseError as exc:
+                raise exc.located(f"row {row_number} of {path}") from None
             cls = (row.get("class") or "").strip()
             raw_classes.append(cls or None)
             role = (row.get("role") or "").strip().lower()

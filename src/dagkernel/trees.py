@@ -16,12 +16,21 @@ recursive encoding that sorts child signatures in unordered mode.
 Text format: ``tree := label? "(" tree* ")"`` where labels are non-empty
 strings without whitespace or parentheses, and whitespace between siblings is
 ignored.  Dataset files hold one tree per line.
+
+:func:`parse_tree` reads well-formed text in a few whole-text passes: string
+translations and splits give the labels, and a running sum over the brackets
+(in NumPy) gives the depth of every vertex, from which one loop over the
+vertices takes the parents.  String and array checks decide whether the text
+is well formed.  Malformed text goes to a character-by-character scan that
+only locates the first error and raises it with its position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "Tree",
@@ -56,11 +65,19 @@ class TreeMode:
 
 
 class TreeParseError(ValueError):
-    """Malformed bracket text; ``position`` is the 0-based character offset."""
+    """Malformed bracket text; ``position`` is the 0-based character offset
+    inside the tree text, and ``where``, if given, names the tree's place in
+    its file."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: int, where: Optional[str] = None):
+        text = f"{message} (at position {position})"
+        super().__init__(text if where is None else f"{text} in {where}")
+        self.message = message
         self.position = position
+
+    def located(self, where: str) -> "TreeParseError":
+        """The same error, naming where the tree sits, e.g. ``"line 3"``."""
+        return TreeParseError(self.message, self.position, where)
 
 
 _FORBIDDEN_LABEL_CHARS = frozenset("()")
@@ -348,16 +365,79 @@ def join_forest(trees: Sequence[Tree], label: Optional[str] = None) -> Tree:
 # -- bracket text format ------------------------------------------------------
 
 
+# The 29 characters for which str.isspace() is true, written out because
+# scanning every code point would cost each import about 60 ms.
+_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+# Deleting whitespace and ')' leaves "label(" per vertex; mapping them to a
+# space instead keeps each run of label characters apart.
+_DROP_SEPARATORS = str.maketrans("", "", _WHITESPACE + ")")
+_SEPARATORS_TO_SPACE = str.maketrans(dict.fromkeys(_WHITESPACE + ")", " "))
+# Keep only the bracket bytes of the UTF-8 text, as int8 steps: '(' +1, ')' -1.
+# No multi-byte UTF-8 sequence contains those bytes, and "surrogatepass" lets
+# a lone surrogate through to the printable check.
+_BRACKET_STEPS = bytes.maketrans(b"()", b"\x01\xff")
+_NON_BRACKET_BYTES = bytes(sorted(set(range(256)) - set(b"()")))
+
+
 def parse_tree(text: str, mode: Optional[TreeMode] = None) -> Tree:
     """Parse bracket text into a tree.
 
     When ``mode`` is given with ``labeled=False``, labeled input is rejected.
     Raises :class:`TreeParseError` with a character position on malformed
     nesting or bad label characters.
+
+    Deleting whitespace and ``)`` and splitting at ``(`` gives every label in
+    preorder.  The running sum of the brackets (``(`` +1, ``)`` -1) gives the
+    depth of every vertex, and a vertex's parent is the last earlier vertex
+    one level up.  The text is well formed when the depth stays positive
+    until the last ``)`` brings it to 0 (one root), every run of label
+    characters ends at ``(``, the labels are printable, and no label appears
+    in unlabeled mode.  Only when a check fails does the character scan of
+    ``_raise_first_error`` run, to raise the first error with its position.
     """
-    parents: list[Optional[int]] = []
-    labels: list[Optional[str]] = []
-    stack: list[int] = []
+    stripped = text.translate(_DROP_SEPARATORS)
+    pieces = stripped.split("(")
+    n = len(pieces) - 1
+    spaced = text.translate(_SEPARATORS_TO_SPACE)
+    steps = np.frombuffer(
+        text.encode("utf-8", "surrogatepass").translate(_BRACKET_STEPS, _NON_BRACKET_BYTES),
+        np.int8,
+    )
+    depth = steps.cumsum(dtype=np.int64)
+    if not (
+        # Depth stays positive until the last ')' closes the one root.
+        len(depth) > 1 and depth[-1] == 0 and depth[:-1].min() > 0
+        # Every run of label characters ends at '(': each space-separated
+        # token of the spaced text ends with '('.
+        and (spaced + " ").count("( ") == len(spaced.split())
+        and stripped.isprintable()
+        and (mode is None or mode.labeled or len(stripped) == n)
+    ):
+        _raise_first_error(text, mode)
+
+    opened = depth[steps == 1].tolist()
+    parents: list[Optional[int]] = [None] * n
+    last_at_depth = [0] * (n + 1)
+    for v in range(1, n):
+        d = opened[v]
+        parents[v] = last_at_depth[d - 1]
+        last_at_depth[d] = v
+    pieces.pop()
+    if "((" in stripped or stripped.startswith("("):
+        labels = tuple(label or None for label in pieces)
+    else:
+        labels = tuple(pieces)
+    return Tree._raw(tuple(parents), labels)
+
+
+def _raise_first_error(text: str, mode: Optional[TreeMode]) -> NoReturn:
+    # The character scan that parse_tree's checks stand in for: it raises the
+    # first error of malformed text, with its position.
+    depth = 0
+    has_root = False
     i = 0
     n = len(text)
     while i < n:
@@ -366,9 +446,9 @@ def parse_tree(text: str, mode: Optional[TreeMode] = None) -> Tree:
             i += 1
             continue
         if ch == ")":
-            if not stack:
+            if not depth:
                 raise TreeParseError("unmatched ')'", i)
-            stack.pop()
+            depth -= 1
             i += 1
             continue
         # A label (possibly empty) followed by '('.
@@ -377,23 +457,20 @@ def parse_tree(text: str, mode: Optional[TreeMode] = None) -> Tree:
             if not text[i].isprintable():
                 raise TreeParseError("label contains unprintable character", i)
             i += 1
-        label = text[start:i] or None
         if i >= n or text[i] != "(":
             raise TreeParseError("expected '('", i)
-        if label is not None and mode is not None and not mode.labeled:
+        if start < i and mode is not None and not mode.labeled:
             raise TreeParseError("label not allowed in unlabeled mode", start)
-        if parents and not stack:
+        if has_root and not depth:
             raise TreeParseError("trailing content after root tree", start)
-        v = len(parents)
-        parents.append(stack[-1] if stack else None)
-        labels.append(label)
-        stack.append(v)
+        has_root = True
+        depth += 1
         i += 1
-    if stack:
+    if depth:
         raise TreeParseError("unclosed '('", n)
-    if not parents:
+    if not has_root:
         raise TreeParseError("empty input", 0)
-    return Tree._raw(tuple(parents), tuple(labels))
+    raise AssertionError(f"parse_tree rejected well-formed text {text!r}")
 
 
 def serialize_tree(tree: Tree) -> str:
@@ -414,8 +491,15 @@ def serialize_tree(tree: Tree) -> str:
 
 
 def parse_tree_file(lines: Iterable[str], mode: Optional[TreeMode] = None) -> Iterator[Tree]:
-    """Parse a dataset file: one bracket tree per non-empty line."""
-    for line in lines:
+    """Parse a dataset file: one bracket tree per non-empty line.
+
+    A :class:`TreeParseError` names the 1-based line of the bad tree.
+    """
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if line:
-            yield parse_tree(line, mode)
+            try:
+                tree = parse_tree(line, mode)
+            except TreeParseError as exc:
+                raise exc.located(f"line {number}") from None
+            yield tree

@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from dagkernel import Tree, TreeMode, parse_tree
+from dagkernel import Tree, TreeMode, TreeParseError, parse_tree
 
 MODES = [
     TreeMode(ordered=False, labeled=False),
@@ -76,3 +76,47 @@ def fig1_t0() -> Tree:
 
 def fig1_t1() -> Tree:
     return parse_tree(FIG1_T1)
+
+
+def reference_parse(text: str, mode=None):
+    """Character-by-character bracket scanner, independent of parse_tree's
+    array passes: ``(parents, labels)`` in preorder, or the first
+    :class:`TreeParseError` with its position."""
+    parents = []
+    labels = []
+    stack = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == ")":
+            if not stack:
+                raise TreeParseError("unmatched ')'", i)
+            stack.pop()
+            i += 1
+            continue
+        # A label (possibly empty) followed by '('.
+        start = i
+        while i < n and text[i] not in "()" and not text[i].isspace():
+            if not text[i].isprintable():
+                raise TreeParseError("label contains unprintable character", i)
+            i += 1
+        label = text[start:i] or None
+        if i >= n or text[i] != "(":
+            raise TreeParseError("expected '('", i)
+        if label is not None and mode is not None and not mode.labeled:
+            raise TreeParseError("label not allowed in unlabeled mode", start)
+        if parents and not stack:
+            raise TreeParseError("trailing content after root tree", start)
+        parents.append(stack[-1] if stack else None)
+        labels.append(label)
+        stack.append(len(parents) - 1)
+        i += 1
+    if stack:
+        raise TreeParseError("unclosed '('", n)
+    if not parents:
+        raise TreeParseError("empty input", 0)
+    return tuple(parents), tuple(labels)

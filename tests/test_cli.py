@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import dagkernel
-from dagkernel import ExperimentConfig, cli
+from dagkernel import ExperimentConfig, TreeMode, TreeParseError, cli, load_manifest
 
 from conftest import FIG3_TREE, FIG5_T2
 
@@ -71,6 +71,23 @@ class TestManifestErrors:
         assert err.startswith("configuration error: ")
         assert "absent.tree" in err
         assert "Traceback" not in err
+
+
+    def test_bad_tree_names_its_row(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("tree,class\n(()),a\n(((),b\n")
+        assert cli.run(["classify", str(manifest)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"parse error: unclosed '(' (at position 4) in row 2 of {manifest}\n"
+
+    def test_bad_tree_file_names_its_row(self, tmp_path):
+        (tmp_path / "bad.tree").write_text("(()\n")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("tree,class\n(()),a\n(()()),b\n@bad.tree,a\n")
+        with pytest.raises(TreeParseError) as err:
+            load_manifest(str(manifest), TreeMode(ordered=False, labeled=False))
+        assert err.value.position == 3
+        assert str(err.value) == f"unclosed '(' (at position 3) in row 3 of {manifest}"
 
 
 class TestFileErrors:
@@ -147,6 +164,14 @@ class TestExitCodes:
         assert code == cli.EXIT_PARSE
         assert err.startswith("parse error: unclosed '(' (at position 3)")
 
+    def test_bad_tree_names_its_line(self, tmp_path, capsys):
+        # Lines count from 1, blank ones included.
+        trees = tmp_path / "bad.trees"
+        trees.write_text("(())\n\n()a\n")
+        code, err = self.run(["reduce", str(trees), "--out", str(tmp_path / "o")], capsys)
+        assert code == cli.EXIT_PARSE
+        assert err == "parse error: expected '(' (at position 3) in line 3\n"
+
     def test_unclosed_element_is_parse_error(self, tmp_path, capsys):
         doc = tmp_path / "bad.html"
         doc.write_text("<a><b>")
@@ -172,6 +197,16 @@ class TestExitCodes:
         code, err = self.run(["classify", str(manifest), "--repeats", repeats], capsys)
         assert code == cli.EXIT_CONFIG
         assert err.startswith("configuration error: repeats must be >= 1")
+
+
+    @pytest.mark.parametrize("argv", [["--delta", "2"], ["--delta", "0"], ["--h", "5"]])
+    def test_bad_simulate_option_prints_no_report(self, capsys, argv):
+        code = cli.run(["simulate", *argv])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert captured.err.startswith("configuration error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestExperimentConfig:

@@ -251,6 +251,12 @@ class TestContrast:
             estimate, stderr = calc.monte_carlo(cls, x, 100_000, rng)
             assert abs(estimate - exact) <= 3 * stderr + 1e-12
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_monte_carlo_needs_a_sample(self, n_samples):
+        calc = ContrastCalculator(build_model(3), unit_weight)
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            calc.monte_carlo(0, 1, n_samples, random.Random(0))
+
     def test_hand_enumeration_leaf_parent(self):
         # Smallest worthwhile case done by hand: templates
         #   T0 = root(star1, star4), T1 = root(star2, star3), rho = 3/2, H = 2.

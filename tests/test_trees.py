@@ -25,8 +25,44 @@ from conftest import (
     ORDERED,
     UNORDERED,
     brute_isomorphic,
+    reference_parse,
     reverse_children,
 )
+from dagkernel.trees import _WHITESPACE
+
+
+# Bracket-text pieces for the parser property: brackets, label characters,
+# whitespace that str.isspace() accepts (ASCII, \x1c, no-break and
+# ideographic space) and unprintable characters (NUL, zero-width space).
+PARSE_TOKENS = ["(", ")", "()", "a", "b", "é", " ", "\t", "\n", "\x1c", "\xa0", "\u3000",
+                "\x00", "\u200b"]
+# Well-formed trees with whitespace between siblings, most of them parsed.
+BRACKET_TREES = st.recursive(
+    st.sampled_from(["()", "a()", "é()"]),
+    lambda kids: st.builds(
+        lambda label, sep, subtrees: label + "(" + sep + sep.join(subtrees) + ")",
+        st.sampled_from(["", "a", "bé"]),
+        st.sampled_from(["", " ", "\xa0", "\n\u3000"]),
+        st.lists(kids, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def bracket_texts(draw):
+    """Random token strings, and well-formed trees with a token or two
+    inserted or deleted: near misses of the grammar."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(PARSE_TOKENS), max_size=24)))
+    text = draw(BRACKET_TREES)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(PARSE_TOKENS)) + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return text
 
 
 def chain(n, label=None):
@@ -243,10 +279,57 @@ class TestBracketFormat:
             assert serialize_tree(parse_tree(text)) == text.replace(" ", "")
 
     @settings(max_examples=120, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), lab=st.booleans())
-    def test_roundtrip_random(self, seed, n, lab):
-        t = random_tree(random.Random(seed), n, "xyz" if lab else None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        alphabet=st.sampled_from([None, "xyz", ("ab", "élan", "x1,y", "[]")]),
+    )
+    def test_roundtrip_random(self, seed, n, alphabet):
+        t = random_tree(random.Random(seed), n, alphabet)
         assert parse_tree(serialize_tree(t)) == t
+
+    @pytest.mark.parametrize(
+        "text,parents,labels",
+        [
+            ("é(ab())", (None, 0), ("é", "ab")),
+            ("(\u3000()\xa0())", (None, 0, 0), (None, None, None)),
+        ],
+    )
+    def test_valid_text(self, text, parents, labels):
+        t = parse_tree(text)
+        assert (t._parents, t._labels) == (parents, labels)
+
+    def test_deep_path(self):
+        n = 40_000
+        t = parse_tree("(" * n + ")" * n)
+        assert t._parents == (None,) + tuple(range(n - 1))
+        assert t.height() == n - 1
+
+    def test_wide_star(self):
+        n = 40_000
+        t = parse_tree("(" + "()" * n + ")")
+        assert t._parents == (None,) + (0,) * n
+        assert t._labels == (None,) * (n + 1)
+
+    def test_whitespace_table_is_str_isspace(self):
+        # parse_tree deletes exactly the characters the error scan skips.
+        assert set(_WHITESPACE) == {chr(c) for c in range(0x110000) if chr(c).isspace()}
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        text=bracket_texts(),
+        mode=st.sampled_from([None, TreeMode(ordered=False, labeled=True), UNORDERED]),
+    )
+    def test_matches_reference_scanner(self, text, mode):
+        try:
+            want = reference_parse(text, mode)
+        except TreeParseError as exc:
+            with pytest.raises(TreeParseError) as err:
+                parse_tree(text, mode)
+            assert (str(err.value), err.value.position) == (str(exc), exc.position)
+        else:
+            t = parse_tree(text, mode)
+            assert (t._parents, t._labels) == want
 
     @pytest.mark.parametrize(
         "bad,pos",
@@ -259,6 +342,12 @@ class TestBracketFormat:
             ("a", 1),
             ("()x()", 2),
             ("(\x00())", 1),
+            ("a ()", 1),
+            ("(()) x", 6),
+            ("()()", 2),
+            ("a\x00b()", 1),
+            ("(\u200b)", 1),
+            ("xb\n(()) ", 2),
         ],
     )
     def test_parse_errors_with_position(self, bad, pos):
@@ -269,6 +358,9 @@ class TestBracketFormat:
     def test_unlabeled_mode_rejects_labels(self):
         with pytest.raises(TreeParseError):
             parse_tree("a()", UNORDERED)
+        with pytest.raises(TreeParseError) as err:
+            parse_tree("(a())", UNORDERED)
+        assert err.value.position == 1
         assert parse_tree("a()", TreeMode(ordered=False, labeled=True)).label(0) == "a"
 
 
