@@ -45,6 +45,7 @@ from .pipeline import (
     run_experiment,
     save_manifest,
     split_thirds,
+    weights_for,
 )
 from .trees import (
     Tree,

@@ -6,6 +6,10 @@ Subcommands: ``reduce`` (compress tree files), ``gram`` (Gram matrix CSVs),
 (synthetic corpus), ``viz`` (weight-scaled DOT), ``weights-hist`` (weight
 distribution per height).
 
+``gram`` and ``classify`` weight by ``--weight exp`` or ``--weight discr``.
+``viz`` and ``weights-hist`` always learn discriminance weights; ``--seed``
+picks their weight third when the manifest names no weight role.
+
 Exit codes: 0 success, 1 usage, 2 parse error, 3 configuration error
 (including a file that cannot be read or written), 4 internal assertion.
 """
@@ -41,17 +45,11 @@ from .pipeline import (
     run_experiment,
     save_manifest,
     split_thirds,
+    weights_for,
 )
 from .trees import TreeMode, TreeParseError, parse_tree_file, serialize_tree
 from .viz import discriminance_dot
-from .weights import (
-    ShapingFn,
-    class_profile,
-    discriminance_weights,
-    exponential_weights,
-    export_weight_table,
-    weight_distribution_by_height,
-)
+from .weights import ShapingFn, export_weight_table, weight_distribution_by_height
 
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -120,19 +118,26 @@ def cmd_reduce(input_file: str, order: str, labeled: bool, out: str):
     click.echo(f"vertices: {total_vertices} -> {merged} (ratio {ratio:.3f})")
 
 
-def _load_dataset(manifest: str, order: str, labeled: bool):
-    return load_manifest(manifest, _mode(order, labeled))
-
-
-def _weights_for(annotated, dataset, weight, lam, shaping, eps, weight_idx):
+def _config(weight, lam, shaping, eps, seed, repeats=1) -> ExperimentConfig:
+    """The configuration that the weighting flags name."""
     if weight == "exp":
-        return exponential_weights(annotated.dag, lam), None
-    if any(dataset.classes[i] is None for i in weight_idx):
-        raise ConfigError("discriminance weights need a class for every weight-training tree")
-    profile = class_profile(annotated, dataset.classes, weight_idx, dataset.n_classes)
-    return discriminance_weights(profile, ShapingFn.parse(shaping, eps)), profile
+        return ExperimentConfig("exponential", lam=lam, repeats=repeats, seed=seed)
+    return ExperimentConfig(
+        "discriminance", shaping=ShapingFn.parse(shaping, eps), repeats=repeats, seed=seed
+    )
 
 
+shaping_options = [
+    click.option(
+        "--shaping",
+        type=click.Choice(["id", "smooth", "smooth2", "thresh"]),
+        default="smooth",
+        show_default=True,
+        help="Shaping function for discriminance weights.",
+    ),
+    click.option("--eps", type=float, default=0.3, show_default=True,
+                 help="Threshold for --shaping thresh."),
+]
 weight_options = [
     click.option(
         "--weight",
@@ -143,15 +148,7 @@ weight_options = [
     ),
     click.option("--lambda", "lam", type=float, default=0.5, show_default=True,
                  help="Exponential decay per height unit."),
-    click.option(
-        "--shaping",
-        type=click.Choice(["id", "smooth", "smooth2", "thresh"]),
-        default="smooth",
-        show_default=True,
-        help="Shaping function for discriminance weights.",
-    ),
-    click.option("--eps", type=float, default=0.3, show_default=True,
-                 help="Threshold for --shaping thresh."),
+    *shaping_options,
 ]
 
 
@@ -168,17 +165,17 @@ def cmd_gram(manifest, order, labeled, weight, lam, shaping, eps, seed, out_trai
     Roles come from the manifest when complete; otherwise a seeded stratified
     split assigns them.
     """
-    dataset, roles = _load_dataset(manifest, order, labeled)
+    dataset, roles = load_manifest(manifest, _mode(order, labeled))
+    config = _config(weight, lam, shaping, eps, seed)
     if roles is None:
-        scheme = "exponential" if weight == "exp" else "discriminance"
-        split = split_thirds(dataset, seed, scheme)
+        split = split_thirds(dataset, seed, config.scheme)
         weight_idx, train_idx, pred_idx = split.weight, split.class_train, split.pred
     else:
         weight_idx, train_idx, pred_idx = roles["weight"], roles["train"], roles["pred"]
     if not train_idx:
         raise ConfigError("no training members")
     annotated = annotate_dataset(dataset)
-    weights, _ = _weights_for(annotated, dataset, weight, lam, shaping, eps, weight_idx)
+    weights, _ = weights_for(annotated, dataset, config, weight_idx)
     computer = GramComputer(annotated, weights)
     g_train = computer.gram(train_idx, train_idx)
     with open(out_train, "w", newline="") as fh:
@@ -200,17 +197,10 @@ def cmd_gram(manifest, order, labeled, weight, lam, shaping, eps, seed, out_trai
 @click.option("--out", type=click.Path(), default=None, help="Per-repeat metrics CSV.")
 def cmd_classify(manifest, order, labeled, weight, lam, shaping, eps, seed, repeats, out):
     """Run the repeated split / mean-similarity protocol and report metrics."""
-    dataset, _ = _load_dataset(manifest, order, labeled)
+    dataset, _ = load_manifest(manifest, _mode(order, labeled))
     if any(c is None for c in dataset.classes):
         raise ConfigError("classification needs a class for every tree")
-    if weight == "exp":
-        config = ExperimentConfig("exponential", lam=lam, repeats=repeats, seed=seed)
-    else:
-        config = ExperimentConfig(
-            "discriminance", shaping=ShapingFn.parse(shaping, eps),
-            repeats=repeats, seed=seed,
-        )
-    outcomes = run_experiment(dataset, config)
+    outcomes = run_experiment(dataset, _config(weight, lam, shaping, eps, seed, repeats))
     rows = [
         (r, o.metrics.accuracy, o.metrics.precision, o.metrics.recall, o.metrics.fscore)
         for r, o in enumerate(outcomes)
@@ -350,45 +340,54 @@ def cmd_generate(per_class, edit_rate, seed, out):
     click.echo(f"generated {len(dataset)} trees -> {out}")
 
 
+def _discriminance(manifest, order, labeled, shaping, eps, seed):
+    """The forest DAG of a manifest with discriminance weights learned from
+    its ``weight`` role if non-empty, else from the seeded weight third if
+    every tree has a class, else from every tree with a class."""
+    dataset, roles = load_manifest(manifest, _mode(order, labeled))
+    annotated = annotate_dataset(dataset)
+    labeled_members = [i for i, c in enumerate(dataset.classes) if c is not None]
+    if roles is not None and roles["weight"]:
+        weight_idx = roles["weight"]
+    elif len(labeled_members) == len(dataset):
+        weight_idx = split_thirds(dataset, seed, "discriminance").weight
+    elif labeled_members:
+        weight_idx = labeled_members
+    else:
+        raise ConfigError("discriminance weights need class information")
+    config = _config("discr", None, shaping, eps, seed)
+    weights, profile = weights_for(annotated, dataset, config, weight_idx)
+    return annotated.dag, weights, profile
+
+
 @main.command("viz")
 @click.argument("manifest", type=click.Path(exists=True))
 @_add_options(mode_options)
-@_add_options(weight_options)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_add_options(shaping_options)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Picks the weight third when the manifest names no weight role.")
 @click.option("--out", type=click.Path(), required=True, help="DOT file.")
-def cmd_viz(manifest, order, labeled, weight, lam, shaping, eps, seed, out):
-    """Render the dataset DAG with discriminance-scaled vertices."""
-    if weight != "discr":
-        raise ConfigError("viz requires --weight discr (exponential weights have no profile)")
-    dataset, roles = _load_dataset(manifest, order, labeled)
-    annotated = annotate_dataset(dataset)
-    weight_idx = _weight_indices(dataset, roles, seed)
-    _, profile = _weights_for(annotated, dataset, "discr", lam, shaping, eps, weight_idx)
-    dot = discriminance_dot(annotated, profile, ShapingFn.parse(shaping, eps))
+def cmd_viz(manifest, order, labeled, shaping, eps, seed, out):
+    """Render the dataset DAG scaled by learned discriminance weights."""
+    dag, weights, profile = _discriminance(manifest, order, labeled, shaping, eps, seed)
     with open(out, "w") as fh:
-        fh.write(dot)
+        fh.write(discriminance_dot(dag, profile, weights))
     click.echo(f"DOT written -> {out}")
 
 
 @main.command("weights-hist")
 @click.argument("manifest", type=click.Path(exists=True))
 @_add_options(mode_options)
-@_add_options(weight_options)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_add_options(shaping_options)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Picks the weight third when the manifest names no weight role.")
 @click.option("--out", type=click.Path(), required=True, help="Histogram CSV.")
 @click.option("--table-out", type=click.Path(), default=None,
               help="Also write the per-vertex weight table CSV.")
-def cmd_weights_hist(manifest, order, labeled, weight, lam, shaping, eps, seed, out, table_out):
-    """Export the per-height distribution of learned weights."""
-    if weight != "discr":
-        raise ConfigError("weights-hist requires --weight discr")
-    dataset, roles = _load_dataset(manifest, order, labeled)
-    annotated = annotate_dataset(dataset)
-    weight_idx = _weight_indices(dataset, roles, seed)
-    weights, profile = _weights_for(
-        annotated, dataset, "discr", lam, shaping, eps, weight_idx
-    )
-    rows = weight_distribution_by_height(annotated.dag, weights)
+def cmd_weights_hist(manifest, order, labeled, shaping, eps, seed, out, table_out):
+    """Export the per-height distribution of learned discriminance weights."""
+    dag, weights, profile = _discriminance(manifest, order, labeled, shaping, eps, seed)
+    rows = weight_distribution_by_height(dag, weights)
     with open(out, "w", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["height", "min", "q1", "median", "q3", "max", "mean"]
@@ -397,19 +396,8 @@ def cmd_weights_hist(manifest, order, labeled, weight, lam, shaping, eps, seed, 
         writer.writerows(rows)
     if table_out:
         with open(table_out, "w", newline="") as fh:
-            export_weight_table(annotated.dag, profile, weights, fh)
+            export_weight_table(dag, profile, weights, fh)
     click.echo(f"histogram written -> {out}")
-
-
-def _weight_indices(dataset, roles, seed):
-    if roles is not None and roles["weight"]:
-        return roles["weight"]
-    labeled_members = [i for i, c in enumerate(dataset.classes) if c is not None]
-    if len(labeled_members) == len(dataset):
-        return split_thirds(dataset, seed, "discriminance").weight
-    if not labeled_members:
-        raise ConfigError("discriminance weights need class information")
-    return tuple(labeled_members)
 
 
 def run(argv: Optional[list[str]] = None) -> int:

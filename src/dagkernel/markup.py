@@ -15,18 +15,12 @@ deliberately explicit rather than browser-grade:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from typing import Optional
 
 from .trees import Tree
 
-__all__ = [
-    "MarkupNode",
-    "MarkupParseError",
-    "VOID_ELEMENTS",
-    "markup_to_tree",
-]
+__all__ = ["MarkupParseError", "VOID_ELEMENTS", "markup_to_tree"]
 
 VOID_ELEMENTS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
@@ -40,45 +34,34 @@ class MarkupParseError(ValueError):
         self.col = col
 
 
-@dataclass
-class MarkupNode:
-    """One element: its tag and child elements in document order."""
-
-    tag: str
-    children: list["MarkupNode"] = field(default_factory=list)
-
-
 class _ElementTreeBuilder(HTMLParser):
+    """Writes the tree's parent array and tags while parsing: start tags
+    arrive in preorder, so an element's vertex id is its start-tag index."""
+
     def __init__(self):
         super().__init__(convert_charrefs=True)
-        self.stack: list[MarkupNode] = []
-        self.roots: list[MarkupNode] = []
-
-    def _attach(self, node: MarkupNode) -> None:
-        if self.stack:
-            self.stack[-1].children.append(node)
-        else:
-            self.roots.append(node)
-
-    def handle_starttag(self, tag, attrs):
-        node = MarkupNode(tag)
-        self._attach(node)
-        if tag not in VOID_ELEMENTS:
-            self.stack.append(node)
+        self.parents: list[Optional[int]] = []
+        self.tags: list[str] = []
+        self.open: list[int] = []  # ids of the open elements, outermost first
 
     def handle_startendtag(self, tag, attrs):
-        self._attach(MarkupNode(tag))
+        self.parents.append(self.open[-1] if self.open else None)
+        self.tags.append(tag)
+
+    def handle_starttag(self, tag, attrs):
+        self.handle_startendtag(tag, attrs)
+        if tag not in VOID_ELEMENTS:
+            self.open.append(len(self.tags) - 1)
 
     def handle_endtag(self, tag):
         if tag in VOID_ELEMENTS:
             return
-        if not any(node.tag == tag for node in self.stack):
-            line, col = self.getpos()
-            raise MarkupParseError(f"stray closing tag </{tag}>", line, col)
-        while self.stack:
-            node = self.stack.pop()
-            if node.tag == tag:
+        for depth in reversed(range(len(self.open))):
+            if self.tags[self.open[depth]] == tag:
+                del self.open[depth:]  # closes the elements nested inside it too
                 return
+        line, col = self.getpos()
+        raise MarkupParseError(f"stray closing tag </{tag}>", line, col)
 
 
 def markup_to_tree(document: str, labeled: bool = True) -> Tree:
@@ -90,25 +73,14 @@ def markup_to_tree(document: str, labeled: bool = True) -> Tree:
     builder = _ElementTreeBuilder()
     builder.feed(document)
     builder.close()
-    if builder.stack:
+    if builder.open:
         line, col = builder.getpos()
         raise MarkupParseError(
-            f"unclosed element <{builder.stack[0].tag}>", line, col
+            f"unclosed element <{builder.tags[builder.open[0]]}>", line, col
         )
-    if not builder.roots:
+    roots = builder.parents.count(None)
+    if not roots:
         raise MarkupParseError("document contains no elements", 1, 0)
-    if len(builder.roots) > 1:
-        raise MarkupParseError(
-            f"document has {len(builder.roots)} top-level elements", 1, 0
-        )
-    parents: list[Optional[int]] = []
-    labels: list[Optional[str]] = []
-    stack = [(builder.roots[0], None)]
-    while stack:
-        node, parent = stack.pop()
-        vid = len(parents)
-        parents.append(parent)
-        labels.append(node.tag if labeled else None)
-        for child in reversed(node.children):
-            stack.append((child, vid))
-    return Tree(parents, labels)
+    if roots > 1:
+        raise MarkupParseError(f"document has {roots} top-level elements", 1, 0)
+    return Tree(builder.parents, builder.tags if labeled else None)

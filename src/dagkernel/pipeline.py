@@ -3,7 +3,9 @@
 A dataset is split into stratified random thirds: one to learn the weight
 function (discriminance only), one to train a classifier, one to predict.
 Under exponential weights nothing is learned, so the first two thirds merge
-into a single training pool.
+into a single training pool.  :func:`weights_for` is the one place that
+turns an :class:`ExperimentConfig` into a weight table; the experiment loop
+and every CLI command reach the weighting scheme through it.
 
 The shipped classifier is the mean-similarity rule: predict the class whose
 training members have the largest average kernel value against the query
@@ -17,6 +19,7 @@ import csv
 import random
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -25,7 +28,8 @@ from .annotate import AnnotatedDag
 from .dag import reduce_forest
 from .kernel import GramComputer, min_eig_and_norm
 from .trees import Tree, TreeMode, TreeParseError, parse_tree, serialize_tree
-from .weights import ShapingFn, class_profile, discriminance_weights, exponential_weights
+from .weights import (ClassProfile, ShapingFn, class_profile, discriminance_weights,
+                      exponential_weights)
 
 __all__ = [
     "Dataset",
@@ -40,6 +44,7 @@ __all__ = [
     "run_experiment",
     "save_manifest",
     "split_thirds",
+    "weights_for",
 ]
 
 
@@ -69,7 +74,7 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.trees)
 
-    @property
+    @cached_property  # read once per repeat by weights_for
     def n_classes(self) -> int:
         known = [c for c in self.classes if c is not None]
         if not known:
@@ -213,6 +218,20 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
+def weights_for(
+    annotated: AnnotatedDag,
+    dataset: Dataset,
+    config: ExperimentConfig,
+    weight_idx: Sequence[int],
+) -> tuple[np.ndarray, Optional[ClassProfile]]:
+    """``config``'s weight table, and the class profile it was learned from
+    the ``weight_idx`` members (the exponential scheme learns nothing: None)."""
+    if config.scheme == "exponential":
+        return exponential_weights(annotated.dag, config.lam), None
+    profile = class_profile(annotated, dataset.classes, weight_idx, dataset.n_classes)
+    return discriminance_weights(profile, config.shaping), profile
+
+
 @dataclass(frozen=True)
 class RepeatOutcome:
     split: Split
@@ -239,13 +258,7 @@ def run_experiment(
     outcomes = []
     for r in range(config.repeats):
         split = split_thirds(dataset, f"{config.seed}:{r}", config.scheme)
-        if config.scheme == "exponential":
-            weights = exponential_weights(annotated.dag, config.lam)
-        else:
-            profile = class_profile(
-                annotated, dataset.classes, split.weight, n_classes
-            )
-            weights = discriminance_weights(profile, config.shaping)
+        weights, _ = weights_for(annotated, dataset, config, split.weight)
         computer.reweight(weights)
         g_train = computer.gram(split.class_train, split.class_train)
         g_pred = computer.gram(split.pred, split.class_train)

@@ -10,8 +10,10 @@ Unordered edges carry their multiplicity when it exceeds 1.
 
 from __future__ import annotations
 
-from .annotate import AnnotatedDag
-from .weights import ClassProfile, ShapingFn, discriminance_weights
+import numpy as np
+
+from .dag import Dag
+from .weights import ClassProfile
 
 __all__ = ["PALETTE", "discriminance_dot"]
 
@@ -29,25 +31,18 @@ MIN_SIZE = 0.1
 MAX_SIZE = 2.0
 
 
-def discriminance_dot(
-    annotated: AnnotatedDag,
-    profile: ClassProfile,
-    shaping: ShapingFn,
-    min_size: float = MIN_SIZE,
-    max_size: float = MAX_SIZE,
-) -> str:
-    """Render the annotated DAG as a DOT document (see module docstring)."""
-    dag = annotated.dag
-    weights = discriminance_weights(profile, shaping)
+def discriminance_dot(dag: Dag, profile: ClassProfile, weights: np.ndarray) -> str:
+    """Render the forest DAG under the given weights and the class profile
+    they were learned from as a DOT document (see module docstring)."""
     lines = ["digraph subtree_classes {", "  node [shape=circle, style=filled, fixedsize=true];"]
     root = dag.root
     for v in range(len(dag)):
         if v == root:
             continue
-        size = min_size + float(weights[v]) * (max_size - min_size)
+        size = MIN_SIZE + float(weights[v]) * (MAX_SIZE - MIN_SIZE)
         cls, presence = profile.nearest_corner(v)
         color = PALETTE[cls % len(PALETTE)][0 if presence else 1]
-        label = dag.label(v) or ""
+        label = (dag.label(v) or "").replace("\\", "\\\\").replace('"', '\\"')
         lines.append(
             f'  n{v} [label="{label}", width={size:.4f}, height={size:.4f}, '
             f"fillcolor={color}];"

@@ -86,19 +86,10 @@ class ShapingFn:
 
     @classmethod
     def parse(cls, name: str, eps: float = 0.3) -> "ShapingFn":
-        aliases = {
-            "id": "identity",
-            "identity": "identity",
-            "smooth": "smoothstep",
-            "smoothstep": "smoothstep",
-            "smooth2": "smoothstep2",
-            "smoothstep2": "smoothstep2",
-            "thresh": "threshold",
-            "threshold": "threshold",
-        }
-        if name not in aliases:
-            raise ValueError(f"unknown shaping function {name!r}")
-        return cls(aliases[name], eps)
+        """A kind, or its CLI name ``id``, ``smooth``, ``smooth2`` or ``thresh``."""
+        short = {"id": "identity", "smooth": "smoothstep", "smooth2": "smoothstep2",
+                 "thresh": "threshold"}
+        return cls(short.get(name, name), eps)
 
 
 def delta(rho: Sequence[float], n_classes: int) -> float:

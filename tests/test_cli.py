@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,9 +209,97 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_viz_without_classes(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("tree,class\n(()),\n(()()),\n((())),\n")
+        code, err = self.run(["viz", str(manifest), "--out", str(tmp_path / "w.dot")], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error: ")
+        assert not (tmp_path / "w.dot").exists()
+
+    def test_gram_weight_row_without_class(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "tree,class,role\n(()),,weight\n(()()),a,weight\n(()),b,weight\n"
+            "(()),a,train\n(()()),b,train\n(()),a,pred\n"
+        )
+        code, err = self.run(["gram", str(manifest), "--weight", "discr",
+                              "--out-train", str(tmp_path / "g.csv")], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error: ")
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("command", ["viz", "weights-hist"])
+    @pytest.mark.parametrize("option", [["--weight", "discr"], ["--lambda", "0.9"]])
+    def test_learned_weights_take_no_scheme_options(self, tmp_path, capsys, command, option):
+        # viz and weights-hist always learn discriminance weights.
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("tree,class\n(()),a\n(()()),b\n((())),a\n")
+        code, err = self.run([command, str(manifest), *option, "--out", str(tmp_path / "o")],
+                             capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error: ")
+        assert option[0] in err
+
 
 class TestExperimentConfig:
     def test_repeats_below_one_rejected(self):
         # run_experiment would return no outcomes at all.
         with pytest.raises(ValueError, match="repeats must be >= 1"):
             ExperimentConfig("exponential", lam=0.5, repeats=0)
+
+
+# -- golden outputs ---------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+ORDERED_LABELED = ["--mode", "ordered", "--labeled"]
+# Markup with void elements (<meta>, <br>, <img>), self-closing tags, an
+# implicitly closed <li>, a comment and a doctype.
+DOCUMENTS = {
+    "page.html": (
+        "<!DOCTYPE html>\n<html><head><meta charset='utf-8'><title>t</title></head>\n"
+        "<body><p>a<br>b<img src='x.png'/></p><!-- note -->\n"
+        "<ul><li>one<li>two</ul><hr/><svg><path d=''/></svg></body></html>\n"
+    ),
+    "note.xml": "<note><to/><from>me</from><body><b>hi</b><br></body></note>",
+}
+# Each case: the argv, run in a directory holding the named inputs (the
+# generated manifest or DOCUMENTS).  tests/golden/<case>/ holds the expected
+# stdout and every file the run writes, byte for byte.  The Gram cases use
+# weights whose products sum exactly (powers of 1/2, or 0/1 under thresh), so
+# the BLAS summation order cannot change their bytes.
+GOLDEN_CASES = {
+    "generate": (["generate", "--per-class", "8", "--seed", "3", "--out", "m.csv"], ()),
+    "viz": (["viz", "m.csv", *ORDERED_LABELED, "--shaping", "smooth2",
+             "--out", "weights.dot"], ("m.csv",)),
+    "weights-hist": (["weights-hist", "m.csv", *ORDERED_LABELED, "--out", "hist.csv",
+                      "--table-out", "table.csv"], ("m.csv",)),
+    "gram-exp": (["gram", "m.csv", *ORDERED_LABELED, "--weight", "exp",
+                  "--out-train", "train.csv", "--out-pred", "pred.csv"], ("m.csv",)),
+    "gram-discr": (["gram", "m.csv", *ORDERED_LABELED, "--weight", "discr", "--shaping", "thresh",
+                    "--eps", "0.2", "--out-train", "train.csv", "--out-pred", "pred.csv"],
+                   ("m.csv",)),
+    "classify-discr": (["classify", "m.csv", *ORDERED_LABELED, "--repeats", "2",
+                        "--weight", "discr", "--out", "metrics.csv"], ("m.csv",)),
+    "classify-exp": (["classify", "m.csv", *ORDERED_LABELED, "--repeats", "2",
+                      "--lambda", "0.3"], ("m.csv",)),
+    "ingest": (["ingest", "page.html", "note.xml", "--class-id", "web", "--out", "m.csv",
+                "--trees-out", "trees.txt"], tuple(DOCUMENTS)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_output(case, tmp_path, monkeypatch, capsys):
+    argv, inputs = GOLDEN_CASES[case]
+    sources = {"m.csv": (GOLDEN / "generate" / "m.csv").read_bytes(),
+               **{name: text.encode() for name, text in DOCUMENTS.items()}}
+    for name in inputs:
+        (tmp_path / name).write_bytes(sources[name])
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(argv) == 0
+    got = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name not in inputs}
+    got["stdout"] = capsys.readouterr().out.encode()
+    expected = {p.name: p.read_bytes() for p in (GOLDEN / case).iterdir()}
+    assert sorted(got) == sorted(expected)
+    for name in expected:
+        assert got[name] == expected[name], name
