@@ -9,13 +9,8 @@ stochastic benchmark used to validate the kernel's separation guarantees.
 __version__ = "0.1.0"
 
 from .annotate import AnnotatedDag
-from .dag import Dag, add_to_forest, expand, format_dag, reduce_forest, reduce_tree
-from .generate import (
-    all_ordered_shapes,
-    generate_template_corpus,
-    random_tree,
-    random_tree_of_height,
-)
+from .dag import Dag, expand, format_dag, reduce_forest
+from .generate import generate_template_corpus, random_tree, random_tree_of_height
 from .kernel import GramComputer, export_gram_csv, gram, kernel_brute
 from .markup import MarkupParseError, markup_to_tree
 from .model import (
@@ -52,8 +47,6 @@ from .trees import (
     TreeMode,
     TreeParseError,
     canonical_signature,
-    count_occurrences,
-    join_forest,
     parse_tree,
     parse_tree_file,
     serialize_tree,

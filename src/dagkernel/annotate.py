@@ -1,18 +1,17 @@
-"""The member x subtree-class count matrix of a forest DAG.
+"""Member queries on the count matrix of a compressed forest.
 
-`reduce_forest` already yields, for every dataset member i, the increasing
-ids of the DAG vertices its tree holds and how often each of those subtrees
-occurs in it: row i of the sparse member x vertex count matrix F, stored as
-the CSR triple `Dag.member_counts`.  An :class:`AnnotatedDag` adopts that
-triple as it is.  The subtree kernel is K(i, j) = sum_v w(v) F[i, v] F[j, v],
+Every `Dag` is a forest: `reduce_forest` yields, for every dataset member
+i, the increasing ids of the DAG vertices its tree holds and how often each
+of those subtrees occurs in it: row i of the sparse member x vertex count
+matrix F, stored as the CSR triple `Dag.member_counts`.  An
+:class:`AnnotatedDag` adopts that triple as it is.  The subtree kernel is K(i, j) = sum_v w(v) F[i, v] F[j, v],
 and `occurrences` gathers the rows of any list of members for the Gram
 product and the weight learning.
 
-The artificial root represents no subtree and is in no row.  Member indices
-are 0-based; both queries raise ``IndexError`` on an index outside
-``0 .. n_members - 1`` (a negative index does not wrap).  The finished
-:class:`AnnotatedDag` is immutable, so Gram computations can share it freely
-and reweighting costs nothing.
+The artificial root is in no row.  Member indices are 0-based; both queries
+raise ``IndexError`` on an index outside ``0 .. n_members - 1`` (a negative
+index does not wrap).  The finished :class:`AnnotatedDag` is immutable, so
+Gram computations can share it freely and reweighting costs nothing.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ class AnnotatedDag:
     __slots__ = ("dag", "n_members", "_row_offsets", "_ids", "_counts")
 
     def __init__(self, dag: Dag):
-        if not dag.is_forest:
-            raise ValueError("annotation requires a forest DAG with an artificial root")
         self.dag = dag
         self.n_members = dag.n_members
         self._row_offsets, self._ids, self._counts = dag.member_counts

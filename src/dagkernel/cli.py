@@ -6,6 +6,11 @@ Subcommands: ``reduce`` (compress tree files), ``gram`` (Gram matrix CSVs),
 (synthetic corpus), ``viz`` (weight-scaled DOT), ``weights-hist`` (weight
 distribution per height).
 
+``reduce`` compresses all trees of its file into one forest DAG and writes
+one line per vertex, ``id height label? -> (child,mult)*``: the subtree
+classes in id order, then the artificial root above the member roots, also
+when the file holds one tree.  Its ratio counts the classes only.
+
 ``gram`` and ``classify`` weight by ``--weight exp`` or ``--weight discr``.
 ``viz`` and ``weights-hist`` always learn discriminance weights; ``--seed``
 picks their weight third when the manifest names no weight role.
@@ -25,7 +30,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .dag import format_dag, reduce_forest, reduce_tree
+from .dag import format_dag, reduce_forest
 from .generate import generate_template_corpus
 from .kernel import GramComputer, export_gram_csv
 from .markup import MarkupParseError, markup_to_tree
@@ -105,12 +110,8 @@ def cmd_reduce(input_file: str, order: str, labeled: bool, out: str):
     if not trees:
         raise ConfigError(f"{input_file}: no trees found")
     total_vertices = sum(len(t) for t in trees)
-    if len(trees) == 1:
-        dag = reduce_tree(trees[0], mode)
-        merged = len(dag)
-    else:
-        dag = reduce_forest(trees, mode)
-        merged = len(dag) - 1  # artificial root is bookkeeping, not data
+    dag = reduce_forest(trees, mode)
+    merged = dag.root  # the artificial root is bookkeeping, not data
     with open(out, "w") as fh:
         fh.write(format_dag(dag))
     ratio = merged / total_vertices

@@ -1,31 +1,30 @@
-"""Lossless DAG compression of trees and forests.
+"""Lossless DAG compression of forests.
 
-A tree is compressed by merging vertices whose subtrees are isomorphic: the
+Compressing a forest merges vertices whose subtrees are isomorphic: the
 result is a directed acyclic graph with one vertex per subtree isomorphism
-class.  In ordered mode the outgoing edges of a vertex form an ordered list
-(repetitions allowed); in unordered mode they form a set of (child,
-multiplicity) pairs.  Compression is invertible: `expand` rebuilds a tree
-isomorphic to the input.
+class of the whole forest, so a class that occurs in several members gets a
+single vertex.  In ordered mode the outgoing edges of a vertex form an
+ordered list (repetitions allowed); in unordered mode they form a set of
+(child, multiplicity) pairs.  Above the member roots sits an artificial root,
+with one edge per member; it is the last id and represents no subtree.  A
+single tree is a forest of one member.  Compression is invertible: `expand`
+rebuilds the tree of any vertex, so a member comes back from its root.
 
 Compression names subtrees level by level with integers, as in the AHU tree
-isomorphism test (Aho, Hopcroft & Ullman, 1974).  Levels are peeled from the
-leaves upward: a vertex joins level h when its last child is done, so its
-level is its height.  Within a level, every vertex gets an exact integer key
-from its label and its children's class ids (in order; sorted in unordered
-mode), built by pairing one child column at a time with ``np.unique``.
-Vertices with equal keys form one class.  No hashing is involved, so there
-are no collisions.  A forest is compressed in one such pass over all its
-trees, so a subtree class that occurs in several members gets a single
-vertex, and one ``np.unique`` over the member x class pairs of its tree
-vertices gives the member x subtree-class count matrix (`Dag.member_counts`).
-A forest DAG also has an artificial root above the member roots; it
-represents no subtree.
+isomorphism test (Aho, Hopcroft & Ullman, 1974), in one pass over all the
+trees.  Levels are peeled from the leaves upward: a vertex joins level h when
+its last child is done, so its level is its height.  Within a level, every
+vertex gets an exact integer key from its label and its children's class ids
+(in order; sorted in unordered mode), built by pairing one child column at a
+time with ``np.unique``.  Vertices with equal keys form one class.  No hashing
+is involved, so there are no collisions.  One ``np.unique`` over the member x
+class pairs of the tree vertices gives the member x subtree-class count matrix
+(`Dag.member_counts`).
 
 Numbering: ids are sorted by (height, first discovery).  Vertices are
-discovered tree by tree, each tree in reverse preorder; `add_to_forest`
-discovers the forest's own vertices first, in id order.  Every edge goes
-from a higher id to a strictly lower one, the unique maximal id is the root,
-and a member's root is the last id of its count row.
+discovered tree by tree, each tree in reverse preorder.  Every edge goes from
+a higher id to a strictly lower one, and a member's root is the last id of
+its count row.
 
 Layout: heights are an int array and children are CSR arrays: the edges of
 vertex v are positions ``offsets[v]:offsets[v + 1]`` of a child-id array and
@@ -39,29 +38,22 @@ read-only triple, the one the constructor takes.
 
 from __future__ import annotations
 
-from itertools import chain, zip_longest
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .trees import Tree, TreeMode
 
-__all__ = [
-    "Dag",
-    "add_to_forest",
-    "expand",
-    "format_dag",
-    "reduce_forest",
-    "reduce_tree",
-]
+__all__ = ["Dag", "expand", "format_dag", "reduce_forest"]
 
 
 class Dag:
-    """Immutable compressed DAG; see module docstring for the encoding.
+    """Immutable compressed forest; see module docstring for the encoding.
 
-    ``children`` is the CSR triple (offsets, child ids, multiplicities).
-    ``member_counts``, given on forest DAGs only, is the CSR triple (row
-    offsets, vertex ids, counts) of the member x vertex count matrix.
+    ``children`` is the CSR triple (offsets, child ids, multiplicities) and
+    ``member_counts`` the CSR triple (row offsets, vertex ids, counts) of the
+    member x vertex count matrix.  ``root`` must be the last id.
     """
 
     __slots__ = ("mode", "_heights", "_labels", "_offsets", "_kids", "_mults", "_root",
@@ -74,14 +66,14 @@ class Dag:
         labels: Sequence[Optional[str]],
         children: tuple[Sequence[int], Sequence[int], Sequence[int]],
         root: int,
-        member_counts: Optional[tuple[Sequence[int], Sequence[int], Sequence[float]]] = None,
+        member_counts: tuple[Sequence[int], Sequence[int], Sequence[float]],
     ):
         self.mode = mode
         self._heights = _frozen(heights, np.int64)
         self._labels = tuple(labels)
         self._offsets, self._kids, self._mults = (_frozen(a, np.int64) for a in children)
         self._root = root
-        self._counts = None if member_counts is None else tuple(
+        self._counts = tuple(
             _frozen(a, dtype)
             for a, dtype in zip(member_counts, (np.int64, np.int64, np.float64))
         )
@@ -115,10 +107,8 @@ class Dag:
             if len(bad):
                 raise ValueError(f"vertex {np.flatnonzero(has_kids)[bad[0]]} has "
                                  "inconsistent height")
-        if not 0 <= self._root < n:
-            raise ValueError("invalid root id")
-        if self._counts is None:
-            return
+        if self._root != n - 1:
+            raise ValueError("invalid root id: the root is the last id")
         row_offsets, ids, counts = self._counts
         message = "a member count row needs increasing vertex ids and positive counts"
         if not (row_offsets[0] == 0 and np.all(row_offsets[1:] > row_offsets[:-1])
@@ -127,7 +117,8 @@ class Dag:
         # Consecutive ids must rise, except where a new row starts.
         rising = ids[1:] > ids[:-1]
         rising[row_offsets[1:-1] - 1] = True
-        if not (np.all((ids >= 0) & (ids < n)) and np.all(rising) and np.all(counts >= 1)):
+        if not (np.all((ids >= 0) & (ids < self._root)) and np.all(rising)
+                and np.all(counts >= 1)):
             raise ValueError(message)
 
     # -- accessors -------------------------------------------------------------
@@ -137,29 +128,21 @@ class Dag:
         return self._root
 
     @property
-    def member_counts(self) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The member x vertex count matrix, only on forest DAGs, as the
-        read-only CSR triple (row offsets, vertex ids, counts): row i holds the
-        increasing ids of tree i's vertices and how often each of their
-        subtrees occurs in tree i (float64, ready for products)."""
+    def member_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The member x vertex count matrix as the read-only CSR triple (row
+        offsets, vertex ids, counts): row i holds the increasing ids of tree
+        i's vertices and how often each of their subtrees occurs in tree i
+        (float64, ready for products)."""
         return self._counts
 
     @property
-    def member_roots(self) -> Optional[tuple[int, ...]]:
-        """Dataset member -> DAG vertex of its root; only on forest DAGs."""
-        if self._counts is None:
-            return None
+    def member_roots(self) -> tuple[int, ...]:
+        """Dataset member -> DAG vertex of its root."""
         row_offsets, ids, _ = self._counts
         return tuple(ids[row_offsets[1:] - 1].tolist())
 
     @property
-    def is_forest(self) -> bool:
-        return self._counts is not None
-
-    @property
     def n_members(self) -> int:
-        if self._counts is None:
-            raise ValueError("not a forest DAG")
         return len(self._counts[0]) - 1
 
     def __len__(self) -> int:
@@ -185,19 +168,9 @@ class Dag:
         a, b = self._offsets[v], self._offsets[v + 1]
         return tuple(zip(self._kids[a:b].tolist(), self._mults[a:b].tolist()))
 
-    def is_reduced(self) -> bool:
-        """True iff no two vertices share (label, edges)."""
-        seen = set()
-        for v in range(len(self)):
-            key = (self._labels[v], self.edges(v))
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
-
     def __repr__(self) -> str:
-        kind = "forest " if self.is_forest else ""
-        return f"Dag({kind}{self.mode}, {len(self)} vertices, height {self.height()})"
+        return (f"Dag({self.mode}, {self.n_members} members, {len(self)} vertices, "
+                f"height {self.height()})")
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -210,30 +183,11 @@ def _frozen(values, dtype) -> np.ndarray:
 # -- compression ----------------------------------------------------------------
 
 
-def reduce_tree(tree: Tree, mode: TreeMode) -> Dag:
-    """Compress a tree into its reduced DAG: one vertex per subtree class."""
-    return _compress(mode, [tree], None, as_forest=False)
-
-
 def reduce_forest(trees: Sequence[Tree], mode: TreeMode) -> Dag:
     """Compress a forest in one pass over its trees (see module doc)."""
     if not trees:
         raise ValueError("cannot reduce an empty forest")
-    return _compress(mode, trees, None, as_forest=True)
-
-
-def add_to_forest(forest: Dag, newcomer: Tree) -> Dag:
-    """Add one tree to a forest DAG as its last member.
-
-    Equal to reducing the extended forest from scratch: the forest's vertices
-    enter the level-wise naming as classes that already exist, so only the
-    newcomer's vertices are named anew.
-    """
-    if not forest.is_forest:
-        raise ValueError("first argument must be a forest DAG with an artificial root")
-    if not isinstance(newcomer, Tree):
-        raise TypeError("newcomer must be a Tree")
-    return _compress(forest.mode, [newcomer], forest, as_forest=True)
+    return _compress(mode, trees)
 
 
 def _positions(lengths: np.ndarray) -> np.ndarray:
@@ -242,68 +196,51 @@ def _positions(lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def _compress(mode: TreeMode, trees: Sequence[Tree], forest: Optional[Dag],
-              as_forest: bool) -> Dag:
+def _compress(mode: TreeMode, trees: Sequence[Tree]) -> Dag:
     """Name every subtree class of ``trees`` level by level (module doc).
 
-    Nodes are the vertices of ``forest`` below its artificial root (node i is
-    forest vertex i), then every tree vertex in discovery order: the vertex v
-    of a tree whose nodes end before node e is node e - 1 - v.  Children of a
-    node are CSR lists of nodes, left to right; a forest vertex lists a child
-    once per multiplicity.
+    Nodes are the tree vertices in discovery order: the vertex v of a tree
+    whose nodes end before node e is node e - 1 - v.  Children of a node are
+    CSR lists of nodes, left to right.
     """
-    n_old = forest.root if forest is not None else 0
     sizes = np.fromiter(map(len, trees), np.int64, len(trees))
-    ends = n_old + np.cumsum(sizes)
+    ends = np.cumsum(sizes)
     n = int(ends[-1])
     # Node of each tree vertex, in the trees' own preorder, one tree after another.
     node_of = np.repeat(ends - 1, sizes) - _positions(sizes)
-    is_root = np.zeros(len(node_of), bool)
-    is_root[np.cumsum(sizes) - sizes] = True
+    is_root = np.zeros(n, bool)
+    is_root[ends - sizes] = True
     parent = np.full(n, -1, np.int64)
     parent[node_of[~is_root]] = np.repeat(ends - 1, sizes - 1) - np.fromiter(
-        chain.from_iterable(t._parents[1:] for t in trees), np.int64, n - n_old - len(trees))
+        chain.from_iterable(t._parents[1:] for t in trees), np.int64, n - len(trees))
 
     if mode.labeled:
-        old_labels = forest._labels[:n_old] if forest is not None else ()
-        names = list(dict.fromkeys(chain(old_labels, *(t._labels for t in trees))))
+        names = list(dict.fromkeys(chain.from_iterable(t._labels for t in trees)))
         name_id = {name: i for i, name in enumerate(names)}
         label = np.empty(n, np.int64)
-        label[:n_old] = np.fromiter(map(name_id.__getitem__, old_labels), np.int64, n_old)
         label[node_of] = np.fromiter(
-            map(name_id.__getitem__, chain.from_iterable(t._labels for t in trees)),
-            np.int64, len(node_of))
+            map(name_id.__getitem__, chain.from_iterable(t._labels for t in trees)), np.int64, n)
     else:
         names, label = [None], np.zeros(n, np.int64)
     # Per-vertex temporaries are dropped as soon as they are used up: together
     # they set the memory peak of a large forest.
     del node_of, is_root
 
-    # Children of tree nodes: sorting nodes by parent, and within one parent
-    # by descending node, lists every child list left to right.  Roots have
-    # parent -1 and sort first.
-    packed = np.sort(parent[n_old:] * n + np.arange(n - 1 - n_old, -1, -1))
+    # Children: sorting nodes by parent, and within one parent by descending
+    # node, lists every child list left to right.  Roots have parent -1 and
+    # sort first.
+    packed = np.sort(parent * n + np.arange(n - 1, -1, -1))
     kids = (n - 1) - packed[len(trees):] % n
-    deg = np.bincount(parent[n_old:][parent[n_old:] >= 0], minlength=n)
-    old_levels = []
-    if forest is not None:
-        n_edges = forest._offsets[n_old]
-        expanded = np.concatenate(([0], np.cumsum(forest._mults[:n_edges])))
-        deg[:n_old] = np.diff(expanded[forest._offsets[:n_old + 1]])
-        kids = np.concatenate((np.repeat(forest._kids[:n_edges], forest._mults[:n_edges]),
-                               kids))
-        # Forest ids are sorted by height, so each level is one id range.
-        bounds = np.searchsorted(forest._heights[:n_old], np.arange(forest.height() + 1))
-        old_levels = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    deg = np.bincount(parent[parent >= 0], minlength=n)
     offsets = np.concatenate(([0], np.cumsum(deg)))
     del packed
 
-    # Peel tree nodes from the leaves upward; every level comes out sorted.
-    tree_levels = []
+    # Peel nodes from the leaves upward; every level comes out sorted.
+    levels = []
     pending = deg.copy()
-    level = n_old + np.flatnonzero(deg[n_old:] == 0)
+    level = np.flatnonzero(deg == 0)
     while len(level):
-        tree_levels.append(level)
+        levels.append(level)
         up, done = np.unique(parent[level], return_counts=True)
         if up[0] < 0:  # tree roots have no parent
             up, done = up[1:], done[1:]
@@ -311,16 +248,13 @@ def _compress(mode: TreeMode, trees: Sequence[Tree], forest: Optional[Dag],
         level = up[pending[up] == 0]
     del pending, parent
 
-    # Name classes level by level.  A level lists the forest's nodes of that
-    # height, then the tree nodes, all in discovery order.
+    # Name classes level by level, each level in discovery order.
     bound = n + 1  # exceeds every class id
     class_of = np.empty(n, np.int64)
     reps = []  # the first-discovered node of every class, in id order
     out_heights = []
     n_classes = 0
-    empty = np.zeros(0, np.int64)
-    for h, parts in enumerate(zip_longest(old_levels, tree_levels, fillvalue=empty)):
-        level = np.concatenate(parts)
+    for h, level in enumerate(levels):
         key = _level_keys(mode, level, label, offsets, kids, class_of, bound)
         inverse = np.unique(key, return_inverse=True)[1]
         first = np.full(inverse.max() + 1, len(level))
@@ -335,30 +269,20 @@ def _compress(mode: TreeMode, trees: Sequence[Tree], forest: Optional[Dag],
     reps = np.concatenate(reps)
     out_heights = np.concatenate(out_heights)
 
-    # The children of every class are those of its representative.
+    # The children of every class are those of its representative; the
+    # artificial root (id n_classes) has one edge per member.
     deg = deg[reps]
-    owner = np.repeat(np.arange(n_classes), deg)
-    child = class_of[kids[np.repeat(offsets[reps], deg) + _positions(deg)]]
+    owner = np.concatenate((np.repeat(np.arange(n_classes), deg),
+                            np.full(len(trees), n_classes)))
+    child = np.concatenate((class_of[kids[np.repeat(offsets[reps], deg) + _positions(deg)]],
+                            class_of[ends - 1]))
     out_labels = [names[i] for i in label[reps].tolist()]
-    if not as_forest:
-        return Dag(mode, out_heights, out_labels,
-                   _children_csr(mode, n_classes, owner, child), n_classes - 1)
 
-    member_roots = class_of[ends - 1]
-    cells, counts = np.unique(np.repeat(np.arange(len(trees)), sizes) * n_classes
-                              + class_of[n_old:], return_counts=True)
+    cells, counts = np.unique(np.repeat(np.arange(len(trees)), sizes) * n_classes + class_of,
+                              return_counts=True)
     rows = cells // n_classes
     ids = cells - rows * n_classes
     row_offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(trees)))))
-    if forest is not None:
-        # Old classes keep their relative order, so renumbered rows stay sorted.
-        old_offsets, old_ids, old_counts = forest._counts
-        member_roots = np.concatenate((class_of[old_ids[old_offsets[1:] - 1]], member_roots))
-        ids = np.concatenate((class_of[old_ids], ids))
-        counts = np.concatenate((old_counts, counts))
-        row_offsets = np.concatenate((old_offsets, old_offsets[-1] + row_offsets[1:]))
-    owner = np.concatenate((owner, np.full(len(member_roots), n_classes)))
-    child = np.concatenate((child, member_roots))
     return Dag(mode, np.append(out_heights, out_heights[-1] + 1), out_labels + [None],
                _children_csr(mode, n_classes + 1, owner, child), n_classes,
                (row_offsets, ids, counts.astype(np.float64)))
@@ -402,17 +326,15 @@ def _children_csr(mode, n_vertices, owner, child):
     return offsets, child, mults
 
 
-def expand(dag: Dag, v: Optional[int] = None) -> Tree:
-    """Rebuild a tree from a single-rooted DAG (inverse of :func:`reduce_tree`).
+def expand(dag: Dag, v: int) -> Tree:
+    """Rebuild the tree that vertex ``v`` of ``dag`` stands for.
 
-    ``v`` expands the sub-DAG rooted at a particular vertex.  Unordered
+    ``expand(dag, dag.member_roots[i])`` gives member i back, up to
+    isomorphism in ``dag.mode``; ``expand(dag, dag.root)`` gives the
+    supertree that joins every member under the artificial root.  Unordered
     (child, mult) pairs expand to ``mult`` adjacent copies, children sorted by
     class id.
     """
-    if v is None:
-        if dag.is_forest:
-            raise ValueError("expanding a forest DAG needs an explicit vertex")
-        v = dag.root
     parents: list[Optional[int]] = []
     labels: list[Optional[str]] = []
     stack: list[tuple[int, Optional[int]]] = [(v, None)]

@@ -1,20 +1,14 @@
-"""Random and exhaustive tree generation, and the synthetic template corpus."""
+"""Random tree generation, and the synthetic template corpus."""
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .pipeline import Dataset
 from .trees import Tree, TreeMode
 
-__all__ = [
-    "all_ordered_shapes",
-    "generate_template_corpus",
-    "random_tree",
-    "random_tree_of_height",
-]
+__all__ = ["generate_template_corpus", "random_tree", "random_tree_of_height"]
 
 
 def random_tree(
@@ -71,59 +65,6 @@ def random_tree_of_height(
         depths.append(depths[p] + 1)
     labs = [rng.choice(labels) for _ in range(len(parents))] if labels else None
     return Tree(parents, labs)
-
-
-@lru_cache(maxsize=None)
-def _shape_codes(n: int) -> tuple[tuple, ...]:
-    # Every ordered shape with n vertices as nested child tuples.
-    if n == 1:
-        return ((),)
-    shapes: list[tuple] = []
-    for sizes in _compositions(n - 1):
-        pools = [_shape_codes(s) for s in sizes]
-        for combo in _product(pools):
-            shapes.append(tuple(combo))
-    return tuple(shapes)
-
-
-def _compositions(total: int) -> Iterator[tuple[int, ...]]:
-    # Ordered sequences of positive integers summing to total.
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head,) + rest
-
-
-def _code_to_tree(code: tuple) -> Tree:
-    parents: list[Optional[int]] = []
-
-    def emit(node: tuple, parent: Optional[int]) -> None:
-        v = len(parents)
-        parents.append(parent)
-        for child in node:
-            emit(child, v)
-
-    emit(code, None)
-    return Tree(parents)
-
-
-def all_ordered_shapes(max_vertices: int, min_vertices: int = 1) -> Iterator[Tree]:
-    """Every ordered unlabeled tree with ``min_vertices``..``max_vertices``
-    vertices, exactly once (Catalan-many per size)."""
-    for n in range(min_vertices, max_vertices + 1):
-        for code in _shape_codes(n):
-            yield _code_to_tree(code)
 
 
 # -- synthetic two-template corpus ---------------------------------------------------

@@ -3,7 +3,8 @@
 The kernel between two trees is the weighted sum, over their shared subtree
 isomorphism classes, of the product of occurrence counts:
 K(i, j) = sum_v w(v) F[i, v] F[j, v] over the member x vertex count matrix F
-of an :class:`AnnotatedDag`.  :func:`kernel_brute` evaluates it from
+that `reduce_forest` builds for the whole dataset (`Dag.member_counts`, read
+through an :class:`AnnotatedDag`).  :func:`kernel_brute` evaluates it from
 explicit subtree signatures instead; it is the ground-truth oracle: slow,
 but independent of the compressed path, and it preserves exact arithmetic
 (integers, fractions) end to end.
@@ -22,7 +23,7 @@ once, then reweight at will (see :class:`GramComputer`).
 from __future__ import annotations
 
 import csv
-from typing import IO, Callable, Optional, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -40,19 +41,12 @@ __all__ = [
 WeightFn = Callable[[Tree], float]
 
 
-def kernel_brute(
-    t1: Tree,
-    t2: Tree,
-    mode: TreeMode,
-    weight: WeightFn,
-    kappa: Optional[Callable[[int, int], float]] = None,
-) -> float:
-    """Sum over shared subtree classes of ``weight * kappa(count1, count2)``.
+def kernel_brute(t1: Tree, t2: Tree, mode: TreeMode, weight: WeightFn) -> float:
+    """Sum over shared subtree classes of ``weight * count1 * count2``.
 
     ``weight`` must be isomorphism-invariant: it receives one representative
-    subtree per class.  ``kappa`` defaults to the product, the standard
-    choice.  Arithmetic follows the operand types (ints and fractions stay
-    exact).
+    subtree per class.  Arithmetic follows the operand types (ints and
+    fractions stay exact).
     """
     sigs1 = subtree_signatures(t1, mode)
     sigs2 = subtree_signatures(t2, mode)
@@ -68,7 +62,7 @@ def kernel_brute(
     for s in sorted(set(counts1) & set(counts2)):
         n1, n2 = counts1[s], counts2[s]
         w = weight(t1.subtree(rep1[s]))
-        total += w * (kappa(n1, n2) if kappa is not None else n1 * n2)
+        total += w * n1 * n2
     return total
 
 

@@ -10,7 +10,8 @@ deliberately explicit rather than browser-grade:
   references are ignored;
 * an end tag may implicitly close elements nested inside the matching open
   ancestor, but a stray end tag, an unclosed element at end of input, or
-  multiple top-level elements are errors (reported with line and column).
+  multiple top-level elements are errors (reported with line and column);
+* a kept tag must be a valid tree label, or it is an error at the tag.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from html.parser import HTMLParser
 from typing import Optional
 
-from .trees import Tree
+from .trees import Tree, _check_label
 
 __all__ = ["MarkupParseError", "VOID_ELEMENTS", "markup_to_tree"]
 
@@ -36,15 +37,23 @@ class MarkupParseError(ValueError):
 
 class _ElementTreeBuilder(HTMLParser):
     """Writes the tree's parent array and tags while parsing: start tags
-    arrive in preorder, so an element's vertex id is its start-tag index."""
+    arrive in preorder, so an element's vertex id is its start-tag index.
+    With ``labeled``, a tag that is no valid tree label is an error at the
+    tag."""
 
-    def __init__(self):
+    def __init__(self, labeled: bool):
         super().__init__(convert_charrefs=True)
+        self.labeled = labeled
         self.parents: list[Optional[int]] = []
         self.tags: list[str] = []
         self.open: list[int] = []  # ids of the open elements, outermost first
 
     def handle_startendtag(self, tag, attrs):
+        if self.labeled:
+            try:
+                _check_label(tag)
+            except ValueError as err:
+                raise MarkupParseError(str(err), *self.getpos()) from None
         self.parents.append(self.open[-1] if self.open else None)
         self.tags.append(tag)
 
@@ -70,7 +79,7 @@ def markup_to_tree(document: str, labeled: bool = True) -> Tree:
     ``labeled`` keeps the tag as the vertex label; otherwise the tree is
     purely structural.
     """
-    builder = _ElementTreeBuilder()
+    builder = _ElementTreeBuilder(labeled)
     builder.feed(document)
     builder.close()
     if builder.open:

@@ -37,8 +37,6 @@ __all__ = [
     "TreeMode",
     "TreeParseError",
     "canonical_signature",
-    "count_occurrences",
-    "join_forest",
     "parse_tree",
     "parse_tree_file",
     "serialize_tree",
@@ -275,16 +273,6 @@ class Tree:
         """Proper and improper descendants of ``v`` (includes ``v``)."""
         return range(v, v + self.subtree_size(v))
 
-    def ancestors(self, v: int) -> tuple[int, ...]:
-        """Strict ancestors of ``v``, from parent up to the root."""
-        self._check(v)
-        out = []
-        p = self._parents[v]
-        while p is not None:
-            out.append(p)
-            p = self._parents[p]
-        return tuple(out)
-
     def subtree(self, v: int) -> "Tree":
         """A copy of the subtree rooted at ``v``, preserving order and labels."""
         end = v + self.subtree_size(v)
@@ -345,21 +333,6 @@ def subtree_signatures(tree: Tree, mode: TreeMode) -> tuple[str, ...]:
 def canonical_signature(tree: Tree, mode: TreeMode) -> str:
     """Canonical signature of the whole tree (see :func:`subtree_signatures`)."""
     return subtree_signatures(tree, mode)[0]
-
-
-def count_occurrences(pattern: Tree, target: Tree, mode: TreeMode) -> int:
-    """Number of vertices ``v`` of ``target`` with ``target[v]`` isomorphic to
-    ``pattern`` as ``mode``-trees."""
-    want = canonical_signature(pattern, mode)
-    sigs = subtree_signatures(target, mode)
-    return sum(1 for s in sigs if s == want)
-
-
-def join_forest(trees: Sequence[Tree], label: Optional[str] = None) -> Tree:
-    """Attach every tree of the forest under a fresh artificial root."""
-    if not trees:
-        raise ValueError("cannot join an empty forest")
-    return Tree.node(trees, label=label)
 
 
 # -- bracket text format ------------------------------------------------------

@@ -35,10 +35,7 @@ def discriminance_dot(dag: Dag, profile: ClassProfile, weights: np.ndarray) -> s
     """Render the forest DAG under the given weights and the class profile
     they were learned from as a DOT document (see module docstring)."""
     lines = ["digraph subtree_classes {", "  node [shape=circle, style=filled, fixedsize=true];"]
-    root = dag.root
-    for v in range(len(dag)):
-        if v == root:
-            continue
+    for v in range(dag.root):
         size = MIN_SIZE + float(weights[v]) * (MAX_SIZE - MIN_SIZE)
         cls, presence = profile.nearest_corner(v)
         color = PALETTE[cls % len(PALETTE)][0 if presence else 1]
@@ -47,9 +44,7 @@ def discriminance_dot(dag: Dag, profile: ClassProfile, weights: np.ndarray) -> s
             f'  n{v} [label="{label}", width={size:.4f}, height={size:.4f}, '
             f"fillcolor={color}];"
         )
-    for v in range(len(dag)):
-        if v == root:
-            continue
+    for v in range(dag.root):
         for c, mult in dag.edges(v):
             attr = f' [label="{mult}"]' if mult > 1 else ""
             lines.append(f"  n{v} -> n{c}{attr};")

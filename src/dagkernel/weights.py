@@ -193,21 +193,15 @@ def export_weight_table(
     """CSV ``vertex_id,height,delta,weight`` (artificial root excluded)."""
     writer = csv.writer(out)
     writer.writerow(["vertex_id", "height", "delta", "weight"])
-    skip = dag.root if dag.is_forest else None
-    for v in range(len(dag)):
-        if v == skip:
-            continue
+    for v in range(dag.root):
         writer.writerow([v, dag.height(v), repr(float(profile.dist[v])), repr(float(weights[v]))])
 
 
 def weight_distribution_by_height(dag: Dag, weights: np.ndarray) -> list[dict]:
     """Per-height summary rows of the weight distribution: height, min, q1,
     median, q3, max, mean (artificial root excluded)."""
-    skip = dag.root if dag.is_forest else None
     buckets: dict[int, list[float]] = {}
-    for v in range(len(dag)):
-        if v == skip:
-            continue
+    for v in range(dag.root):
         buckets.setdefault(dag.height(v), []).append(float(weights[v]))
     rows = []
     for h in sorted(buckets):

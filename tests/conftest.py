@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import permutations
+from typing import Iterator, Optional, Sequence
 
 import pytest
 
-from dagkernel import Tree, TreeMode, TreeParseError, parse_tree
+from dagkernel import (
+    Tree,
+    TreeMode,
+    TreeParseError,
+    canonical_signature,
+    parse_tree,
+    subtree_signatures,
+)
 
 MODES = [
     TreeMode(ordered=False, labeled=False),
@@ -120,3 +129,82 @@ def reference_parse(text: str, mode=None):
     if not parents:
         raise TreeParseError("empty input", 0)
     return tuple(parents), tuple(labels)
+
+
+def count_occurrences(pattern: Tree, target: Tree, mode: TreeMode) -> int:
+    """Number of vertices ``v`` of ``target`` with ``target[v]`` isomorphic to
+    ``pattern`` as ``mode``-trees."""
+    want = canonical_signature(pattern, mode)
+    sigs = subtree_signatures(target, mode)
+    return sum(1 for s in sigs if s == want)
+
+
+def join_forest(trees: Sequence[Tree], label: Optional[str] = None) -> Tree:
+    """Attach every tree of the forest under a fresh artificial root."""
+    if not trees:
+        raise ValueError("cannot join an empty forest")
+    return Tree.node(trees, label=label)
+
+
+def is_reduced(dag) -> bool:
+    """True iff no two vertices of ``dag`` share (label, edges)."""
+    seen = set()
+    for v in range(len(dag)):
+        key = (dag.label(v), dag.edges(v))
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+@lru_cache(maxsize=None)
+def _shape_codes(n: int) -> tuple[tuple, ...]:
+    # Every ordered shape with n vertices as nested child tuples.
+    if n == 1:
+        return ((),)
+    shapes: list[tuple] = []
+    for sizes in _compositions(n - 1):
+        pools = [_shape_codes(s) for s in sizes]
+        for combo in _product(pools):
+            shapes.append(tuple(combo))
+    return tuple(shapes)
+
+
+def _compositions(total: int) -> Iterator[tuple[int, ...]]:
+    # Ordered sequences of positive integers summing to total.
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def _product(pools):
+    if not pools:
+        yield ()
+        return
+    for head in pools[0]:
+        for rest in _product(pools[1:]):
+            yield (head,) + rest
+
+
+def _code_to_tree(code: tuple) -> Tree:
+    parents: list[Optional[int]] = []
+
+    def emit(node: tuple, parent: Optional[int]) -> None:
+        v = len(parents)
+        parents.append(parent)
+        for child in node:
+            emit(child, v)
+
+    emit(code, None)
+    return Tree(parents)
+
+
+def all_ordered_shapes(max_vertices: int, min_vertices: int = 1) -> Iterator[Tree]:
+    """Every ordered unlabeled tree with ``min_vertices``..``max_vertices``
+    vertices, exactly once (Catalan-many per size)."""
+    for n in range(min_vertices, max_vertices + 1):
+        for code in _shape_codes(n):
+            yield _code_to_tree(code)

@@ -7,16 +7,14 @@ from dagkernel import (
     AnnotatedDag,
     Tree,
     canonical_signature,
-    count_occurrences,
     expand,
     parse_tree,
     random_tree,
     reduce_forest,
-    reduce_tree,
     subtree_signatures,
 )
 
-from conftest import FIG3_TREE, FIG5_T2, MODES, ORDERED, UNORDERED
+from conftest import FIG3_TREE, FIG5_T2, MODES, ORDERED, UNORDERED, count_occurrences
 
 
 def annotated_for(trees, mode):
@@ -99,10 +97,6 @@ class TestOrigins:
                 continue
             assert len(holders(ann, v)) == 1
             assert holders(ann, v) == signature_holders(ann, [t0, t1], UNORDERED, v)
-
-    def test_non_forest_rejected(self):
-        with pytest.raises(ValueError):
-            AnnotatedDag(reduce_tree(Tree.leaf(), UNORDERED))
 
 
 class TestFrequencies:

@@ -143,6 +143,23 @@ class TestReduce:
         )
         assert capsys.readouterr().out == "trees: 2\nvertices: 26 -> 7 (ratio 0.269)\n"
 
+    def test_one_tree_output_golden(self, tmp_path, capsys):
+        # One tree is a forest of one member: its 5 classes, then the
+        # artificial root 5 above the tree's root 4.
+        trees = tmp_path / "one.trees"
+        trees.write_text(f"{FIG3_TREE}\n")
+        out = tmp_path / "one.dag"
+        assert cli.run(["reduce", str(trees), "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "0 0 -> \n"
+            "1 1 -> (0,1)\n"
+            "2 2 -> (0,1)(1,1)\n"
+            "3 3 -> (2,2)\n"
+            "4 4 -> (0,1)(2,1)(3,1)\n"
+            "5 5 -> (4,1)\n"
+        )
+        assert capsys.readouterr().out == "trees: 1\nvertices: 15 -> 5 (ratio 0.333)\n"
+
 
 class TestExitCodes:
     """Every exit code of ``cli.run`` prints its stderr prefix and no traceback."""
@@ -179,6 +196,18 @@ class TestExitCodes:
         code, err = self.run(["ingest", str(doc), "--out", str(tmp_path / "m.csv")], capsys)
         assert code == cli.EXIT_PARSE
         assert err.startswith("parse error: unclosed element <a> ")
+
+    def test_tag_that_is_no_label_is_parse_error(self, tmp_path, capsys):
+        doc = tmp_path / "bad.html"
+        doc.write_text("<a><b(c></b(c></a>")
+        out = tmp_path / "m.csv"
+        code, err = self.run(["ingest", str(doc), "--out", str(out)], capsys)
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("parse error: invalid label 'b(c'")
+        assert err.endswith(" (line 1, column 3)\n")
+        # Unlabeled ingestion drops the tags, so the document converts.
+        assert cli.run(["ingest", str(doc), "--out", str(out), "--unlabeled"]) == 0
+        assert out.read_text().splitlines()[1] == "(()),,"
 
     def test_failed_assertion_is_internal_error(self, tmp_path, capsys, monkeypatch):
         def broken(trees, mode):

@@ -9,20 +9,25 @@ from dagkernel import (
     Dag,
     Tree,
     TreeMode,
-    add_to_forest,
     canonical_signature,
-    count_occurrences,
     expand,
     format_dag,
-    join_forest,
     parse_tree,
     random_tree,
     reduce_forest,
-    reduce_tree,
     subtree_signatures,
 )
 
-from conftest import FIG3_TREE, FIG5_T2, MODES, ORDERED, UNORDERED
+from conftest import (
+    FIG3_TREE,
+    FIG5_T2,
+    MODES,
+    ORDERED,
+    UNORDERED,
+    count_occurrences,
+    is_reduced,
+    join_forest,
+)
 
 
 def complete_binary(height):
@@ -40,30 +45,30 @@ class TestReduceExpand:
     def test_fig3_unordered(self):
         t = parse_tree(FIG3_TREE)
         assert len(t) == 15
-        d = reduce_tree(t, UNORDERED)
-        assert len(d) == 5
-        mults = [m for v in range(len(d)) for _, m in d.edges(v)]
+        d = reduce_forest([t], UNORDERED)
+        assert d.root == 5
+        mults = [m for v in range(d.root) for _, m in d.edges(v)]
         assert sorted(mults).count(2) == 1 and max(mults) == 2
 
     def test_fig3_ordered(self):
-        d = reduce_tree(parse_tree(FIG3_TREE), ORDERED)
-        assert len(d) == 6
+        d = reduce_forest([parse_tree(FIG3_TREE)], ORDERED)
+        assert d.root == 6
 
     def test_complete_binary_is_chain(self):
-        d = reduce_tree(complete_binary(3), UNORDERED)
-        assert len(d) == 4
+        d = reduce_forest([complete_binary(3)], UNORDERED)
+        assert d.root == 4
         for v in range(1, 4):
             assert d.edges(v) == ((v - 1, 2),)
 
     def test_single_vertex(self):
-        d = reduce_tree(Tree.leaf(), UNORDERED)
-        assert len(d) == 1
-        assert expand(d) == Tree.leaf()
+        d = reduce_forest([Tree.leaf()], UNORDERED)
+        assert d.root == 1
+        assert expand(d, d.member_roots[0]) == Tree.leaf()
 
     def test_expand_fig3(self):
         t = parse_tree(FIG3_TREE)
-        d = reduce_tree(t, UNORDERED)
-        back = expand(d)
+        d = reduce_forest([t], UNORDERED)
+        back = expand(d, d.member_roots[0])
         assert len(back) == 15
         assert canonical_signature(back, UNORDERED) == canonical_signature(t, UNORDERED)
 
@@ -73,8 +78,10 @@ class TestReduceExpand:
         labels = "abc" if mode.labeled else None
         for _ in range(150):
             t = random_tree(rng, rng.randint(1, 100), labels)
-            d = reduce_tree(t, mode)
-            assert canonical_signature(expand(d), mode) == canonical_signature(t, mode)
+            d = reduce_forest([t], mode)
+            assert canonical_signature(expand(d, d.member_roots[0]), mode) == (
+                canonical_signature(t, mode)
+            )
 
     @pytest.mark.parametrize("mode", MODES, ids=str)
     def test_vertex_count_equals_distinct_signatures(self, mode):
@@ -82,19 +89,14 @@ class TestReduceExpand:
         labels = "ab" if mode.labeled else None
         for _ in range(60):
             t = random_tree(rng, rng.randint(1, 20), labels)
-            assert len(reduce_tree(t, mode)) == len(set(subtree_signatures(t, mode)))
+            assert reduce_forest([t], mode).root == len(set(subtree_signatures(t, mode)))
 
     @pytest.mark.parametrize("mode", MODES, ids=str)
     def test_reduced_form(self, mode):
         rng = random.Random(13)
         for _ in range(40):
             t = random_tree(rng, rng.randint(1, 40), "ab" if mode.labeled else None)
-            assert reduce_tree(t, mode).is_reduced()
-
-    def test_expand_rejects_forest_dag(self):
-        forest = reduce_forest([Tree.leaf(), Tree.leaf()], UNORDERED)
-        with pytest.raises(ValueError):
-            expand(forest)
+            assert is_reduced(reduce_forest([t], mode))
 
     def test_expand_vertex_of_forest(self):
         forest = reduce_forest([parse_tree("(()())"), Tree.leaf()], UNORDERED)
@@ -106,7 +108,8 @@ class TestReduceExpand:
     def test_roundtrip_property(self, seed, n):
         t = random_tree(random.Random(seed), n)
         for mode in (UNORDERED, ORDERED):
-            assert canonical_signature(expand(reduce_tree(t, mode)), mode) == (
+            d = reduce_forest([t], mode)
+            assert canonical_signature(expand(d, d.member_roots[0]), mode) == (
                 canonical_signature(t, mode)
             )
 
@@ -115,11 +118,11 @@ class TestSuperdag:
     """The forest DAG: members under one artificial root, shared classes merged."""
 
     def test_single_member(self):
-        d = reduce_tree(parse_tree(FIG3_TREE), UNORDERED)
+        # The 5 classes of the tree, then the artificial root above its root.
         forest = reduce_forest([parse_tree(FIG3_TREE)], UNORDERED)
-        assert len(forest) == len(d) + 1
-        assert forest.member_roots == (d.root,)
-        assert forest.edges(forest.root) == ((d.root, 1),)
+        assert len(forest) == 6 and forest.n_members == 1
+        assert forest.member_roots == (4,)
+        assert forest.edges(forest.root) == ((4, 1),)
 
     def test_two_leaf_members(self):
         forest = reduce_forest([Tree.leaf()] * 2, UNORDERED)
@@ -133,7 +136,7 @@ class TestSuperdag:
         t1 = parse_tree(FIG3_TREE)
         t2 = parse_tree(FIG5_T2)
         assert len(t2) == 11
-        assert len(reduce_tree(t1, UNORDERED)) == len(reduce_tree(t2, UNORDERED)) == 5
+        assert reduce_forest([t1], UNORDERED).root == reduce_forest([t2], UNORDERED).root == 5
         merged = reduce_forest([t1, t2], UNORDERED)
         assert len(merged) == 8
         # The two members share their classes of heights 0, 1 and 2 only.
@@ -145,14 +148,14 @@ class TestSuperdag:
     def test_duplicate_members_share_subdag(self):
         t = parse_tree(FIG3_TREE)
         merged = reduce_forest([t, t], UNORDERED)
-        assert len(merged) == len(reduce_tree(t, UNORDERED)) + 1
+        assert len(merged) == len(reduce_forest([t], UNORDERED))
         assert merged.member_roots[0] == merged.member_roots[1]
         assert merged.edges(merged.root) == ((merged.member_roots[0], 2),)
 
 
 def supertree_oracle(trees, mode):
     """Independent reference: reduce the explicitly built supertree."""
-    return reduce_tree(join_forest(trees), mode)
+    return reduce_forest([join_forest(trees)], mode)
 
 
 class TestRecompressEquivalence:
@@ -164,8 +167,8 @@ class TestRecompressEquivalence:
             trees = random_forest(rng, rng.randint(1, 8), 20, labels)
             fast = reduce_forest(trees, mode)
             slow = supertree_oracle(trees, mode)
-            assert len(fast) == len(slow)
-            assert fast.is_reduced()
+            assert len(fast) == slow.root  # the classes plus the joining root
+            assert is_reduced(fast)
             assert canonical_signature(
                 expand_forest(fast), mode
             ) == canonical_signature(join_forest(trees), mode)
@@ -182,48 +185,6 @@ class TestRecompressEquivalence:
 def expand_forest(forest_dag):
     """Expand a forest DAG through its artificial root into the supertree."""
     return expand(forest_dag, forest_dag.root)
-
-
-def assert_same_forest(a, b):
-    """Identical vertex numbering, structure and member count rows."""
-    assert a.mode == b.mode and a.root == b.root
-    assert a.heights() == b.heights()
-    assert [a.label(v) for v in range(len(a))] == [b.label(v) for v in range(len(b))]
-    assert [a.edges(v) for v in range(len(a))] == (
-        [b.edges(v) for v in range(len(b))]
-    )
-    for array_a, array_b in zip(a.member_counts, b.member_counts, strict=True):
-        np.testing.assert_array_equal(array_a, array_b)
-
-
-class TestAddToForest:
-    def test_add_existing_member(self):
-        trees = [parse_tree(FIG3_TREE), parse_tree(FIG5_T2)]
-        forest = reduce_forest(trees, UNORDERED)
-        extended = add_to_forest(forest, trees[0])
-        assert len(extended) == len(forest)
-        assert extended.n_members == 3
-        assert extended.member_roots[2] == extended.member_roots[0]
-
-    @pytest.mark.parametrize("mode", MODES, ids=str)
-    def test_matches_full_recompression(self, mode):
-        rng = random.Random(16)
-        labels = "ab" if mode.labeled else None
-        for _ in range(40):
-            trees = random_forest(rng, rng.randint(1, 5), 15, labels)
-            extra = random_tree(rng, rng.randint(1, 15), labels)
-            extended = add_to_forest(reduce_forest(trees, mode), extra)
-            assert_same_forest(extended, reduce_forest(trees + [extra], mode))
-
-    def test_rejects_non_forest(self):
-        d = reduce_tree(Tree.leaf(), UNORDERED)
-        with pytest.raises(ValueError):
-            add_to_forest(d, Tree.leaf())
-
-    def test_rejects_dag_newcomer(self):
-        forest = reduce_forest([Tree.leaf()], UNORDERED)
-        with pytest.raises(TypeError):
-            add_to_forest(forest, reduce_tree(Tree.leaf(), UNORDERED))
 
 
 def chain(n, labels):
@@ -268,7 +229,7 @@ class TestOneTable:
         forest = reduce_forest(trees, mode)
         tree_sigs = [subtree_signatures(t, mode) for t in trees]
         assert len(forest) == len(set().union(*tree_sigs)) + 1  # + artificial root
-        assert forest.is_reduced()
+        assert is_reduced(forest)
         assert canonical_signature(expand_forest(forest), mode) == (
             canonical_signature(join_forest(trees), mode)
         )
@@ -282,14 +243,6 @@ class TestOneTable:
             row = dict(zip(row_ids.tolist(), row_counts.tolist()))
             for v, pattern in enumerate(patterns):
                 assert row.get(v, 0) == count_occurrences(pattern, t, mode)
-
-    @settings(max_examples=40, deadline=None)
-    @given(case=forests())
-    def test_add_to_forest_continues_the_table(self, case):
-        mode, trees = case
-        if len(trees) > 1:
-            extended = add_to_forest(reduce_forest(trees[:-1], mode), trees[-1])
-            assert_same_forest(extended, reduce_forest(trees, mode))
 
 
 class TestNumbering:
@@ -312,13 +265,10 @@ class TestNumbering:
         def ids(dag, n):
             return [canonical_signature(expand(dag, v), mode) for v in range(n)]
 
-        tree = reduce_tree(trees[0], mode)
-        assert ids(tree, len(tree)) == expected(trees[:1])
+        tree = reduce_forest(trees[:1], mode)
+        assert ids(tree, tree.root) == expected(trees[:1])
         forest = reduce_forest(trees, mode)
         assert ids(forest, forest.root) == expected(trees)
-        if len(trees) > 1:
-            extended = add_to_forest(reduce_forest(trees[:-1], mode), trees[-1])
-            assert ids(extended, extended.root) == expected(trees)
 
 
 def dag_parts(**fault):
@@ -336,6 +286,7 @@ class TestValidation:
     def test_valid_parts(self):
         d = Dag(*dag_parts())
         assert d.member_roots == (1,) and d.edges(1) == ((0, 2),)
+        assert repr(d) == "Dag(unordered+unlabeled, 1 members, 3 vertices, height 2)"
 
     @pytest.mark.parametrize("fault, message", [
         (dict(heights=[0, 1]), "equal length"),
@@ -349,12 +300,14 @@ class TestValidation:
         (dict(mode=ORDERED), "multiplicity"),  # ordered mode repeats a child instead
         (dict(root=3), "invalid root"),
         (dict(root=-1), "invalid root"),
+        (dict(root=1), "invalid root"),  # the root is the last id
         (dict(rows=([0, 2, 2], [0, 1], [2.0, 1.0])), "count row"),  # empty row
         (dict(rows=([0, 2], [1, 0], [1.0, 2.0])), "count row"),  # not increasing
         (dict(rows=([0, 2], [0, 1], [2.0, 0.5])), "count row"),  # count below 1
+        (dict(rows=([0, 3], [0, 1, 2], [2.0, 1.0, 1.0])), "count row"),  # holds the root
     ], ids=["lengths", "offsets", "childless", "height", "child-high", "child-low", "edge",
-            "mult", "ordered-mult", "root-high", "root-low", "row-empty", "row-order",
-            "row-count"])
+            "mult", "ordered-mult", "root-high", "root-low", "root-inner", "row-empty",
+            "row-order", "row-count", "row-root"])
     def test_rejected(self, fault, message):
         with pytest.raises(ValueError, match=message):
             Dag(*dag_parts(**fault))
@@ -365,7 +318,7 @@ class TestDagStructure:
         rng = random.Random(17)
         for mode in MODES:
             t = random_tree(rng, 40, "ab" if mode.labeled else None)
-            d = reduce_tree(t, mode)
+            d = reduce_forest([t], mode)
             for v in range(len(d)):
                 for c, mult in d.edges(v):
                     assert c < v
@@ -375,21 +328,22 @@ class TestDagStructure:
     def test_one_leaf_vertex_per_label(self):
         mode = TreeMode(ordered=False, labeled=True)
         t = parse_tree("a(b()b()c()d(b()))")
-        d = reduce_tree(t, mode)
+        d = reduce_forest([t], mode)
         leaf_labels = [d.label(v) for v in range(len(d)) if d.height(v) == 0]
         assert sorted(leaf_labels) == ["b", "c"]  # three b-leaves share a vertex
 
     def test_format_dag_golden(self):
-        d = reduce_tree(parse_tree(FIG3_TREE), UNORDERED)
+        d = reduce_forest([parse_tree(FIG3_TREE)], UNORDERED)
         assert format_dag(d) == (
             "0 0 -> \n"
             "1 1 -> (0,1)\n"
             "2 2 -> (0,1)(1,1)\n"
             "3 3 -> (2,2)\n"
             "4 4 -> (0,1)(2,1)(3,1)\n"
+            "5 5 -> (4,1)\n"
         )
 
     def test_format_dag_ordered_repeats(self):
-        d = reduce_tree(parse_tree("((())(()))"), ORDERED)
+        d = reduce_forest([parse_tree("((())(()))")], ORDERED)
         lines = format_dag(d).splitlines()
-        assert lines[-1].endswith("(1,1)(1,1)")
+        assert lines[-2].endswith("(1,1)(1,1)") and lines[-1] == "3 3 -> (2,1)"

@@ -22,10 +22,9 @@ from dagkernel import (
     reduce_forest,
     subtree_signatures,
 )
-from dagkernel.generate import all_ordered_shapes
 from dagkernel.kernel import min_eig_and_norm
 
-from conftest import FIG1_T0, FIG1_T1, MODES, ORDERED, UNORDERED
+from conftest import FIG1_T0, FIG1_T1, MODES, ORDERED, UNORDERED, all_ordered_shapes
 
 
 def unit_w(tree):
@@ -60,12 +59,6 @@ class TestBrute:
                 list(sigs).count(s) ** 2 for s in set(sigs)
             )
             assert kernel_brute(t, t, UNORDERED, unit_w) == expected
-
-    def test_custom_kappa(self):
-        t = parse_tree("(()())")
-        prod = kernel_brute(t, t, UNORDERED, unit_w)
-        minimum = kernel_brute(t, t, UNORDERED, unit_w, kappa=min)
-        assert prod == 1 + 4 and minimum == 1 + 2
 
     def test_exact_fractions(self):
         # Classes of ((())()) and their counts: root 1, 2-chain 1, leaf 2.

@@ -68,8 +68,9 @@ class TestErrors:
             markup_to_tree("<a></a></a>")
 
     def test_tag_that_is_no_label(self):
-        with pytest.raises(ValueError, match="invalid label 'a\\(b'"):
-            markup_to_tree("<a(b></a(b>")
+        with pytest.raises(MarkupParseError, match=r"^invalid label 'b\(c'.* \(line 2, column 2\)$"):
+            markup_to_tree("<a>\n  <b(c></b(c></a>")
+        assert bracket("<a>\n  <b(c></b(c></a>", labeled=False) == "(())"
 
     def test_error_is_a_value_error(self):
         assert issubclass(MarkupParseError, ValueError)

@@ -23,7 +23,6 @@ from dagkernel import (
     parse_tree,
     random_tree,
     reduce_forest,
-    reduce_tree,
     smoothstep,
     subtree_signatures,
     weight_distribution_by_height,
@@ -34,32 +33,32 @@ from conftest import FIG3_TREE, MODES, UNORDERED
 
 class TestExponential:
     def test_leaf_weight_is_one(self):
-        d = reduce_tree(parse_tree(FIG3_TREE), UNORDERED)
+        d = reduce_forest([parse_tree(FIG3_TREE)], UNORDERED)
         for lam in (0.0, 0.3, 1.0):
             w = exponential_weights(d, lam)
             assert w[0] == 1.0  # height-0 vertex
 
     def test_lambda_zero_keeps_leaves_only(self):
-        d = reduce_tree(parse_tree(FIG3_TREE), UNORDERED)
+        d = reduce_forest([parse_tree(FIG3_TREE)], UNORDERED)
         w = exponential_weights(d, 0.0)
         assert w[0] == 1.0
         assert all(w[v] == 0.0 for v in range(len(d)) if d.height(v) > 0)
 
     def test_direct_powers(self):
-        d = reduce_tree(parse_tree(FIG3_TREE), UNORDERED)
+        d = reduce_forest([parse_tree(FIG3_TREE)], UNORDERED)
         w = exponential_weights(d, 0.5)
         for v in range(len(d)):
             assert w[v] == 0.5 ** d.height(v)
 
     def test_multiplicative_along_height(self):
-        d = reduce_tree(parse_tree(FIG3_TREE), UNORDERED)
+        d = reduce_forest([parse_tree(FIG3_TREE)], UNORDERED)
         w = exponential_weights(d, 0.7)
         by_height = {d.height(v): w[v] for v in range(len(d))}
         for h in range(1, d.height() + 1):
             assert by_height[h] == pytest.approx(0.7 * by_height[h - 1])
 
     def test_out_of_range(self):
-        d = reduce_tree(Tree.leaf(), UNORDERED)
+        d = reduce_forest([Tree.leaf()], UNORDERED)
         for bad in (-0.1, 1.5):
             with pytest.raises(ValueError):
                 exponential_weights(d, bad)
