@@ -15,6 +15,12 @@ when the file holds one tree.  Its ratio counts the classes only.
 ``viz`` and ``weights-hist`` always learn discriminance weights; ``--seed``
 picks their weight third when the manifest names no weight role.
 
+Each command imports what only it runs inside its body, after the docstring
+that is its help text: ``simulate`` the model, ``ingest`` the markup parser,
+``generate`` the corpus generator and ``viz`` the DOT writer.  ``run``
+catches ``trees.ParseError``, the base of the tree and markup parse errors,
+so ``classify`` loads no more than the classification pipeline.
+
 Exit codes: 0 success, 1 usage, 2 parse error, 3 configuration error
 (including a file that cannot be read or written), 4 internal assertion.
 """
@@ -23,7 +29,6 @@ from __future__ import annotations
 
 import csv
 import sys
-from fractions import Fraction
 from typing import Optional
 
 import click
@@ -31,17 +36,7 @@ import numpy as np
 
 from . import __version__
 from .dag import format_dag, reduce_forest
-from .generate import generate_template_corpus
 from .kernel import GramComputer, export_gram_csv
-from .markup import MarkupParseError, markup_to_tree
-from .model import (
-    build_model,
-    check_leaf_weight_effect,
-    check_separation,
-    edit_height_pmf,
-    sufficient_size,
-    unit_weight,
-)
 from .pipeline import (
     Dataset,
     ExperimentConfig,
@@ -52,8 +47,7 @@ from .pipeline import (
     split_thirds,
     weights_for,
 )
-from .trees import TreeMode, TreeParseError, parse_tree_file, serialize_tree
-from .viz import discriminance_dot
+from .trees import ParseError, TreeMode, parse_tree_file, serialize_tree
 from .weights import ShapingFn, export_weight_table, weight_distribution_by_height
 
 EXIT_USAGE = 1
@@ -235,6 +229,11 @@ def cmd_classify(manifest, order, labeled, weight, lam, shaping, eps, seed, repe
 @click.option("--out", type=click.Path(), default=None, help="Per-vertex report CSV.")
 def cmd_simulate(height, rho, h_level, delta, leaf_weight, seed, out):
     """Build a verified two-class model and check its theoretical guarantees."""
+    from fractions import Fraction
+
+    from .model import (build_model, check_leaf_weight_effect, check_separation,
+                        edit_height_pmf, sufficient_size, unit_weight)
+
     rho_f = Fraction(rho) if rho else None
     instance = build_model(height, seed=seed, rho=rho_f)
     h_level = height - 1 if h_level is None else h_level
@@ -305,6 +304,8 @@ def cmd_simulate(height, rho, h_level, delta, leaf_weight, seed, out):
               help="Also write one bracket tree per line.")
 def cmd_ingest(inputs, labeled, class_id, out, trees_out):
     """Convert markup documents (files, or '-' for stdin) into a manifest."""
+    from .markup import markup_to_tree
+
     if not inputs:
         raise ConfigError("no input documents")
     trees = []
@@ -335,6 +336,8 @@ def cmd_ingest(inputs, labeled, class_id, out, trees_out):
 @click.option("--out", type=click.Path(), required=True, help="Manifest CSV.")
 def cmd_generate(per_class, edit_rate, seed, out):
     """Generate the synthetic two-template markup corpus."""
+    from .generate import generate_template_corpus
+
     dataset = generate_template_corpus(per_class, edit_rate, seed)
     with open(out, "w", newline="") as fh:
         save_manifest(dataset, fh)
@@ -370,6 +373,8 @@ def _discriminance(manifest, order, labeled, shaping, eps, seed):
 @click.option("--out", type=click.Path(), required=True, help="DOT file.")
 def cmd_viz(manifest, order, labeled, shaping, eps, seed, out):
     """Render the dataset DAG scaled by learned discriminance weights."""
+    from .viz import discriminance_dot
+
     dag, weights, profile = _discriminance(manifest, order, labeled, shaping, eps, seed)
     with open(out, "w") as fh:
         fh.write(discriminance_dot(dag, profile, weights))
@@ -412,7 +417,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return EXIT_USAGE
-    except (TreeParseError, MarkupParseError) as exc:
+    except ParseError as exc:
         click.echo(f"parse error: {exc}", err=True)
         return EXIT_PARSE
     except (ConfigError, ValueError, OSError) as exc:

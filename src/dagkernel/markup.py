@@ -19,7 +19,7 @@ from __future__ import annotations
 from html.parser import HTMLParser
 from typing import Optional
 
-from .trees import Tree, _check_label
+from .trees import ParseError, Tree, _check_label
 
 __all__ = ["MarkupParseError", "VOID_ELEMENTS", "markup_to_tree"]
 
@@ -28,7 +28,7 @@ VOID_ELEMENTS = frozenset(
 )
 
 
-class MarkupParseError(ValueError):
+class MarkupParseError(ParseError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
         self.line = line

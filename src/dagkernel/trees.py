@@ -33,6 +33,7 @@ from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 import numpy as np
 
 __all__ = [
+    "ParseError",
     "Tree",
     "TreeMode",
     "TreeParseError",
@@ -62,7 +63,13 @@ class TreeMode:
         return f"{order}+{lab}"
 
 
-class TreeParseError(ValueError):
+class ParseError(ValueError):
+    """Malformed input text: a bracket tree (:class:`TreeParseError`) or a
+    markup document (``markup.MarkupParseError``).  One base lets a caller
+    catch both without importing the markup parser."""
+
+
+class TreeParseError(ParseError):
     """Malformed bracket text; ``position`` is the 0-based character offset
     inside the tree text, and ``where``, if given, names the tree's place in
     its file."""

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -110,17 +111,66 @@ class TestFileErrors:
         assert "missing_dir" in err
 
 
+def _child(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dagkernel.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestImports:
     def test_cli_import_leaves_scipy_out(self):
         # Importing scipy.sparse alone costs about 22 MB of resident memory,
         # which every CLI run would pay; the library uses numpy only.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(dagkernel.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "import sys, dagkernel.cli; print('scipy' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert _child(code).strip() == "False"
+
+    def test_classify_loads_only_what_it_runs(self):
+        # The model, the generator, the markup parser and the DOT writer (with
+        # the fractions and html.parser modules they pull in) are for other
+        # commands; every classify run would pay for compiling them.
+        manifest = GOLDEN / "generate" / "m.csv"
+        code = ("import sys\n"
+                "from dagkernel import cli\n"
+                f"assert cli.run(['classify', {str(manifest)!r}, *{ORDERED_LABELED!r}]) == 0\n"
+                "print(' '.join(sorted(sys.modules)))")
+        loaded = set(_child(code).splitlines()[-1].split())  # after classify's table
+        assert "dagkernel.pipeline" in loaded
+        unwanted = {"dagkernel.model", "dagkernel.generate", "dagkernel.markup",
+                    "dagkernel.viz", "fractions", "html.parser"}
+        assert not loaded & unwanted
+
+    def test_package_import_loads_no_submodule(self):
+        code = ("import sys, dagkernel\n"
+                "print([m for m in sys.modules if m.startswith('dagkernel.')])")
+        assert _child(code).strip() == "[]"
+
+
+class TestNamespace:
+    """``dagkernel`` resolves its public names on first access."""
+
+    def test_every_public_name_imports(self):
+        for name in dagkernel.__all__:
+            exec(f"from dagkernel import {name}", {})
+        assert set(dagkernel.__all__) <= set(dir(dagkernel))
+
+    def test_all_holds_no_module(self):
+        assert not [n for n in dagkernel.__all__
+                    if isinstance(getattr(dagkernel, n), types.ModuleType)]
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            dagkernel.nope  # noqa: B018
+        with pytest.raises(ImportError):
+            exec("from dagkernel import nope", {})
+
+    def test_parse_errors_share_a_base(self):
+        assert issubclass(dagkernel.TreeParseError, dagkernel.ParseError)
+        assert issubclass(dagkernel.MarkupParseError, dagkernel.ParseError)
+        assert issubclass(dagkernel.ParseError, ValueError)
 
 
 class TestReduce:
@@ -332,3 +382,28 @@ def test_golden_output(case, tmp_path, monkeypatch, capsys):
     assert sorted(got) == sorted(expected)
     for name in expected:
         assert got[name] == expected[name], name
+
+
+# -- golden help ------------------------------------------------------------------------
+
+COMMANDS = ["classify", "generate", "gram", "ingest", "reduce", "simulate", "viz",
+            "weights-hist"]
+# tests/golden/help/<case> holds the expected stdout.  A command's help is its
+# docstring, so a statement placed above the docstring shows here.
+HELP_CASES = {"version": ["--version"], "help": ["--help"],
+              **{f"{command}-help": [command, "--help"] for command in COMMANDS}}
+
+
+def test_every_command_has_golden_help():
+    assert sorted(cli.main.commands) == COMMANDS
+    assert sorted(p.name for p in (GOLDEN / "help").iterdir()) == sorted(HELP_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(HELP_CASES))
+def test_golden_help(case, capsys):
+    # A fixed program name and width keep the text independent of how the
+    # tests are started and of the terminal.
+    code = cli.main.main(args=HELP_CASES[case], prog_name="dagkernel", standalone_mode=False,
+                         terminal_width=80)
+    assert code == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "help" / case).read_bytes()
