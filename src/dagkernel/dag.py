@@ -6,9 +6,10 @@ class of the whole forest, so a class that occurs in several members gets a
 single vertex.  In ordered mode the outgoing edges of a vertex form an
 ordered list (repetitions allowed); in unordered mode they form a set of
 (child, multiplicity) pairs.  Above the member roots sits an artificial root,
-with one edge per member; it is the last id and represents no subtree.  A
-single tree is a forest of one member.  Compression is invertible: `expand`
-rebuilds the tree of any vertex, so a member comes back from its root.
+with one edge per member; it represents no subtree and is always the last
+id, so a `Dag` derives it instead of storing it.  A single tree is a forest
+of one member.  Compression is invertible: `expand` rebuilds the tree of any
+vertex, so a member comes back from its root.
 
 Compression names subtrees level by level with integers, as in the AHU tree
 isomorphism test (Aho, Hopcroft & Ullman, 1974), in one pass over all the
@@ -53,11 +54,10 @@ class Dag:
 
     ``children`` is the CSR triple (offsets, child ids, multiplicities) and
     ``member_counts`` the CSR triple (row offsets, vertex ids, counts) of the
-    member x vertex count matrix.  ``root`` must be the last id.
+    member x vertex count matrix.  The artificial root is the last id.
     """
 
-    __slots__ = ("mode", "_heights", "_labels", "_offsets", "_kids", "_mults", "_root",
-                 "_counts")
+    __slots__ = ("mode", "_heights", "_labels", "_offsets", "_kids", "_mults", "_counts")
 
     def __init__(
         self,
@@ -65,14 +65,12 @@ class Dag:
         heights: Sequence[int],
         labels: Sequence[Optional[str]],
         children: tuple[Sequence[int], Sequence[int], Sequence[int]],
-        root: int,
         member_counts: tuple[Sequence[int], Sequence[int], Sequence[float]],
     ):
         self.mode = mode
         self._heights = _frozen(heights, np.int64)
         self._labels = tuple(labels)
         self._offsets, self._kids, self._mults = (_frozen(a, np.int64) for a in children)
-        self._root = root
         self._counts = tuple(
             _frozen(a, dtype)
             for a, dtype in zip(member_counts, (np.int64, np.int64, np.float64))
@@ -107,8 +105,6 @@ class Dag:
             if len(bad):
                 raise ValueError(f"vertex {np.flatnonzero(has_kids)[bad[0]]} has "
                                  "inconsistent height")
-        if self._root != n - 1:
-            raise ValueError("invalid root id: the root is the last id")
         row_offsets, ids, counts = self._counts
         message = "a member count row needs increasing vertex ids and positive counts"
         if not (row_offsets[0] == 0 and np.all(row_offsets[1:] > row_offsets[:-1])
@@ -117,7 +113,7 @@ class Dag:
         # Consecutive ids must rise, except where a new row starts.
         rising = ids[1:] > ids[:-1]
         rising[row_offsets[1:-1] - 1] = True
-        if not (np.all((ids >= 0) & (ids < self._root)) and np.all(rising)
+        if not (np.all((ids >= 0) & (ids < n - 1)) and np.all(rising)
                 and np.all(counts >= 1)):
             raise ValueError(message)
 
@@ -125,7 +121,8 @@ class Dag:
 
     @property
     def root(self) -> int:
-        return self._root
+        """The artificial root: always the last id."""
+        return len(self._heights) - 1
 
     @property
     def member_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,8 +150,9 @@ class Dag:
             v = self.root
         return int(self._heights[v])
 
-    def heights(self) -> tuple[int, ...]:
-        return tuple(self._heights.tolist())
+    def heights(self) -> np.ndarray:
+        """Every vertex's height, as the read-only int64 array the `Dag` stores."""
+        return self._heights
 
     def label(self, v: int) -> Optional[str]:
         return self._labels[v]
@@ -284,7 +282,7 @@ def _compress(mode: TreeMode, trees: Sequence[Tree]) -> Dag:
     ids = cells - rows * n_classes
     row_offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(trees)))))
     return Dag(mode, np.append(out_heights, out_heights[-1] + 1), out_labels + [None],
-               _children_csr(mode, n_classes + 1, owner, child), n_classes,
+               _children_csr(mode, n_classes + 1, owner, child),
                (row_offsets, ids, counts.astype(np.float64)))
 
 

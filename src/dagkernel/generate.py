@@ -12,29 +12,16 @@ __all__ = ["generate_template_corpus", "random_tree", "random_tree_of_height"]
 
 
 def random_tree(
-    rng: random.Random,
-    n_vertices: int,
-    labels: Optional[Sequence[str]] = None,
-    max_children: Optional[int] = None,
+    rng: random.Random, n_vertices: int, labels: Optional[Sequence[str]] = None
 ) -> Tree:
     """A random recursive tree: vertex ``v`` attaches to a uniform earlier vertex.
 
     ``labels`` draws every vertex label uniformly from the alphabet; ``None``
-    leaves the tree unlabeled.  ``max_children`` caps the branching factor by
-    resampling the parent.
+    leaves the tree unlabeled.
     """
     if n_vertices < 1:
         raise ValueError("need at least one vertex")
-    parents: list[Optional[int]] = [None]
-    counts = [0]
-    for v in range(1, n_vertices):
-        p = rng.randrange(v)
-        if max_children is not None:
-            while counts[p] >= max_children:
-                p = rng.randrange(v)
-        parents.append(p)
-        counts[p] += 1
-        counts.append(0)
+    parents: list[Optional[int]] = [None] + [rng.randrange(v) for v in range(1, n_vertices)]
     labs = [rng.choice(labels) for _ in range(n_vertices)] if labels else None
     return Tree(parents, labs)
 
@@ -71,22 +58,18 @@ def random_tree_of_height(
 
 
 _TAGS = ("html", "body", "div", "p", "span", "ul", "li", "a")
+TEMPLATE_HEIGHT = 4
+TEMPLATE_EXTRA = 26  # vertices beyond the root-to-leaf spine
+CORPUS_MODE = TreeMode(ordered=True, labeled=True)
 
 
-def generate_template_corpus(
-    per_class: int,
-    edit_rate: float,
-    seed: int = 0,
-    template_height: int = 4,
-    template_extra: int = 26,
-    mode: TreeMode = TreeMode(ordered=True, labeled=True),
-) -> Dataset:
-    """A two-class corpus of template-like markup trees.
+def generate_template_corpus(per_class: int, edit_rate: float, seed: int = 0) -> Dataset:
+    """A two-class corpus of template-like markup trees, ordered and labeled.
 
-    Two random labeled templates of equal height are fixed per seed.  Every
-    instance replaces one uniformly chosen vertex of its class template by a
-    replacement tree of the same height, shared between the classes; the
-    height of the edited vertex is Binomial(height, edit_rate), so
+    Two random labeled templates of height ``TEMPLATE_HEIGHT`` are fixed per
+    seed.  Every instance replaces one uniformly chosen vertex of its class
+    template by a replacement tree of the same height, shared between the
+    classes; the height of the edited vertex is Binomial(height, edit_rate), so
     ``edit_rate = 0`` leaves the templates untouched and ``edit_rate = 1``
     replaces whole trees, making the classes indistinguishable.
     """
@@ -95,25 +78,20 @@ def generate_template_corpus(
     if not 0.0 <= edit_rate <= 1.0:
         raise ValueError("edit rate must be in [0, 1]")
     rng = random.Random(f"corpus:{seed}")
-    labels = _TAGS if mode.labeled else None
     templates = [
-        random_tree_of_height(rng, template_height, template_extra, labels)
-        for _ in range(2)
+        random_tree_of_height(rng, TEMPLATE_HEIGHT, TEMPLATE_EXTRA, _TAGS) for _ in range(2)
     ]
-    fillers = [
-        random_tree_of_height(rng, h, 2 * h, labels)
-        for h in range(template_height + 1)
-    ]
+    fillers = [random_tree_of_height(rng, h, 2 * h, _TAGS) for h in range(TEMPLATE_HEIGHT + 1)]
     trees: list[Tree] = []
     classes: list[int] = []
     for cls in (0, 1):
         template = templates[cls]
         for _ in range(per_class):
-            h = sum(rng.random() < edit_rate for _ in range(template_height))
+            h = sum(rng.random() < edit_rate for _ in range(TEMPLATE_HEIGHT))
             if h == 0:
                 trees.append(template)
             else:
                 u = rng.choice(template.vertices_at_height(h))
                 trees.append(template.replace_subtree(u, fillers[h]))
             classes.append(cls)
-    return Dataset(tuple(trees), tuple(classes), mode)
+    return Dataset(tuple(trees), tuple(classes), CORPUS_MODE)

@@ -166,32 +166,26 @@ class MetricsReport:
 def evaluate(
     predicted: Sequence[int], truth: Sequence[int], n_classes: int
 ) -> MetricsReport:
-    predicted = list(predicted)
-    truth = list(truth)
+    predicted, truth = list(predicted), list(truth)
     if len(predicted) != len(truth):
         raise ValueError("prediction and truth lengths differ")
-    for y in list(predicted) + list(truth):
+    for y in predicted + truth:
         if not 0 <= y < n_classes:
             raise ValueError(f"class id {y} out of range")
-    n = len(truth)
-    counts = []
-    precisions, recalls, fscores = [], [], []
-    for k in range(n_classes):
-        tp = sum(1 for p, t in zip(predicted, truth) if p == k and t == k)
-        fp = sum(1 for p, t in zip(predicted, truth) if p == k and t != k)
-        fn = sum(1 for p, t in zip(predicted, truth) if p != k and t == k)
-        tn = n - tp - fp - fn
-        counts.append(ClassCounts(tp, fp, tn, fn))
-        prec = tp / (tp + fp) if tp + fp else 0.0
-        rec = tp / (tp + fn) if tp + fn else 0.0
-        precisions.append(prec)
-        recalls.append(rec)
-        fscores.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
-    accuracy = sum(1 for p, t in zip(predicted, truth) if p == t) / n
-    k = n_classes
-    return MetricsReport(
-        accuracy, sum(precisions) / k, sum(recalls) / k, sum(fscores) / k, tuple(counts)
-    )
+    n, k = len(truth), n_classes
+    # Row: true class, column: predicted class.
+    confusion = np.bincount(np.asarray(truth, np.int64) * k + np.asarray(predicted, np.int64),
+                            minlength=k * k).reshape(k, k)
+    tp = np.diag(confusion)
+    fp = confusion.sum(axis=0) - tp
+    fn = confusion.sum(axis=1) - tp
+    counts = tuple(map(ClassCounts, tp.tolist(), fp.tolist(), (n - tp - fp - fn).tolist(),
+                       fn.tolist()))
+    precisions = [c.tp / (c.tp + c.fp) if c.tp + c.fp else 0.0 for c in counts]
+    recalls = [c.tp / (c.tp + c.fn) if c.tp + c.fn else 0.0 for c in counts]
+    fscores = [2 * p * r / (p + r) if p + r else 0.0 for p, r in zip(precisions, recalls)]
+    return MetricsReport(int(tp.sum()) / n, sum(precisions) / k, sum(recalls) / k,
+                         sum(fscores) / k, counts)
 
 
 # -- repeated experiments -------------------------------------------------------------
@@ -283,8 +277,9 @@ def load_manifest(
     file containing one bracket tree.  Classes may be arbitrary strings; they
     are mapped to ids 0..K-1 in sorted order (``class_names`` records the
     mapping).  Roles, when present on every row, must be one of weight /
-    train / pred and are returned as a role -> indices map.  A
-    :class:`TreeParseError` names the 1-based data row of the bad tree.
+    train / pred and are returned as a role -> indices map.  Every error
+    about a row (a bad tree, an unreadable tree file, an unknown role) names
+    its 1-based data row, e.g. ``in row 2 of m.csv``.
     """
     import os
 
@@ -297,22 +292,24 @@ def load_manifest(
         if reader.fieldnames is None or "tree" not in reader.fieldnames:
             raise ValueError(f"{path}: manifest needs a header with a 'tree' column")
         for row_number, row in enumerate(reader, 1):
+            where = f"row {row_number} of {path}"
             text = (row.get("tree") or "").strip()
             if text.startswith("@"):
                 try:
                     with open(os.path.join(base, text[1:])) as tree_fh:
                         text = tree_fh.read().strip()
                 except OSError as exc:
-                    raise ValueError(f"{path}: cannot read {text}: {exc.strerror or exc}") from exc
+                    raise ValueError(
+                        f"cannot read {text} ({exc.strerror or exc}) in {where}") from exc
             try:
                 trees.append(parse_tree(text, mode))
             except TreeParseError as exc:
-                raise exc.located(f"row {row_number} of {path}") from None
+                raise exc.located(where) from None
             cls = (row.get("class") or "").strip()
             raw_classes.append(cls or None)
             role = (row.get("role") or "").strip().lower()
             if role and role not in ("weight", "train", "pred"):
-                raise ValueError(f"{path}: unknown role {role!r}")
+                raise ValueError(f"unknown role {role!r} in {where}")
             roles.append(role or None)
     names = sorted({c for c in raw_classes if c is not None})
     to_id = {name: k for k, name in enumerate(names)}

@@ -35,8 +35,8 @@ def discriminance_dot(dag: Dag, profile: ClassProfile, weights: np.ndarray) -> s
     """Render the forest DAG under the given weights and the class profile
     they were learned from as a DOT document (see module docstring)."""
     lines = ["digraph subtree_classes {", "  node [shape=circle, style=filled, fixedsize=true];"]
-    for v in range(dag.root):
-        size = MIN_SIZE + float(weights[v]) * (MAX_SIZE - MIN_SIZE)
+    sizes = (MIN_SIZE + np.asarray(weights, dtype=np.float64) * (MAX_SIZE - MIN_SIZE)).tolist()
+    for v, size in enumerate(sizes[: dag.root]):
         cls, presence = profile.nearest_corner(v)
         color = PALETTE[cls % len(PALETTE)][0 if presence else 1]
         label = (dag.label(v) or "").replace("\\", "\\\\").replace('"', '\\"')

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Mapping, Optional, Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ def exponential_weights(dag: Dag, lam: float) -> np.ndarray:
     keeps the leaf-only kernel instead of the zero kernel."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    return np.power(float(lam), np.asarray(dag.heights(), dtype=np.float64))
+    return np.power(float(lam), dag.heights(), dtype=np.float64)
 
 
 def smoothstep(x):
@@ -121,6 +122,7 @@ class ClassProfile:
     ``rho[v, k]`` is the fraction of class-k weight-training trees that
     contain the subtree of vertex ``v``; ``dist[v]`` is the distance of that
     row to its nearest corner.  The artificial root keeps an all-zero row.
+    Every vertex's nearest corner is computed on first use, in one pass.
     """
 
     n_classes: int
@@ -135,11 +137,15 @@ class ClassProfile:
         class id, so a class-pure subtree always reads as "present in its
         class".
         """
-        d = _corner_sq_dists(self.rho[v : v + 1])[:, 0]
-        # The first corner within rounding of the nearest: floating point can
-        # split an exact tie in its last bits.
-        i = int(np.flatnonzero(d <= d.min() + 1e-12)[0])
+        i = int(self._nearest[v])
         return i % self.n_classes, i < self.n_classes
+
+    @cached_property
+    def _nearest(self) -> np.ndarray:
+        # Per vertex, the first corner within rounding of the nearest:
+        # floating point can split an exact tie in its last bits.
+        d = _corner_sq_dists(self.rho)
+        return np.argmax(d <= d.min(axis=0) + 1e-12, axis=0)
 
 
 def class_profile(
@@ -193,19 +199,19 @@ def export_weight_table(
     """CSV ``vertex_id,height,delta,weight`` (artificial root excluded)."""
     writer = csv.writer(out)
     writer.writerow(["vertex_id", "height", "delta", "weight"])
+    heights = dag.heights().tolist()
     for v in range(dag.root):
-        writer.writerow([v, dag.height(v), repr(float(profile.dist[v])), repr(float(weights[v]))])
+        writer.writerow([v, heights[v], repr(float(profile.dist[v])), repr(float(weights[v]))])
 
 
 def weight_distribution_by_height(dag: Dag, weights: np.ndarray) -> list[dict]:
     """Per-height summary rows of the weight distribution: height, min, q1,
     median, q3, max, mean (artificial root excluded)."""
-    buckets: dict[int, list[float]] = {}
-    for v in range(dag.root):
-        buckets.setdefault(dag.height(v), []).append(float(weights[v]))
+    heights = dag.heights()[: dag.root]
+    values = np.asarray(weights, dtype=np.float64)[: dag.root]
     rows = []
-    for h in sorted(buckets):
-        vals = np.asarray(buckets[h])
+    for h in sorted(set(heights.tolist())):
+        vals = values[heights == h]
         rows.append(
             {
                 "height": h,

@@ -259,6 +259,21 @@ class TestExitCodes:
         assert cli.run(["ingest", str(doc), "--out", str(out), "--unlabeled"]) == 0
         assert out.read_text().splitlines()[1] == "(()),,"
 
+    def test_unknown_role_names_its_row(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("tree,class,role\n(()),a,train\n(),b,bogus\n")
+        code, err = self.run(["classify", str(manifest)], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert err == f"configuration error: unknown role 'bogus' in row 2 of {manifest}\n"
+
+    def test_missing_tree_file_names_its_row(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("tree,class\n(()),a\n@missing.txt,b\n")
+        code, err = self.run(["classify", str(manifest)], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert err == ("configuration error: cannot read @missing.txt "
+                       f"(No such file or directory) in row 2 of {manifest}\n")
+
     def test_failed_assertion_is_internal_error(self, tmp_path, capsys, monkeypatch):
         def broken(trees, mode):
             raise AssertionError("broken invariant")

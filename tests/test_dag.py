@@ -276,10 +276,10 @@ def dag_parts(**fault):
     replacing some: leaf 0, vertex 1 with the leaf twice below it, and the
     artificial root 2 above one member whose count row is {0: 2, 1: 1}."""
     parts = dict(mode=UNORDERED, heights=[0, 1, 2], offsets=[0, 0, 1, 2], kids=[0, 1],
-                 mults=[2, 1], root=2, rows=([0, 2], [0, 1], [2.0, 1.0]))
+                 mults=[2, 1], rows=([0, 2], [0, 1], [2.0, 1.0]))
     parts.update(fault)
     return (parts["mode"], parts["heights"], [None] * 3,
-            (parts["offsets"], parts["kids"], parts["mults"]), parts["root"], parts["rows"])
+            (parts["offsets"], parts["kids"], parts["mults"]), parts["rows"])
 
 
 class TestValidation:
@@ -287,6 +287,13 @@ class TestValidation:
         d = Dag(*dag_parts())
         assert d.member_roots == (1,) and d.edges(1) == ((0, 2),)
         assert repr(d) == "Dag(unordered+unlabeled, 1 members, 3 vertices, height 2)"
+
+    def test_root_and_heights_come_from_the_stored_arrays(self):
+        d = Dag(*dag_parts())
+        assert d.root == len(d) - 1 == 2
+        heights = d.heights()
+        assert heights.dtype == np.int64 and heights.tolist() == [0, 1, 2]
+        assert not heights.flags.writeable
 
     @pytest.mark.parametrize("fault, message", [
         (dict(heights=[0, 1]), "equal length"),
@@ -298,15 +305,12 @@ class TestValidation:
         (dict(heights=[0, 2, 2]), "edge 2->1 does not decrease height"),
         (dict(mults=[0, 1]), "multiplicity"),
         (dict(mode=ORDERED), "multiplicity"),  # ordered mode repeats a child instead
-        (dict(root=3), "invalid root"),
-        (dict(root=-1), "invalid root"),
-        (dict(root=1), "invalid root"),  # the root is the last id
         (dict(rows=([0, 2, 2], [0, 1], [2.0, 1.0])), "count row"),  # empty row
         (dict(rows=([0, 2], [1, 0], [1.0, 2.0])), "count row"),  # not increasing
         (dict(rows=([0, 2], [0, 1], [2.0, 0.5])), "count row"),  # count below 1
         (dict(rows=([0, 3], [0, 1, 2], [2.0, 1.0, 1.0])), "count row"),  # holds the root
     ], ids=["lengths", "offsets", "childless", "height", "child-high", "child-low", "edge",
-            "mult", "ordered-mult", "root-high", "root-low", "root-inner", "row-empty",
+            "mult", "ordered-mult", "row-empty",
             "row-order", "row-count", "row-root"])
     def test_rejected(self, fault, message):
         with pytest.raises(ValueError, match=message):
