@@ -21,11 +21,14 @@ _EXPORTS = {
     "dag": ("Dag", "expand", "format_dag", "reduce_forest"),
     "generate": ("generate_template_corpus", "random_tree", "random_tree_of_height"),
     "kernel": ("GramComputer", "export_gram_csv", "gram", "kernel_brute"),
-    "markup": ("MarkupParseError", "markup_to_tree"),
+    "markup": ("MarkupParseError", "VOID_ELEMENTS", "markup_to_tree"),
     "model": (
         "ContrastCalculator",
         "ModelConstructionError",
         "ModelInstance",
+        "Prop1Report",
+        "Prop2Report",
+        "VertexContrast",
         "build_model",
         "check_leaf_weight_effect",
         "check_separation",
@@ -41,6 +44,7 @@ _EXPORTS = {
         "Dataset",
         "ExperimentConfig",
         "MetricsReport",
+        "RepeatOutcome",
         "Split",
         "annotate_dataset",
         "evaluate",
@@ -62,7 +66,7 @@ _EXPORTS = {
         "serialize_tree",
         "subtree_signatures",
     ),
-    "viz": ("discriminance_dot",),
+    "viz": ("PALETTE", "discriminance_dot"),
     "weights": (
         "ClassProfile",
         "ShapingFn",

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import sys
+import warnings
 from typing import Optional
 
 import click
@@ -62,6 +63,16 @@ class ConfigError(Exception):
 
 def _mode(order: str, labeled: bool) -> TreeMode:
     return TreeMode(ordered=(order == "ordered"), labeled=labeled)
+
+
+def _fraction(option: str, text: str):
+    """The exact rational number that ``text`` spells, like ``9/4``."""
+    from fractions import Fraction
+
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ConfigError(f"{option} {text} divides by zero") from None
 
 
 mode_options = [
@@ -162,15 +173,12 @@ def cmd_gram(manifest, order, labeled, weight, lam, shaping, eps, seed, out_trai
     """
     dataset, roles = load_manifest(manifest, _mode(order, labeled))
     config = _config(weight, lam, shaping, eps, seed)
-    if roles is None:
-        split = split_thirds(dataset, seed, config.scheme)
-        weight_idx, train_idx, pred_idx = split.weight, split.class_train, split.pred
-    else:
-        weight_idx, train_idx, pred_idx = roles["weight"], roles["train"], roles["pred"]
+    split = roles or split_thirds(dataset, seed, config.scheme)
+    train_idx, pred_idx = split.class_train, split.pred
     if not train_idx:
         raise ConfigError("no training members")
     annotated = annotate_dataset(dataset)
-    weights, _ = weights_for(annotated, dataset, config, weight_idx)
+    weights, _ = weights_for(annotated, dataset, config, split.weight)
     computer = GramComputer(annotated, weights)
     g_train = computer.gram(train_idx, train_idx)
     with open(out_train, "w", newline="") as fh:
@@ -229,20 +237,17 @@ def cmd_classify(manifest, order, labeled, weight, lam, shaping, eps, seed, repe
 @click.option("--out", type=click.Path(), default=None, help="Per-vertex report CSV.")
 def cmd_simulate(height, rho, h_level, delta, leaf_weight, seed, out):
     """Build a verified two-class model and check its theoretical guarantees."""
-    from fractions import Fraction
-
     from .model import (build_model, check_leaf_weight_effect, check_separation,
-                        edit_height_pmf, sufficient_size, unit_weight)
+                        sufficient_size, unit_weight)
 
-    rho_f = Fraction(rho) if rho else None
+    rho_f = _fraction("--rho", rho) if rho else None
+    leaf_w = _fraction("--leaf-weight", leaf_weight)
     instance = build_model(height, seed=seed, rho=rho_f)
     h_level = height - 1 if h_level is None else h_level
     if not 0 <= h_level < height:
         raise ConfigError("--h must lie in [0, height)")
     report = check_separation(instance, unit_weight, h_level)
-    leaf_w = Fraction(leaf_weight)
     plus = check_leaf_weight_effect(instance, unit_weight, leaf_w)
-    pmf = edit_height_pmf(instance.height, instance.rho)
     size = sufficient_size(instance, unit_weight, h_level, delta)
 
     def flag(ok: bool) -> str:
@@ -271,25 +276,15 @@ def cmd_simulate(height, rho, h_level, delta, leaf_weight, seed, out):
         f"{np.log(2 / delta):.4f}): {size}"
     )
     if out:
-        calc_entries = []
-        for entry in plus.entries:
-            tree = instance.tree(entry.cls)
-            calc_entries.append(
-                (
-                    entry.cls,
-                    entry.x,
-                    tree.height(entry.x),
-                    float(entry.contrast),
-                    float(report.per_class[entry.cls].bound) if report.applicable else "",
-                    (entry.contrast >= report.per_class[entry.cls].bound)
-                    if report.applicable and tree.height(entry.x) <= h_level
-                    else "",
-                )
-            )
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["class", "x", "height", "contrast", "bound", "pass"])
-            writer.writerows(calc_entries)
+            writer.writerows(
+                (row.cls, row.x, row.height, float(row.contrast),
+                 float(report.per_class[row.cls].bound) if report.applicable else "",
+                 row.holds)  # None, where the bound is not asserted, writes ""
+                for row in report.rows
+            )
     ok = report.all_hold and plus.identity_holds and plus.min_not_increased
     if not ok:
         raise AssertionError("model checks failed")
@@ -351,8 +346,8 @@ def _discriminance(manifest, order, labeled, shaping, eps, seed):
     dataset, roles = load_manifest(manifest, _mode(order, labeled))
     annotated = annotate_dataset(dataset)
     labeled_members = [i for i, c in enumerate(dataset.classes) if c is not None]
-    if roles is not None and roles["weight"]:
-        weight_idx = roles["weight"]
+    if roles and roles.weight:
+        weight_idx = roles.weight
     elif len(labeled_members) == len(dataset):
         weight_idx = split_thirds(dataset, seed, "discriminance").weight
     elif labeled_members:
@@ -407,25 +402,30 @@ def cmd_weights_hist(manifest, order, labeled, shaping, eps, seed, out, table_ou
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    """Entry point with the documented exit-code mapping."""
-    try:
-        main.main(args=argv, standalone_mode=False)
-        return 0
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        return EXIT_USAGE
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
-        return EXIT_USAGE
-    except ParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        return EXIT_PARSE
-    except (ConfigError, ValueError, OSError) as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        return EXIT_CONFIG
-    except AssertionError as exc:
-        click.echo(f"internal assertion failed: {exc}", err=True)
-        return EXIT_INTERNAL
+    """Entry point with the documented exit-code mapping.  A warning that the
+    library raises while a command runs prints as one ``warning: `` line on
+    stderr, once per distinct message."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("default", module=r"dagkernel\.")
+        warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+        try:
+            main.main(args=argv, standalone_mode=False)
+            return 0
+        except click.exceptions.Abort:
+            click.echo("aborted", err=True)
+            return EXIT_USAGE
+        except click.UsageError as exc:
+            click.echo(f"usage error: {exc.format_message()}", err=True)
+            return EXIT_USAGE
+        except ParseError as exc:
+            click.echo(f"parse error: {exc}", err=True)
+            return EXIT_PARSE
+        except (ConfigError, ValueError, OSError) as exc:
+            click.echo(f"configuration error: {exc}", err=True)
+            return EXIT_CONFIG
+        except AssertionError as exc:
+            click.echo(f"internal assertion failed: {exc}", err=True)
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

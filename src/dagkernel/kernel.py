@@ -35,7 +35,6 @@ __all__ = [
     "export_gram_csv",
     "gram",
     "kernel_brute",
-    "min_eig_and_norm",
 ]
 
 WeightFn = Callable[[Tree], float]

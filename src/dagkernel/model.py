@@ -10,10 +10,9 @@ degradation: larger rho pushes the two classes together.
 
 Because every non-leaf subtree occurs exactly once, the expected kernel gap
 between same-class and cross-class edits (the *contrast* of a vertex) has a
-closed form, computed here in exact rational arithmetic, alongside an
-independent Monte-Carlo estimate of its definition.  The module also checks
-the contrast lower bound, the plug-in sufficient training-set size, and the
-exact effect of giving leaves positive weight.
+closed form, computed here in exact rational arithmetic.  The module also
+checks the contrast lower bound, the plug-in sufficient training-set size,
+and the exact effect of giving leaves positive weight.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .kernel import WeightFn, kernel_brute
@@ -33,6 +33,7 @@ __all__ = [
     "ModelInstance",
     "Prop1Report",
     "Prop2Report",
+    "VertexContrast",
     "build_model",
     "check_leaf_weight_effect",
     "check_separation",
@@ -62,6 +63,11 @@ class ModelInstance:
     rho: Fraction
     mode: TreeMode
     fillers: tuple[Tree, ...]  # index h -> replacement tree of height h
+
+    @cached_property
+    def pmf(self) -> list[Fraction]:
+        """The edit law: the height of the edited vertex, Binomial(H, rho/H)."""
+        return edit_height_pmf(self.height, self.rho)
 
     def tree(self, cls: int) -> Tree:
         if cls not in (0, 1):
@@ -108,21 +114,12 @@ def build_model(
     if not 0 <= rho <= height:
         raise ValueError("rho must lie in [0, height]")
     rng = random.Random(seed)
-    for _ in range(32):
-        a0 = [rng.choice((1, 3)) for _ in range(height)]
-        a1 = [rng.choice((2, 4)) for _ in range(height)]
-        t0 = _caterpillar(height, a0)
-        t1 = _caterpillar(height, a1)
-        width = max(t0.outdegree(), t1.outdegree()) + 1
-        fillers = tuple(_broom(h, width) for h in range(height + 1))
-        try:
-            verify_model(t0, t1, fillers, mode)
-        except ModelConstructionError:
-            continue
-        return ModelInstance(t0, t1, height, rho, mode, fillers)
-    raise ModelConstructionError(
-        f"could not build a valid model of height {height} from seed {seed}"
-    )
+    t0 = _caterpillar(height, [rng.choice((1, 3)) for _ in range(height)])
+    t1 = _caterpillar(height, [rng.choice((2, 4)) for _ in range(height)])
+    width = max(t0.outdegree(), t1.outdegree()) + 1
+    fillers = tuple(_broom(h, width) for h in range(height + 1))
+    verify_model(t0, t1, fillers, mode)
+    return ModelInstance(t0, t1, height, rho, mode, fillers)
 
 
 def _caterpillar(height: int, leaf_counts: Sequence[int]) -> Tree:
@@ -145,10 +142,6 @@ def _broom(height: int, width: int) -> Tree:
 
 def _is_leaf_sig(sig: str) -> bool:
     return sig.count("(") == 1
-
-
-def _nonleaf_sigs(tree: Tree, mode: TreeMode) -> set[str]:
-    return {s for s in subtree_signatures(tree, mode) if not _is_leaf_sig(s)}
 
 
 def _outside_nonleaf_sigs(
@@ -174,6 +167,7 @@ def verify_model(
     if t0.height() != t1.height():
         raise ModelConstructionError("template trees must have equal height")
     height = t0.height()
+    nonleaf = []
     for i, tree in enumerate((t0, t1)):
         sigs = [
             s for s in subtree_signatures(tree, mode) if not _is_leaf_sig(s)
@@ -182,13 +176,14 @@ def verify_model(
             raise ModelConstructionError(
                 f"template {i} repeats a non-leaf subtree"
             )
-    if _nonleaf_sigs(t0, mode) & _nonleaf_sigs(t1, mode):
+        nonleaf.append(set(sigs))
+    if nonleaf[0] & nonleaf[1]:
         raise ModelConstructionError("templates share a non-leaf subtree")
     if len(fillers) != height + 1:
         raise ModelConstructionError("need one replacement tree per height 0..H")
-    template_sigs = set(subtree_signatures(t0, mode)) | set(
-        subtree_signatures(t1, mode)
-    )
+    # A replacement of height h > 0 is no leaf, so only the non-leaf template
+    # subtrees can equal it.
+    template_sigs = nonleaf[0] | nonleaf[1]
     for h, filler in enumerate(fillers):
         if filler.height() != h:
             raise ModelConstructionError(f"replacement tree {h} has wrong height")
@@ -239,8 +234,8 @@ def sample_edited(
 ) -> tuple[Tree, int]:
     """One random datum of the given class: the template with a uniformly
     chosen vertex of Binomial-drawn height replaced.  Returns (tree, vertex)."""
-    pmf = edit_height_pmf(instance.height, instance.rho)
-    h = rng.choices(range(instance.height + 1), weights=[float(p) for p in pmf])[0]
+    weights = [float(p) for p in instance.pmf]
+    h = rng.choices(range(instance.height + 1), weights=weights)[0]
     u = rng.choice(instance.tree(cls).vertices_at_height(h))
     return instance.edited(cls, u), u
 
@@ -269,12 +264,12 @@ class _ClassTables:
         self.tree = tree
         n = len(tree)
         self.w = [weight_fn(tree.subtree(v)) for v in tree.vertices()]
-        pmf = edit_height_pmf(instance.height, instance.rho)
         counts: dict[int, int] = {}
         for v in tree.vertices():
             counts[tree.height(v)] = counts.get(tree.height(v), 0) + 1
         self.pick_prob = [
-            pmf[tree.height(v)] / counts[tree.height(v)] for v in tree.vertices()
+            instance.pmf[tree.height(v)] / counts[tree.height(v)]
+            for v in tree.vertices()
         ]
         self.self_kernel = kernel_brute(tree, tree, instance.mode, weight_fn)
         # Weight sums over descendants (incl. self), ancestors, and the chain
@@ -332,62 +327,24 @@ class _ClassTables:
 
 
 class ContrastCalculator:
-    """Exact and Monte-Carlo contrast evaluation for a model instance.
+    """Exact contrast evaluation for a model instance.
 
-    ``exact`` evaluates the closed form; ``monte_carlo`` samples the defining
-    expectation, whose kernel values all come from :func:`kernel_brute`.
-    ``weight_fn`` must be isomorphism-invariant and give leaves weight zero
-    (the closed form relies on it).  Rational weights keep every exact
-    result an exact :class:`fractions.Fraction`.
+    ``exact`` evaluates the closed form.  ``weight_fn`` must be
+    isomorphism-invariant and give leaves weight zero (the closed form relies
+    on it).  Rational weights keep every result an exact
+    :class:`fractions.Fraction`.
     """
 
     def __init__(self, instance: ModelInstance, weight_fn: WeightFn):
         leaf_w = weight_fn(Tree.leaf())
         if leaf_w != 0:
             raise ValueError("exact contrast requires leaf weight 0")
-        self.instance = instance
         self.weight_fn = weight_fn
         self.tables = tuple(_ClassTables(instance, c, weight_fn) for c in (0, 1))
 
     def exact(self, cls: int, x: int):
         """Closed-form contrast of vertex ``x`` of template ``cls``."""
         return self.tables[cls].contrast(x)
-
-    def monte_carlo(
-        self, cls: int, x: int, n_samples: int, rng: random.Random
-    ) -> tuple[float, float]:
-        """Estimate the defining expectation by sampling edit pairs from the
-        :func:`kernel_brute` values of the edited trees; returns (estimate,
-        standard error)."""
-        if n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        same_vals, cross_vals = (
-            [float(k) for k in ks]
-            for ks in _edit_kernels(self.instance, cls, x, self.weight_fn)
-        )
-        p_same = [float(p) for p in self.tables[cls].pick_prob]
-        p_cross = [float(p) for p in self.tables[1 - cls].pick_prob]
-        us = rng.choices(range(len(same_vals)), weights=p_same, k=n_samples)
-        vs = rng.choices(range(len(cross_vals)), weights=p_cross, k=n_samples)
-        diffs = [same_vals[u] - cross_vals[v] for u, v in zip(us, vs)]
-        mean = sum(diffs) / n_samples
-        var = sum((d - mean) ** 2 for d in diffs) / max(1, n_samples - 1)
-        return mean, math.sqrt(var / n_samples)
-
-
-def _edit_kernels(
-    instance: ModelInstance, cls: int, x: int, weight_fn: WeightFn
-) -> tuple[list, list]:
-    """K(T_x, template c edited at u) for every vertex u, first for c = cls
-    and then for c = 1 - cls: the values that define the contrast of x."""
-    edited_x = instance.edited(cls, x)
-    return tuple(
-        [
-            kernel_brute(edited_x, instance.edited(c, u), instance.mode, weight_fn)
-            for u in instance.tree(c).vertices()
-        ]
-        for c in (cls, 1 - cls)
-    )
 
 
 # -- separation bound (contrast lower bound) ----------------------------------------
@@ -403,11 +360,25 @@ class ClassSeparation:
 
 
 @dataclass(frozen=True)
+class VertexContrast:
+    """The exact contrast of one template vertex and whether it meets its
+    class bound (``None`` where the bound is not asserted: rho <= H/2, or a
+    height above h)."""
+
+    cls: int
+    x: int
+    height: int
+    contrast: object
+    holds: Optional[bool]
+
+
+@dataclass(frozen=True)
 class Prop1Report:
     h: int
     applicable: bool  # bound branch requires rho > H/2
     mass_low: Fraction  # probability of the conditioning event, height <= h
     per_class: tuple[ClassSeparation, ClassSeparation]
+    rows: tuple[VertexContrast, ...]  # every vertex of template 0, then 1
 
     @property
     def all_hold(self) -> bool:
@@ -435,9 +406,9 @@ def check_separation(
     if not 0 <= h < instance.height:
         raise ValueError("need 0 <= h < model height")
     calc = ContrastCalculator(instance, weight_fn)
-    pmf = edit_height_pmf(instance.height, instance.rho)
     applicable = instance.rho > Fraction(instance.height, 2)
     per_class = []
+    rows = []
     for cls in (0, 1):
         tree = instance.tree(cls)
         if weight_fn(tree) <= 0:
@@ -446,14 +417,22 @@ def check_separation(
         root_iff = all(
             (value == 0) == (x == tree.root) for x, value in contrasts.items()
         )
-        low = [x for x in tree.vertices() if tree.height(x) <= h]
-        bound = pmf[0] * _class_bound(instance, calc, cls, h)
-        min_low = min(contrasts[x] for x in low)
-        holds = all(contrasts[x] >= bound for x in low)
+        bound = instance.pmf[0] * _class_bound(instance, calc, cls, h)
+        holds = {
+            x: contrasts[x] >= bound for x in tree.vertices() if tree.height(x) <= h
+        }
+        min_low = min(contrasts[x] for x in holds)
         per_class.append(
-            ClassSeparation(cls, root_iff, min_low, bound, holds)
+            ClassSeparation(cls, root_iff, min_low, bound, all(holds.values()))
         )
-    return Prop1Report(h, applicable, mass_at_most(pmf, h), tuple(per_class))
+        rows.extend(
+            VertexContrast(cls, x, tree.height(x), contrasts[x],
+                           holds.get(x) if applicable else None)
+            for x in tree.vertices()
+        )
+    return Prop1Report(
+        h, applicable, mass_at_most(instance.pmf, h), tuple(per_class), tuple(rows)
+    )
 
 
 def sufficient_size(
@@ -524,34 +503,38 @@ def check_leaf_weight_effect(
     unlabeled kernel value K(a, b), and T_x is the first argument of every
     kernel value in the contrast of x.
 
-    Both contrasts are computed from their defining expectations over the
-    finite edit space, so the identity is checked without tolerance.
+    The base contrast is the closed form (:meth:`ContrastCalculator.exact`);
+    the leaf-weighted contrast comes from its defining expectation over the
+    finite edit space.  The identity is thus checked without tolerance, and
+    it also fails where the closed form disagrees with the definition.
     """
     if leaf_weight <= 0:
         raise ValueError("leaf weight must be positive")
-    tables = ContrastCalculator(instance, weight_fn).tables
+    calc = ContrastCalculator(instance, weight_fn)
+    tables = calc.tables
 
     def plus_weight(t: Tree):
         return leaf_weight if len(t) == 1 else weight_fn(t)
 
-    weight_fns = (weight_fn, plus_weight)
-
-    leaf_counts = [
-        [len(instance.edited(cls, u).leaves()) for u in instance.tree(cls).vertices()]
-        for cls in (0, 1)
+    edited = [
+        [instance.edited(cls, u) for u in instance.tree(cls).vertices()] for cls in (0, 1)
     ]
+    leaf_counts = [[len(t.leaves()) for t in trees] for trees in edited]
     mean_leaves = [tables[cls].expectation(leaf_counts[cls]) for cls in (0, 1)]
     gaps = (mean_leaves[0] - mean_leaves[1], mean_leaves[1] - mean_leaves[0])
 
     entries = []
     for cls in (0, 1):
-        for x in instance.tree(cls).vertices():
-            contrast, contrast_plus = (
-                tables[cls].expectation(same) - tables[1 - cls].expectation(cross)
-                for same, cross in (
-                    _edit_kernels(instance, cls, x, fn) for fn in weight_fns
+        for x, edited_x in enumerate(edited[cls]):
+            # E K+(T_x, own template edited) - E K+(T_x, other template edited)
+            same, cross = (
+                tables[c].expectation(
+                    kernel_brute(edited_x, t, instance.mode, plus_weight) for t in edited[c]
                 )
+                for c in (cls, 1 - cls)
             )
+            contrast = calc.exact(cls, x)
+            contrast_plus = same - cross
             predicted = contrast + leaf_weight * leaf_counts[cls][x] * gaps[cls]
             entries.append(
                 LeafWeightEntry(cls, x, contrast, contrast_plus,

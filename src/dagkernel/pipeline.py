@@ -268,18 +268,16 @@ def run_experiment(
 # -- manifest files --------------------------------------------------------------------
 
 
-def load_manifest(
-    path: str, mode: TreeMode
-) -> tuple[Dataset, Optional[dict[str, tuple[int, ...]]]]:
+def load_manifest(path: str, mode: TreeMode) -> tuple[Dataset, Optional[Split]]:
     """Read a dataset manifest: CSV with header ``tree,class,role``.
 
     The tree column holds inline bracket text, or ``@relative/path`` to a
     file containing one bracket tree.  Classes may be arbitrary strings; they
     are mapped to ids 0..K-1 in sorted order (``class_names`` records the
     mapping).  Roles, when present on every row, must be one of weight /
-    train / pred and are returned as a role -> indices map.  Every error
-    about a row (a bad tree, an unreadable tree file, an unknown role) names
-    its 1-based data row, e.g. ``in row 2 of m.csv``.
+    train / pred and are returned as the :class:`Split` they name.  Every
+    error about a row (a bad tree, an unreadable tree file, an unknown role)
+    names its 1-based data row, e.g. ``in row 2 of m.csv``.
     """
     import os
 
@@ -315,13 +313,12 @@ def load_manifest(
     to_id = {name: k for k, name in enumerate(names)}
     classes = tuple(None if c is None else to_id[c] for c in raw_classes)
     dataset = Dataset(tuple(trees), classes, mode, class_names=tuple(names) or None)
-    role_map: Optional[dict[str, tuple[int, ...]]] = None
-    if all(r is not None for r in roles):
-        role_map = {
-            name: tuple(i for i, r in enumerate(roles) if r == name)
-            for name in ("weight", "train", "pred")
-        }
-    return dataset, role_map
+    if any(r is None for r in roles):
+        return dataset, None
+    return dataset, Split(*(
+        tuple(i for i, r in enumerate(roles) if r == name)
+        for name in ("weight", "train", "pred")
+    ))
 
 
 def save_manifest(dataset: Dataset, out: IO[str]) -> None:

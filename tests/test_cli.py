@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -157,6 +158,11 @@ class TestNamespace:
             exec(f"from dagkernel import {name}", {})
         assert set(dagkernel.__all__) <= set(dir(dagkernel))
 
+    def test_module_lists_agree(self):
+        for module, names in dagkernel._EXPORTS.items():
+            submodule = importlib.import_module(f"dagkernel.{module}")
+            assert set(submodule.__all__) == set(names), module
+
     def test_all_holds_no_module(self):
         assert not [n for n in dagkernel.__all__
                     if isinstance(getattr(dagkernel, n), types.ModuleType)]
@@ -294,7 +300,8 @@ class TestExitCodes:
         assert err.startswith("configuration error: repeats must be >= 1")
 
 
-    @pytest.mark.parametrize("argv", [["--delta", "2"], ["--delta", "0"], ["--h", "5"]])
+    @pytest.mark.parametrize("argv", [["--delta", "2"], ["--delta", "0"], ["--h", "5"],
+                                      ["--rho", "1/0"], ["--leaf-weight", "1/0"]])
     def test_bad_simulate_option_prints_no_report(self, capsys, argv):
         code = cli.run(["simulate", *argv])
         captured = capsys.readouterr()
@@ -302,6 +309,15 @@ class TestExitCodes:
         assert captured.err.startswith("configuration error: ")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_library_warning_is_one_stderr_line(self, tmp_path, capsys):
+        # Class b has 2 members, too few for one in each third.
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("tree,class\n(()),a\n(()()),a\n((())),a\n(()),b\n(()()()),b\n")
+        code, err = self.run(["classify", str(manifest), "--weight", "discr"], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert err == ("warning: class 1 has only 2 members; it cannot reach every third\n"
+                       "configuration error: class 1 has no training columns\n")
 
     def test_viz_without_classes(self, tmp_path, capsys):
         manifest = tmp_path / "m.csv"

@@ -45,6 +45,26 @@ def halving_weight(tree):
 WEIGHTS = [pytest.param(unit_weight, id="unit"), pytest.param(halving_weight, id="halving")]
 
 
+def definitional_contrast(inst, weight, cls, x):
+    """The contrast of x by its definition, exhaustively over the finite edit
+    space: E_u K(T_x, T_cls edited at u) - E_v K(T_x, T_other edited at v),
+    every kernel value from kernel_brute, and a vertex of height h picked
+    with probability pmf[h] / (number of template vertices of height h)."""
+    pmf = edit_height_pmf(inst.height, inst.rho)
+    edited_x = inst.edited(cls, x)
+
+    def expected_kernel(c):
+        tree = inst.tree(c)
+        return sum(
+            pmf[h] / len(tree.vertices_at_height(h))
+            * kernel_brute(edited_x, inst.edited(c, u), inst.mode, weight)
+            for h in range(inst.height + 1)
+            for u in tree.vertices_at_height(h)
+        )
+
+    return expected_kernel(cls) - expected_kernel(1 - cls)
+
+
 class TestVerification:
     def test_generated_models_verify(self):
         for height in (2, 3, 4, 5):
@@ -59,14 +79,15 @@ class TestVerification:
     def test_first_figure_pair_satisfies_sharing_conditions(self):
         # Non-leaf subtrees are unique within each tree and disjoint across.
         t0, t1 = parse_tree(FIG1_T0), parse_tree(FIG1_T1)
-        from dagkernel.model import _nonleaf_sigs
         from dagkernel.trees import subtree_signatures
         from dagkernel.model import _is_leaf_sig
 
+        nonleaf = []
         for t in (t0, t1):
             sigs = [s for s in subtree_signatures(t, UNORDERED) if not _is_leaf_sig(s)]
             assert len(sigs) == len(set(sigs))
-        assert not (_nonleaf_sigs(t0, UNORDERED) & _nonleaf_sigs(t1, UNORDERED))
+            nonleaf.append(set(sigs))
+        assert not (nonleaf[0] & nonleaf[1])
 
     def test_tree_with_itself_fails(self):
         t = parse_tree(FIG1_T0)
@@ -96,6 +117,16 @@ class TestVerification:
         inst = build_model(3, seed=5, mode=ORDERED)
         verify_model(inst.t0, inst.t1, inst.fillers, ORDERED)
 
+    def test_failed_verification_reaches_the_caller(self, monkeypatch):
+        import dagkernel.model
+
+        def reject(t0, t1, fillers, mode):
+            raise ModelConstructionError("rejected")
+
+        monkeypatch.setattr(dagkernel.model, "verify_model", reject)
+        with pytest.raises(ModelConstructionError, match="^rejected$"):
+            build_model(3)
+
     def test_rho_validation(self):
         with pytest.raises(ValueError):
             build_model(3, rho=Fraction(7, 2))
@@ -122,6 +153,11 @@ class TestEditDistribution:
         height, rho = 5, Fraction(7, 3)
         pmf = edit_height_pmf(height, rho)
         assert sum(k * p for k, p in enumerate(pmf)) == rho
+
+    def test_instance_holds_its_edit_law(self):
+        inst = build_model(4, seed=1, rho=Fraction(5, 2))
+        assert inst.pmf == edit_height_pmf(4, Fraction(5, 2))
+        assert inst.pmf is inst.pmf
 
     def test_rho_zero_point_mass(self):
         pmf = edit_height_pmf(3, Fraction(0))
@@ -229,33 +265,15 @@ class TestContrast:
 
     @pytest.mark.parametrize("weight", WEIGHTS)
     def test_exact_matches_definitional_expectation(self, weight):
-        # Exhaustive finite-space expectation of the defining difference.
         for height in (2, 3, 4, 5):
             for seed in (0, 1, 2):
                 for mode in (UNORDERED, ORDERED):
                     inst = build_model(height, seed=seed, mode=mode)
                     calc = ContrastCalculator(inst, weight)
-                    report = check_leaf_weight_effect(inst, weight, Fraction(1))
-                    by_key = {(e.cls, e.x): e for e in report.entries}
                     for cls in (0, 1):
                         for x in inst.tree(cls).vertices():
-                            assert calc.exact(cls, x) == by_key[(cls, x)].contrast, (
-                                height, seed, mode, cls, x)
-
-    def test_monte_carlo_agrees(self):
-        inst = build_model(3, seed=7)
-        calc = ContrastCalculator(inst, unit_weight)
-        rng = random.Random(99)
-        for cls, x in [(0, 0), (0, 2), (1, 1)]:
-            exact = float(calc.exact(cls, x))
-            estimate, stderr = calc.monte_carlo(cls, x, 100_000, rng)
-            assert abs(estimate - exact) <= 3 * stderr + 1e-12
-
-    @pytest.mark.parametrize("n_samples", [0, -1])
-    def test_monte_carlo_needs_a_sample(self, n_samples):
-        calc = ContrastCalculator(build_model(3), unit_weight)
-        with pytest.raises(ValueError, match="n_samples must be >= 1"):
-            calc.monte_carlo(0, 1, n_samples, random.Random(0))
+                            assert calc.exact(cls, x) == definitional_contrast(
+                                inst, weight, cls, x), (height, seed, mode, cls, x)
 
     def test_hand_enumeration_leaf_parent(self):
         # Smallest worthwhile case done by hand: templates
@@ -314,6 +332,22 @@ class TestSeparationBound:
         report = check_separation(inst, unit_weight, 2)
         assert not report.applicable
         assert all(c.root_iff_zero for c in report.per_class)
+
+    @pytest.mark.parametrize("rho", [Fraction(9, 4), Fraction(1)])
+    def test_rows_carry_each_vertex_verdict(self, rho):
+        inst = build_model(3, seed=8, rho=rho)
+        calc = ContrastCalculator(inst, unit_weight)
+        report = check_separation(inst, unit_weight, 1)
+        assert report.applicable == (rho > Fraction(3, 2))
+        assert [(r.cls, r.x) for r in report.rows] == [
+            (c, x) for c in (0, 1) for x in inst.tree(c).vertices()]
+        for r in report.rows:
+            assert r.height == inst.tree(r.cls).height(r.x)
+            assert r.contrast == calc.exact(r.cls, r.x)
+            if report.applicable and r.height <= 1:
+                assert r.holds == (r.contrast >= report.per_class[r.cls].bound)
+            else:
+                assert r.holds is None
 
     def test_h_range_checked(self):
         inst = build_model(3, seed=10)

@@ -5,10 +5,12 @@ from dagkernel import (
     Dataset,
     ExperimentConfig,
     ShapingFn,
+    Split,
     TreeMode,
     annotate_dataset,
     evaluate,
     generate_template_corpus,
+    load_manifest,
     mean_similarity_classify,
     parse_tree,
     pipeline,
@@ -149,3 +151,15 @@ class TestWeightsFor:
         weights, profile = weights_for(annotated, data, ExperimentConfig("exponential", lam=0.5), ())
         assert profile is None
         assert list(weights) == [0.5 ** h for h in annotated.dag.heights()]
+
+
+class TestManifest:
+    def test_roles_name_a_split(self, tmp_path):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("tree,class,role\n(()),a,train\n(),b,weight\n"
+                            "(()),b,pred\n(()()),a,Train\n")
+        _, roles = load_manifest(str(manifest), UNORDERED)
+        assert roles == Split(weight=(1,), class_train=(0, 3), pred=(2,))
+        # One row without a role leaves the split to split_thirds.
+        manifest.write_text("tree,class,role\n(()),a,train\n(),b,\n")
+        assert load_manifest(str(manifest), UNORDERED)[1] is None
