@@ -23,7 +23,7 @@ _EXPORTS = {
     "kernel": ("GramComputer", "export_gram_csv", "gram", "kernel_brute"),
     "markup": ("MarkupParseError", "VOID_ELEMENTS", "markup_to_tree"),
     "model": (
-        "ContrastCalculator",
+        "ContrastTable",
         "ModelConstructionError",
         "ModelInstance",
         "Prop1Report",

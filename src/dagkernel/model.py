@@ -10,16 +10,21 @@ degradation: larger rho pushes the two classes together.
 
 Because every non-leaf subtree occurs exactly once, the expected kernel gap
 between same-class and cross-class edits (the *contrast* of a vertex) has a
-closed form, computed here in exact rational arithmetic.  The module also
-checks the contrast lower bound, the plug-in sufficient training-set size,
-and the exact effect of giving leaves positive weight.
+closed form, computed here in exact rational arithmetic by one
+:class:`ContrastTable` per template.  For the same reason the self kernel of
+a template subtree is the weight sum over its descendants, so the table also
+gives the template's self kernel and the bound constant C_h without
+evaluating a kernel.  The module checks the contrast lower bound, the
+plug-in sufficient training-set size, and the exact effect of giving leaves
+positive weight; only that last check evaluates kernels, over edited trees
+that the instance builds once each.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -28,7 +33,7 @@ from .kernel import WeightFn, kernel_brute
 from .trees import Tree, TreeMode, subtree_signatures
 
 __all__ = [
-    "ContrastCalculator",
+    "ContrastTable",
     "ModelConstructionError",
     "ModelInstance",
     "Prop1Report",
@@ -63,6 +68,7 @@ class ModelInstance:
     rho: Fraction
     mode: TreeMode
     fillers: tuple[Tree, ...]  # index h -> replacement tree of height h
+    _edits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def pmf(self) -> list[Fraction]:
@@ -76,9 +82,11 @@ class ModelInstance:
 
     def edited(self, cls: int, u: int) -> Tree:
         """Template ``cls`` with vertex ``u`` replaced by the replacement tree
-        of the same height."""
-        tree = self.tree(cls)
-        return tree.replace_subtree(u, self.fillers[tree.height(u)])
+        of the same height; built once, the same object on every call."""
+        if (cls, u) not in self._edits:
+            tree = self.tree(cls)
+            self._edits[cls, u] = tree.replace_subtree(u, self.fillers[tree.height(u)])
+        return self._edits[cls, u]
 
 
 def unit_weight(tree: Tree):
@@ -140,23 +148,17 @@ def _broom(height: int, width: int) -> Tree:
     return node
 
 
-def _is_leaf_sig(sig: str) -> bool:
-    return sig.count("(") == 1
-
-
 def _outside_nonleaf_sigs(
     tree: Tree, u: int, fillers: Sequence[Tree], mode: TreeMode
 ) -> set[str]:
     # Signatures of the vertices of tree edited at u that are not leaves and
-    # do not belong to the inserted replacement block: multiset difference of
-    # signatures.
+    # do not belong to the inserted replacement block [u, u + len(filler)).
     filler = fillers[tree.height(u)]
-    counts: dict[str, int] = {}
-    for s in subtree_signatures(tree.replace_subtree(u, filler), mode):
-        counts[s] = counts.get(s, 0) + 1
-    for s in subtree_signatures(filler, mode):
-        counts[s] -= 1
-    return {s for s, c in counts.items() if c > 0 and not _is_leaf_sig(s)}
+    edited = tree.replace_subtree(u, filler)
+    return {
+        s for v, s in enumerate(subtree_signatures(edited, mode))
+        if not (edited.is_leaf(v) or u <= v < u + len(filler))
+    }
 
 
 def verify_model(
@@ -170,7 +172,7 @@ def verify_model(
     nonleaf = []
     for i, tree in enumerate((t0, t1)):
         sigs = [
-            s for s in subtree_signatures(tree, mode) if not _is_leaf_sig(s)
+            s for v, s in enumerate(subtree_signatures(tree, mode)) if not tree.is_leaf(v)
         ]
         if len(sigs) != len(set(sigs)):
             raise ModelConstructionError(
@@ -256,22 +258,25 @@ def sample_dataset(
 # -- contrast -----------------------------------------------------------------------
 
 
-class _ClassTables:
-    """Per-template precomputations for exact contrast evaluation."""
+class ContrastTable:
+    """Closed-form contrast tables of one template of a model instance.
+
+    ``weight_fn`` must be isomorphism-invariant and give leaves weight zero
+    (the closed form relies on it).  Rational weights keep every result an
+    exact :class:`fractions.Fraction`.  In a verified template every non-leaf
+    subtree occurs once, so the self kernel of the subtree at ``v`` is the
+    weight sum ``w_desc[v]`` over its descendants.
+    """
 
     def __init__(self, instance: ModelInstance, cls: int, weight_fn: WeightFn):
+        if weight_fn(Tree.leaf()) != 0:
+            raise ValueError("exact contrast requires leaf weight 0")
         tree = instance.tree(cls)
         self.tree = tree
         n = len(tree)
         self.w = [weight_fn(tree.subtree(v)) for v in tree.vertices()]
-        counts: dict[int, int] = {}
-        for v in tree.vertices():
-            counts[tree.height(v)] = counts.get(tree.height(v), 0) + 1
-        self.pick_prob = [
-            instance.pmf[tree.height(v)] / counts[tree.height(v)]
-            for v in tree.vertices()
-        ]
-        self.self_kernel = kernel_brute(tree, tree, instance.mode, weight_fn)
+        heights = tree.heights()
+        self.pick_prob = [instance.pmf[h] / heights.count(h) for h in heights]
         # Weight sums over descendants (incl. self), ancestors, and the chain
         # from a vertex up to the root (incl. self).
         self.w_desc = [0] * n
@@ -287,6 +292,17 @@ class _ClassTables:
         self.depth = [0] * n
         for v in range(1, n):
             self.depth[v] = self.depth[tree.parent(v)] + 1
+
+    @property
+    def self_kernel(self):
+        """K(T, T) for the template T."""
+        return self.w_desc[0]
+
+    def bound(self, h: int) -> Fraction:
+        """C_h: the gap between the template's self kernel and the largest
+        self kernel of a height-``h`` subtree, per template leaf."""
+        best = max(self.w_desc[u] for u in self.tree.vertices_at_height(h))
+        return Fraction(self.self_kernel - best, len(self.tree.leaves()))
 
     def _lca(self, x: int, u: int) -> int:
         while self.depth[x] > self.depth[u]:
@@ -321,30 +337,10 @@ class _ClassTables:
         return sum(p * v for p, v in zip(self.pick_prob, values))
 
     def contrast(self, x: int):
+        """Closed-form contrast of template vertex ``x``."""
         return self.self_kernel - self.expectation(
             self.affected_weight(x, u) for u in self.tree.vertices()
         )
-
-
-class ContrastCalculator:
-    """Exact contrast evaluation for a model instance.
-
-    ``exact`` evaluates the closed form.  ``weight_fn`` must be
-    isomorphism-invariant and give leaves weight zero (the closed form relies
-    on it).  Rational weights keep every result an exact
-    :class:`fractions.Fraction`.
-    """
-
-    def __init__(self, instance: ModelInstance, weight_fn: WeightFn):
-        leaf_w = weight_fn(Tree.leaf())
-        if leaf_w != 0:
-            raise ValueError("exact contrast requires leaf weight 0")
-        self.weight_fn = weight_fn
-        self.tables = tuple(_ClassTables(instance, c, weight_fn) for c in (0, 1))
-
-    def exact(self, cls: int, x: int):
-        """Closed-form contrast of vertex ``x`` of template ``cls``."""
-        return self.tables[cls].contrast(x)
 
 
 # -- separation bound (contrast lower bound) ----------------------------------------
@@ -387,16 +383,6 @@ class Prop1Report:
         )
 
 
-def _class_bound(instance: ModelInstance, calc: ContrastCalculator, cls: int, h: int):
-    tree = instance.tree(cls)
-    table = calc.tables[cls]
-    best = max(
-        kernel_brute(tree.subtree(u), tree.subtree(u), instance.mode, calc.weight_fn)
-        for u in tree.vertices_at_height(h)
-    )
-    return Fraction(table.self_kernel - best, len(tree.leaves()))
-
-
 def check_separation(
     instance: ModelInstance, weight_fn: WeightFn, h: int
 ) -> Prop1Report:
@@ -405,19 +391,19 @@ def check_separation(
     every vertex of height <= h."""
     if not 0 <= h < instance.height:
         raise ValueError("need 0 <= h < model height")
-    calc = ContrastCalculator(instance, weight_fn)
+    tables = [ContrastTable(instance, cls, weight_fn) for cls in (0, 1)]
     applicable = instance.rho > Fraction(instance.height, 2)
     per_class = []
     rows = []
-    for cls in (0, 1):
+    for cls, table in enumerate(tables):
         tree = instance.tree(cls)
         if weight_fn(tree) <= 0:
             raise ValueError("the whole template must have positive weight")
-        contrasts = {x: calc.exact(cls, x) for x in tree.vertices()}
+        contrasts = {x: table.contrast(x) for x in tree.vertices()}
         root_iff = all(
             (value == 0) == (x == tree.root) for x, value in contrasts.items()
         )
-        bound = instance.pmf[0] * _class_bound(instance, calc, cls, h)
+        bound = instance.pmf[0] * table.bound(h)
         holds = {
             x: contrasts[x] >= bound for x in tree.vertices() if tree.height(x) <= h
         }
@@ -445,12 +431,9 @@ def sufficient_size(
         raise ValueError("delta must be in (0, 1)")
     if not 0 <= h <= instance.height:
         raise ValueError("need 0 <= h <= model height")
-    calc = ContrastCalculator(instance, weight_fn)
-    max_k = max(float(calc.tables[0].self_kernel), float(calc.tables[1].self_kernel))
-    c_min = min(
-        float(_class_bound(instance, calc, 0, h)),
-        float(_class_bound(instance, calc, 1, h)),
-    )
+    tables = [ContrastTable(instance, cls, weight_fn) for cls in (0, 1)]
+    max_k = max(float(table.self_kernel) for table in tables)
+    c_min = min(float(table.bound(h)) for table in tables)
     if c_min <= 0:
         raise ValueError("degenerate bound: the height-h self-kernel gap vanishes")
     size = (
@@ -503,15 +486,14 @@ def check_leaf_weight_effect(
     unlabeled kernel value K(a, b), and T_x is the first argument of every
     kernel value in the contrast of x.
 
-    The base contrast is the closed form (:meth:`ContrastCalculator.exact`);
+    The base contrast is the closed form (:meth:`ContrastTable.contrast`);
     the leaf-weighted contrast comes from its defining expectation over the
     finite edit space.  The identity is thus checked without tolerance, and
     it also fails where the closed form disagrees with the definition.
     """
     if leaf_weight <= 0:
         raise ValueError("leaf weight must be positive")
-    calc = ContrastCalculator(instance, weight_fn)
-    tables = calc.tables
+    tables = [ContrastTable(instance, cls, weight_fn) for cls in (0, 1)]
 
     def plus_weight(t: Tree):
         return leaf_weight if len(t) == 1 else weight_fn(t)
@@ -533,7 +515,7 @@ def check_leaf_weight_effect(
                 )
                 for c in (cls, 1 - cls)
             )
-            contrast = calc.exact(cls, x)
+            contrast = tables[cls].contrast(x)
             contrast_plus = same - cross
             predicted = contrast + leaf_weight * leaf_counts[cls][x] * gaps[cls]
             entries.append(

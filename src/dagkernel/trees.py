@@ -11,7 +11,8 @@ equality; ``None`` means unlabeled.
 How sibling order and labels enter isomorphism is controlled by
 :class:`TreeMode`; the four combinations (ordered/unordered x
 labeled/unlabeled) share one canonical-signature construction, an AHU-style
-recursive encoding that sorts child signatures in unordered mode.
+recursive encoding that sorts child signatures in unordered mode.  A tree
+caches its signatures per mode, like its child lists and heights.
 
 Text format: ``tree := label? "(" tree* ")"`` where labels are non-empty
 strings without whitespace or parentheses, and whitespace between siblings is
@@ -116,11 +117,11 @@ class Tree:
     id and renumbers the vertices to preorder.  It checks that there is one
     root, that every parent is a vertex and that the tree is connected.
     :meth:`leaf`, :meth:`node` and :func:`parse_tree` build trees too.  Every
-    path checks labels against the text format's rule.  Child lists and
-    heights are derived from the parent array on first use.
+    path checks labels against the text format's rule.  Child lists,
+    heights and the subtree signatures of each mode are derived on first use.
     """
 
-    __slots__ = ("_parents", "_labels", "_children", "_heights")
+    __slots__ = ("_parents", "_labels", "_children", "_heights", "_signatures")
 
     def __init__(
         self,
@@ -168,6 +169,7 @@ class Tree:
         self._labels: tuple[Optional[str], ...] = tuple(labels[old] for old in order)
         self._children: Optional[tuple[tuple[int, ...], ...]] = None
         self._heights: Optional[tuple[int, ...]] = None
+        self._signatures: Optional[dict[TreeMode, tuple[str, ...]]] = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -198,6 +200,7 @@ class Tree:
         tree._labels = labels
         tree._children = None
         tree._heights = None
+        tree._signatures = None
         return tree
 
     # -- basic accessors ------------------------------------------------------
@@ -324,8 +327,13 @@ def subtree_signatures(tree: Tree, mode: TreeMode) -> tuple[str, ...]:
 
     Two subtrees have equal signatures iff they are isomorphic as
     ``mode``-trees.  Signatures are strings, so they are totally ordered and
-    usable as dictionary keys and merge keys.
+    usable as dictionary keys and merge keys.  The tree keeps the result of
+    each mode, so a tree is signed at most once per mode.
     """
+    if tree._signatures is None:
+        tree._signatures = {}
+    elif mode in tree._signatures:
+        return tree._signatures[mode]
     n = len(tree)
     sigs: list[str] = [""] * n
     for v in range(n - 1, -1, -1):
@@ -334,7 +342,8 @@ def subtree_signatures(tree: Tree, mode: TreeMode) -> tuple[str, ...]:
             parts.sort()
         label = tree.label(v) if mode.labeled else None
         sigs[v] = (label or "") + "(" + "".join(parts) + ")"
-    return tuple(sigs)
+    tree._signatures[mode] = result = tuple(sigs)
+    return result
 
 
 def canonical_signature(tree: Tree, mode: TreeMode) -> str:

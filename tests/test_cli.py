@@ -395,6 +395,10 @@ GOLDEN_CASES = {
                       "--lambda", "0.3"], ("m.csv",)),
     "ingest": (["ingest", "page.html", "note.xml", "--class-id", "web", "--out", "m.csv",
                 "--trees-out", "trees.txt"], tuple(DOCUMENTS)),
+    # rho <= height/2: the bound is not asserted, so the CSV's bound and pass
+    # columns are empty.
+    "simulate-low-rho": (["simulate", "--height", "4", "--rho", "1", "--out", "report.csv"],
+                         ()),
 }
 
 

@@ -2,10 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dagkernel import (
-    ContrastCalculator,
+    AnnotatedDag,
+    ContrastTable,
+    GramComputer,
     ModelConstructionError,
     Tree,
     build_model,
@@ -16,6 +19,7 @@ from dagkernel import (
     kernel_brute,
     mass_at_most,
     parse_tree,
+    reduce_forest,
     sample_dataset,
     sample_edited,
     sufficient_size,
@@ -42,6 +46,26 @@ def halving_weight(tree):
     return 0 if len(tree) == 1 else Fraction(1, 2 ** tree.height())
 
 
+def uneven_pair(extra_leaf=True):
+    # Height-3 templates with two height-2 vertices of unequal subtree self
+    # kernel (build_model's caterpillars have one non-leaf vertex per
+    # height).  Without the extra leaves, edits at star(3) and star(6) leave
+    # the same subtree in both trees.
+    pad = [Tree.leaf()] if extra_leaf else []
+    t0 = Tree.node([Tree.node([star(1), star(2)]), Tree.node([star(3)] + pad)])
+    t1 = Tree.node([Tree.node([star(4), star(5)]), Tree.node([star(6)] + pad + pad)])
+    return t0, t1
+
+
+def uneven_instance():
+    from dagkernel.model import ModelInstance
+
+    t0, t1 = uneven_pair()
+    fillers = brooms_for(t0, t1)
+    verify_model(t0, t1, fillers, UNORDERED)
+    return ModelInstance(t0, t1, 3, Fraction(9, 4), UNORDERED, fillers)
+
+
 WEIGHTS = [pytest.param(unit_weight, id="unit"), pytest.param(halving_weight, id="halving")]
 
 
@@ -65,6 +89,16 @@ def definitional_contrast(inst, weight, cls, x):
     return expected_kernel(cls) - expected_kernel(1 - cls)
 
 
+def definitional_bound(inst, weight, cls, h):
+    """C_h by its definition: the template's self kernel minus the largest
+    self kernel of a height-h subtree, over the number of template leaves,
+    every kernel value from kernel_brute."""
+    tree = inst.tree(cls)
+    best = max(kernel_brute(tree.subtree(u), tree.subtree(u), inst.mode, weight)
+               for u in tree.vertices_at_height(h))
+    return Fraction(kernel_brute(tree, tree, inst.mode, weight) - best, len(tree.leaves()))
+
+
 class TestVerification:
     def test_generated_models_verify(self):
         for height in (2, 3, 4, 5):
@@ -80,11 +114,11 @@ class TestVerification:
         # Non-leaf subtrees are unique within each tree and disjoint across.
         t0, t1 = parse_tree(FIG1_T0), parse_tree(FIG1_T1)
         from dagkernel.trees import subtree_signatures
-        from dagkernel.model import _is_leaf_sig
 
         nonleaf = []
         for t in (t0, t1):
-            sigs = [s for s in subtree_signatures(t, UNORDERED) if not _is_leaf_sig(s)]
+            sigs = [s for v, s in enumerate(subtree_signatures(t, UNORDERED))
+                    if not t.is_leaf(v)]
             assert len(sigs) == len(set(sigs))
             nonleaf.append(set(sigs))
         assert not (nonleaf[0] & nonleaf[1])
@@ -112,6 +146,13 @@ class TestVerification:
         t1 = star(3)
         with pytest.raises(ModelConstructionError):
             verify_model(t0, t1, brooms_for(t0, t0), UNORDERED)
+
+    def test_edits_leaving_a_shared_subtree_fail(self):
+        # Each template alone is fine, but replacing star(3) and star(6) by
+        # the height-1 replacement leaves node(replacement) in both trees.
+        t0, t1 = uneven_pair(extra_leaf=False)
+        with pytest.raises(ModelConstructionError, match="shared subtree outside"):
+            verify_model(t0, t1, brooms_for(t0, t1), UNORDERED)
 
     def test_ordered_mode_models(self):
         inst = build_model(3, seed=5, mode=ORDERED)
@@ -202,6 +243,39 @@ class TestSampling:
         trees, classes = sample_dataset(inst, 5, random.Random(0))
         assert len(trees) == 10 and classes.count(0) == classes.count(1) == 5
 
+    def test_edited_trees_are_built_once(self):
+        inst = build_model(3, seed=3)
+        for cls in (0, 1):
+            tree = inst.tree(cls)
+            for u in tree.vertices():
+                edited = inst.edited(cls, u)
+                assert edited == tree.replace_subtree(u, inst.fillers[tree.height(u)])
+                assert inst.edited(cls, u) is edited
+        for cls, u in ((0, -1), (0, len(inst.t0)), (2, 0)):
+            with pytest.raises(ValueError):
+                inst.edited(cls, u)
+
+
+class TestSampledGram:
+    # The compressed path on model-sampled data: under the DAG weight table
+    # of unit_weight (0 at height 0, and on the artificial root above the
+    # members), every Gram entry equals the integer kernel_brute value.
+    @pytest.mark.parametrize("height", [3, 4])
+    @pytest.mark.parametrize("mode", [UNORDERED, ORDERED], ids=str)
+    def test_gram_equals_kernel_brute(self, height, mode):
+        inst = build_model(height, seed=height, mode=mode)
+        trees, _ = sample_dataset(inst, 10, random.Random(height))
+        dag = reduce_forest(trees, mode)
+        weights = (dag.heights() > 0).astype(float)
+        weights[dag.root] = 0
+        computer = GramComputer(AnnotatedDag(dag), weights)
+        expected = np.array([[kernel_brute(a, b, mode, unit_weight) for b in trees]
+                             for a in trees])
+        everyone = range(len(trees))
+        assert np.array_equal(computer.gram(everyone, everyone), expected)
+        rows, cols = [0, 3, 5, 12, 19], [1, 3, 10, 11, 14, 18, 19]
+        assert np.array_equal(computer.gram(rows, cols), expected[np.ix_(rows, cols)])
+
 
 class TestEditedKernelDecomposition:
     # The closed form that all exact contrast computations rely on:
@@ -216,8 +290,8 @@ class TestEditedKernelDecomposition:
     )
     def test_same_class_pairs(self, height, mode):
         inst = build_model(height, seed=height, mode=mode)
-        calc = ContrastCalculator(inst, unit_weight)
         for cls in (0, 1):
+            table = ContrastTable(inst, cls, unit_weight)
             tree = inst.tree(cls)
             k_self = kernel_brute(tree, tree, inst.mode, unit_weight)
             for u in tree.vertices():
@@ -230,7 +304,7 @@ class TestEditedKernelDecomposition:
                         inst.mode,
                         unit_weight,
                     )
-                    rhs = k_self - calc.tables[cls].affected_weight(u, v) + tau
+                    rhs = k_self - table.affected_weight(u, v) + tau
                     assert lhs == rhs, (cls, u, v)
 
     @pytest.mark.parametrize("height", [2, 3])
@@ -252,14 +326,14 @@ class TestContrast:
     def test_root_contrast_zero(self):
         inst = build_model(3, seed=4)
         for cls in (0, 1):
-            assert ContrastCalculator(inst, unit_weight).exact(cls, 0) == 0
+            assert ContrastTable(inst, cls, unit_weight).contrast(0) == 0
 
     def test_nonroot_contrast_positive(self):
         inst = build_model(4, seed=4)
-        calc = ContrastCalculator(inst, unit_weight)
         for cls in (0, 1):
+            table = ContrastTable(inst, cls, unit_weight)
             for x in inst.tree(cls).vertices():
-                value = calc.exact(cls, x)
+                value = table.contrast(x)
                 assert (value == 0) == (x == 0)
                 assert value >= 0
 
@@ -269,11 +343,34 @@ class TestContrast:
             for seed in (0, 1, 2):
                 for mode in (UNORDERED, ORDERED):
                     inst = build_model(height, seed=seed, mode=mode)
-                    calc = ContrastCalculator(inst, weight)
                     for cls in (0, 1):
+                        table = ContrastTable(inst, cls, weight)
                         for x in inst.tree(cls).vertices():
-                            assert calc.exact(cls, x) == definitional_contrast(
+                            assert table.contrast(x) == definitional_contrast(
                                 inst, weight, cls, x), (height, seed, mode, cls, x)
+
+    @pytest.mark.parametrize("weight", WEIGHTS)
+    def test_self_kernels_and_bounds_match_kernel_brute(self, weight):
+        # In a verified template the self kernel of the subtree at v is the
+        # descendant weight sum w_desc[v]; C_h follows from those sums.
+        instances = [build_model(height, seed=seed, mode=mode)
+                     for height in (2, 3, 4, 5) for seed in (0, 1, 2)
+                     for mode in (UNORDERED, ORDERED)]
+        for inst in instances + [uneven_instance()]:
+            for cls in (0, 1):
+                table = ContrastTable(inst, cls, weight)
+                tree = inst.tree(cls)
+                assert table.self_kernel == kernel_brute(tree, tree, inst.mode, weight)
+                for v in tree.vertices():
+                    sub = tree.subtree(v)
+                    assert table.w_desc[v] == kernel_brute(sub, sub, inst.mode, weight)
+                for h in range(inst.height + 1):
+                    assert table.bound(h) == definitional_bound(inst, weight, cls, h)
+
+    def test_table_requires_zero_leaf_weight(self):
+        inst = build_model(3, seed=4)
+        with pytest.raises(ValueError, match="leaf weight 0"):
+            ContrastTable(inst, 0, lambda t: 1)
 
     def test_hand_enumeration_leaf_parent(self):
         # Smallest worthwhile case done by hand: templates
@@ -308,7 +405,7 @@ class TestContrast:
             + 4 * Fraction(1, 16) / 5 * 2  # u = one of 4 leaves under star4
         )
         assert expected == Fraction(7, 16)
-        assert ContrastCalculator(inst, unit_weight).exact(0, 1) == expected
+        assert ContrastTable(inst, 0, unit_weight).contrast(1) == expected
 
 
 class TestSeparationBound:
@@ -336,14 +433,14 @@ class TestSeparationBound:
     @pytest.mark.parametrize("rho", [Fraction(9, 4), Fraction(1)])
     def test_rows_carry_each_vertex_verdict(self, rho):
         inst = build_model(3, seed=8, rho=rho)
-        calc = ContrastCalculator(inst, unit_weight)
+        tables = [ContrastTable(inst, cls, unit_weight) for cls in (0, 1)]
         report = check_separation(inst, unit_weight, 1)
         assert report.applicable == (rho > Fraction(3, 2))
         assert [(r.cls, r.x) for r in report.rows] == [
             (c, x) for c in (0, 1) for x in inst.tree(c).vertices()]
         for r in report.rows:
             assert r.height == inst.tree(r.cls).height(r.x)
-            assert r.contrast == calc.exact(r.cls, r.x)
+            assert r.contrast == tables[r.cls].contrast(r.x)
             if report.applicable and r.height <= 1:
                 assert r.holds == (r.contrast >= report.per_class[r.cls].bound)
             else:
@@ -365,11 +462,9 @@ class TestSufficientSize:
 
     def test_plug_in_value(self):
         inst = build_model(3, seed=12, rho=Fraction(3))
-        calc = ContrastCalculator(inst, unit_weight)
-        from dagkernel.model import _class_bound
-
-        max_k = max(float(calc.tables[i].self_kernel) for i in (0, 1))
-        c_min = min(float(_class_bound(inst, calc, i, 1)) for i in (0, 1))
+        max_k = max(float(kernel_brute(t, t, inst.mode, unit_weight))
+                    for t in (inst.t0, inst.t1))
+        c_min = min(float(definitional_bound(inst, unit_weight, i, 1)) for i in (0, 1))
         expected = math.ceil(
             2 * max_k**2 / c_min**2 * math.exp(6) / 9 * math.log(2 / 0.1)
         )

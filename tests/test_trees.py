@@ -218,7 +218,7 @@ class TestSignatures:
 
     @pytest.mark.parametrize("mode", MODES, ids=str)
     def test_random_pairs_against_oracle(self, mode):
-        rng = random.Random(hash(str(mode)) & 0xFFFF)
+        rng = random.Random(MODES.index(mode))
         labels = "ab" if mode.labeled else None
         for _ in range(250):
             n = rng.randint(1, 30)
@@ -231,6 +231,38 @@ class TestSignatures:
             assert (
                 canonical_signature(t1, mode) == canonical_signature(t2, mode)
             ) == brute_isomorphic(t1, t2, mode)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cached_signatures_match_a_fresh_tree(self, seed):
+        # A tree keeps its signatures per mode.  Every construction path
+        # starts with an empty cache, also when it derives the tree from an
+        # already signed one, and signing in all four modes, in any order and
+        # again, gives what a fresh equal tree gives.
+        rng = random.Random(seed)
+        base = random_tree(rng, 25, "ab")
+        for mode in MODES:
+            subtree_signatures(base, mode)
+        order = rng.sample(range(25), 25)  # old id -> new id
+        parents = [None] * 25
+        labels = [None] * 25
+        for v in base.vertices():
+            p = base.parent(v)
+            parents[order[v]] = None if p is None else order[p]
+            labels[order[v]] = base.label(v)
+        u = rng.randrange(1, 25)
+        built = [
+            Tree(parents, labels),
+            Tree._raw(tuple(base.parent(v) for v in base.vertices()),
+                      tuple(base.label(v) for v in base.vertices())),
+            parse_tree(serialize_tree(base)),
+            base.subtree(u),
+            base.replace_subtree(u, random_tree(rng, 6, "ab")),
+        ]
+        for tree in built:
+            for mode in rng.sample(MODES, 4) + rng.sample(MODES, 4):
+                fresh = parse_tree(serialize_tree(tree))
+                assert subtree_signatures(tree, mode) == subtree_signatures(fresh, mode)
+                assert canonical_signature(tree, mode) == subtree_signatures(fresh, mode)[0]
 
     def test_label_participates(self):
         labeled = TreeMode(ordered=False, labeled=True)
