@@ -71,7 +71,6 @@ _EXPORTS = {
         "ClassProfile",
         "ShapingFn",
         "class_profile",
-        "delta",
         "discriminance_weights",
         "exponential_weights",
         "export_weight_table",

@@ -177,6 +177,8 @@ def cmd_gram(manifest, order, labeled, weight, lam, shaping, eps, seed, out_trai
     train_idx, pred_idx = split.class_train, split.pred
     if not train_idx:
         raise ConfigError("no training members")
+    if out_pred and not pred_idx:
+        raise ConfigError("--out-pred needs prediction members, and the split has none")
     annotated = annotate_dataset(dataset)
     weights, _ = weights_for(annotated, dataset, config, split.weight)
     computer = GramComputer(annotated, weights)
@@ -184,7 +186,7 @@ def cmd_gram(manifest, order, labeled, weight, lam, shaping, eps, seed, out_trai
     with open(out_train, "w", newline="") as fh:
         export_gram_csv(g_train, train_idx, train_idx, fh)
     click.echo(f"train Gram: {len(train_idx)}x{len(train_idx)} -> {out_train}")
-    if pred_idx and out_pred:
+    if out_pred:
         g_pred = computer.gram(pred_idx, train_idx)
         with open(out_pred, "w", newline="") as fh:
             export_gram_csv(g_pred, pred_idx, train_idx, fh)

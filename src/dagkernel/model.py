@@ -60,7 +60,8 @@ class ModelConstructionError(Exception):
 
 @dataclass(frozen=True)
 class ModelInstance:
-    """Verified pair of template trees plus replacement family and edit law."""
+    """Pair of template trees plus replacement family and edit law;
+    :func:`build_model` returns it verified."""
 
     t0: Tree
     t1: Tree
@@ -126,8 +127,9 @@ def build_model(
     t1 = _caterpillar(height, [rng.choice((2, 4)) for _ in range(height)])
     width = max(t0.outdegree(), t1.outdegree()) + 1
     fillers = tuple(_broom(h, width) for h in range(height + 1))
-    verify_model(t0, t1, fillers, mode)
-    return ModelInstance(t0, t1, height, rho, mode, fillers)
+    instance = ModelInstance(t0, t1, height, rho, mode, fillers)
+    verify_model(instance)
+    return instance
 
 
 def _caterpillar(height: int, leaf_counts: Sequence[int]) -> Tree:
@@ -148,27 +150,29 @@ def _broom(height: int, width: int) -> Tree:
     return node
 
 
-def _outside_nonleaf_sigs(
-    tree: Tree, u: int, fillers: Sequence[Tree], mode: TreeMode
-) -> set[str]:
-    # Signatures of the vertices of tree edited at u that are not leaves and
-    # do not belong to the inserted replacement block [u, u + len(filler)).
-    filler = fillers[tree.height(u)]
-    edited = tree.replace_subtree(u, filler)
+def _outside_nonleaf_sigs(instance: ModelInstance, cls: int, u: int) -> set[str]:
+    # Signatures of the vertices of template cls edited at u that are not
+    # leaves and do not belong to the inserted replacement block
+    # [u, u + len(replacement)).
+    end = u + len(instance.fillers[instance.tree(cls).height(u)])
+    edited = instance.edited(cls, u)
     return {
-        s for v, s in enumerate(subtree_signatures(edited, mode))
-        if not (edited.is_leaf(v) or u <= v < u + len(filler))
+        s for v, s in enumerate(subtree_signatures(edited, instance.mode))
+        if not (edited.is_leaf(v) or u <= v < end)
     }
 
 
-def verify_model(
-    t0: Tree, t1: Tree, fillers: Sequence[Tree], mode: TreeMode
-) -> None:
+def verify_model(instance: ModelInstance) -> None:
     """Check every model requirement by brute-force signature comparison;
-    raise :class:`ModelConstructionError` on the first violation."""
-    if t0.height() != t1.height():
-        raise ModelConstructionError("template trees must have equal height")
-    height = t0.height()
+    raise :class:`ModelConstructionError` on the first violation.  The
+    templates and replacement trees are checked first; the cross-edit check
+    then signs the instance's own edited trees, so they are built and signed
+    once for every later use."""
+    t0, t1, fillers, mode = instance.t0, instance.t1, instance.fillers, instance.mode
+    if not t0.height() == t1.height() == instance.height:
+        raise ModelConstructionError(
+            f"template trees must both have the model height {instance.height}")
+    height = instance.height
     nonleaf = []
     for i, tree in enumerate((t0, t1)):
         sigs = [
@@ -198,8 +202,8 @@ def verify_model(
     # Cross-isomorphisms after simultaneous edits, exhaustively over vertex
     # pairs: nothing outside the inserted blocks and the leaves may coincide.
     outside0, outside1 = (
-        [_outside_nonleaf_sigs(tree, u, fillers, mode) for u in tree.vertices()]
-        for tree in (t0, t1)
+        [_outside_nonleaf_sigs(instance, cls, u) for u in instance.tree(cls).vertices()]
+        for cls in (0, 1)
     )
     for u in t0.vertices():
         for v in t1.vertices():

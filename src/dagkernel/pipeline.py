@@ -125,15 +125,14 @@ def split_thirds(dataset: Dataset, seed, scheme: str = "discriminance") -> Split
 
 
 def mean_similarity_classify(
-    gram_pred: np.ndarray, train_classes: Sequence[int], n_classes: Optional[int] = None
+    gram_pred: np.ndarray, train_classes: Sequence[int], n_classes: int
 ) -> np.ndarray:
-    """Predict, for every row, the class with the largest mean kernel value
-    over its training columns; ties break toward the smaller class id."""
+    """Predict, for every row, the class in 0..n_classes-1 with the largest
+    mean kernel value over its training columns; ties break toward the
+    smaller class id.  Every class needs at least one training column."""
     train_classes = np.asarray(train_classes)
     if gram_pred.shape[1] != len(train_classes):
         raise ValueError("column count must match the training class list")
-    if n_classes is None:
-        n_classes = int(train_classes.max()) + 1
     means = np.empty((gram_pred.shape[0], n_classes))
     for k in range(n_classes):
         members = train_classes == k

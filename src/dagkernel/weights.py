@@ -3,18 +3,20 @@
 Two schemes are provided.  The exponential scheme is the classic
 height-decay ``weight = lambda ** height``.  The discriminance scheme is
 learned from data: for every DAG vertex we record the per-class proportion
-of weight-training trees containing that subtree, measure how close that
-profile is to a "pure" corner (present in exactly one class, or absent from
-exactly one class), and map closeness through a shaping function.  Subtrees
-occurring in all classes -- leaves in particular -- get weight zero.
+of weight-training trees containing that subtree, its class profile rho.
+Everything else derives from rho: how close the profile is to a "pure"
+corner (present in exactly one class, or absent from exactly one class),
+which corner that is, and the weight, closeness mapped through a shaping
+function.  Subtrees occurring in all classes -- leaves in particular -- get
+weight zero.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Mapping, Optional, Sequence
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +27,6 @@ __all__ = [
     "ClassProfile",
     "ShapingFn",
     "class_profile",
-    "delta",
     "discriminance_weights",
     "exponential_weights",
     "export_weight_table",
@@ -68,10 +69,6 @@ class ShapingFn:
         if self.kind == "threshold" and not 0.0 <= self.eps < 1.0:
             raise ValueError("threshold eps must be in [0, 1)")
 
-    def __call__(self, x: float) -> float:
-        """The value at one point; the same arithmetic as :meth:`apply`."""
-        return float(self.apply(np.array([x], dtype=np.float64))[0])
-
     def apply(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
         if np.any(xs > 1.0 + 1e-12):
@@ -93,16 +90,6 @@ class ShapingFn:
         return cls(short.get(name, name), eps)
 
 
-def delta(rho: Sequence[float], n_classes: int) -> float:
-    """Euclidean distance from a class profile to the nearest corner of
-    interest: one-hot ``e_k`` or complement ``e_k``-bar.  Can exceed 1 when
-    ``n_classes >= 3``."""
-    rho = np.asarray(rho, dtype=np.float64)
-    if rho.shape != (n_classes,):
-        raise ValueError("profile length must equal the number of classes")
-    return float(np.sqrt(max(_corner_sq_dists(rho.reshape(1, -1)).min(), 0.0)))
-
-
 def _corner_sq_dists(rho: np.ndarray) -> np.ndarray:
     """Squared distances of the (n, K) profile rows to the 2K corners, as a
     (2K, n) array: corners e_0..e_{K-1}, then their complements.  Expanded as
@@ -117,18 +104,30 @@ def _corner_sq_dists(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassProfile:
-    """Per-vertex class-presence profiles and their corner distances.
+    """Per-vertex class-presence profiles; the one stored field is ``rho``.
 
     ``rho[v, k]`` is the fraction of class-k weight-training trees that
-    contain the subtree of vertex ``v``; ``dist[v]`` is the distance of that
-    row to its nearest corner.  The artificial root keeps an all-zero row.
-    Every vertex's nearest corner is computed on first use, in one pass.
+    contain the subtree of vertex ``v``; the artificial root keeps an
+    all-zero row.  Everything else derives from ``rho``: the class count is
+    its column count, ``dist[v]`` (the distance of row ``v`` to its nearest
+    corner) is computed once on construction, and every vertex's nearest
+    corner on first use, in one pass.
     """
 
-    n_classes: int
     rho: np.ndarray
-    dist: np.ndarray
-    class_sizes: tuple[int, ...]
+    dist: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rho = np.asarray(self.rho, dtype=np.float64)
+        if rho.ndim != 2:
+            raise ValueError("a class profile is a (vertices, classes) matrix")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(
+            self, "dist", np.sqrt(np.maximum(_corner_sq_dists(rho).min(axis=0), 0.0)))
+
+    @property
+    def n_classes(self) -> int:
+        return self.rho.shape[1]
 
     def nearest_corner(self, v: int) -> tuple[int, bool]:
         """(class k, presence?) of the corner nearest to vertex ``v``.
@@ -150,14 +149,14 @@ class ClassProfile:
 
 def class_profile(
     annotated: AnnotatedDag,
-    classes: Mapping[int, int] | Sequence[Optional[int]],
+    classes: Sequence[Optional[int]],
     weight_train: Sequence[int],
-    n_classes: Optional[int] = None,
+    n_classes: int,
 ) -> ClassProfile:
     """Learn per-vertex class profiles from the weight-training members.
 
-    ``classes`` maps member index to class id in 0..K-1.  Every class must
-    have at least one weight-training member.
+    ``classes[i]`` is the class id of member ``i``, in 0..n_classes-1.  Every
+    class must have at least one weight-training member.
     """
     train = list(weight_train)
     if not train:
@@ -168,8 +167,6 @@ def class_profile(
         if k is None:
             raise ValueError(f"member {i} is in the weight-training set but has no class")
         class_of[i] = int(k)
-    if n_classes is None:
-        n_classes = max(class_of.values()) + 1
     sizes = [0] * n_classes
     for k in class_of.values():
         if not 0 <= k < n_classes:
@@ -182,9 +179,7 @@ def class_profile(
     rows, ids, _ = annotated.occurrences(list(class_of))
     cells = ids * n_classes + np.fromiter(class_of.values(), np.int64, len(class_of))[rows]
     counts = np.bincount(cells, minlength=len(annotated.dag) * n_classes)
-    rho = counts.reshape(-1, n_classes) / np.asarray(sizes, dtype=np.float64)
-    dist = np.sqrt(np.maximum(_corner_sq_dists(rho).min(axis=0), 0.0))
-    return ClassProfile(n_classes, rho, dist, tuple(sizes))
+    return ClassProfile(counts.reshape(-1, n_classes) / np.asarray(sizes, dtype=np.float64))
 
 
 def discriminance_weights(profile: ClassProfile, shaping: ShapingFn) -> np.ndarray:

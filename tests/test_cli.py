@@ -339,6 +339,19 @@ class TestExitCodes:
         assert err.startswith("configuration error: ")
         assert not (tmp_path / "g.csv").exists()
 
+    def test_gram_pred_output_without_pred_members(self, tmp_path, capsys):
+        # The manifest's roles name no prediction member, so there is no
+        # prediction Gram to write; the training Gram is not written either.
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("tree,class,role\n(()),a,weight\n(()()),b,weight\n"
+                            "(()),a,train\n(()()),b,train\n")
+        code, err = self.run(["gram", str(manifest), "--out-train", str(tmp_path / "tr.csv"),
+                              "--out-pred", str(tmp_path / "pr.csv")], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert err == ("configuration error: --out-pred needs prediction members, "
+                       "and the split has none\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
     @pytest.mark.parametrize("command", ["viz", "weights-hist"])
     @pytest.mark.parametrize("option", [["--weight", "discr"], ["--lambda", "0.9"]])
     def test_learned_weights_take_no_scheme_options(self, tmp_path, capsys, command, option):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from dagkernel import (
     ContrastTable,
     GramComputer,
     ModelConstructionError,
+    ModelInstance,
     Tree,
     build_model,
     canonical_signature,
@@ -57,13 +59,17 @@ def uneven_pair(extra_leaf=True):
     return t0, t1
 
 
-def uneven_instance():
-    from dagkernel.model import ModelInstance
+def instance_of(t0, t1, fillers=None):
+    """A hand-built, unverified instance with the default edit intensity."""
+    height = t0.height()
+    fillers = brooms_for(t0, t1) if fillers is None else fillers
+    return ModelInstance(t0, t1, height, Fraction(3 * height, 4), UNORDERED, fillers)
 
-    t0, t1 = uneven_pair()
-    fillers = brooms_for(t0, t1)
-    verify_model(t0, t1, fillers, UNORDERED)
-    return ModelInstance(t0, t1, 3, Fraction(9, 4), UNORDERED, fillers)
+
+def uneven_instance():
+    inst = instance_of(*uneven_pair())
+    verify_model(inst)
+    return inst
 
 
 WEIGHTS = [pytest.param(unit_weight, id="unit"), pytest.param(halving_weight, id="halving")]
@@ -103,12 +109,10 @@ class TestVerification:
     def test_generated_models_verify(self):
         for height in (2, 3, 4, 5):
             for seed in (0, 1, 2):
-                inst = build_model(height, seed=seed)
-                verify_model(inst.t0, inst.t1, inst.fillers, inst.mode)
+                verify_model(build_model(height, seed=seed))
 
     def test_figure_pair_with_extra_leaf_passes(self):
-        t0, t1 = parse_tree(FIG2_T0), parse_tree(FIG2_T1)
-        verify_model(t0, t1, brooms_for(t0, t1), UNORDERED)
+        verify_model(instance_of(parse_tree(FIG2_T0), parse_tree(FIG2_T1)))
 
     def test_first_figure_pair_satisfies_sharing_conditions(self):
         # Non-leaf subtrees are unique within each tree and disjoint across.
@@ -126,42 +130,56 @@ class TestVerification:
     def test_tree_with_itself_fails(self):
         t = parse_tree(FIG1_T0)
         with pytest.raises(ModelConstructionError):
-            verify_model(t, t, brooms_for(t, t), UNORDERED)
+            verify_model(instance_of(t, t))
 
     def test_repeated_subtrees_fail(self):
         t0 = Tree.node([star(2), star(2)])  # two isomorphic 2-stars
         t1 = Tree.node([star(3), star(1)])
         with pytest.raises(ModelConstructionError):
-            verify_model(t0, t1, brooms_for(t0, t1), UNORDERED)
+            verify_model(instance_of(t0, t1))
 
     def test_filler_inside_template_fails(self):
         t0 = Tree.node([star(1), star(4)])
         t1 = Tree.node([star(2), star(3)])
         bad = (Tree.leaf(), star(2), _broom(2, 6))  # height-1 filler occurs in t1
         with pytest.raises(ModelConstructionError):
-            verify_model(t0, t1, bad, UNORDERED)
+            verify_model(instance_of(t0, t1, bad))
 
     def test_unequal_heights_fail(self):
         t0 = Tree.node([star(1), star(4)])
         t1 = star(3)
         with pytest.raises(ModelConstructionError):
-            verify_model(t0, t1, brooms_for(t0, t0), UNORDERED)
+            verify_model(instance_of(t0, t1, brooms_for(t0, t0)))
+        # Equal template heights that differ from the instance's height.
+        inst = instance_of(parse_tree(FIG2_T0), parse_tree(FIG2_T1))
+        with pytest.raises(ModelConstructionError, match=f"model height {inst.height + 1}$"):
+            verify_model(dataclasses.replace(inst, height=inst.height + 1))
 
     def test_edits_leaving_a_shared_subtree_fail(self):
         # Each template alone is fine, but replacing star(3) and star(6) by
         # the height-1 replacement leaves node(replacement) in both trees.
         t0, t1 = uneven_pair(extra_leaf=False)
         with pytest.raises(ModelConstructionError, match="shared subtree outside"):
-            verify_model(t0, t1, brooms_for(t0, t1), UNORDERED)
+            verify_model(instance_of(t0, t1))
+
+    def test_verification_builds_the_instance_edits(self, monkeypatch):
+        # build_model verifies the instance's own edited trees, so the
+        # leaf-weight check that follows builds (and signs) no tree of its own.
+        inst = build_model(4, seed=1)
+        built = []
+        replace_subtree = Tree.replace_subtree
+        monkeypatch.setattr(Tree, "replace_subtree",
+                            lambda *args: built.append(args) or replace_subtree(*args))
+        check_leaf_weight_effect(inst, unit_weight, Fraction(1))
+        assert built == []
 
     def test_ordered_mode_models(self):
-        inst = build_model(3, seed=5, mode=ORDERED)
-        verify_model(inst.t0, inst.t1, inst.fillers, ORDERED)
+        verify_model(build_model(3, seed=5, mode=ORDERED))
 
     def test_failed_verification_reaches_the_caller(self, monkeypatch):
         import dagkernel.model
 
-        def reject(t0, t1, fillers, mode):
+        def reject(instance):
             raise ModelConstructionError("rejected")
 
         monkeypatch.setattr(dagkernel.model, "verify_model", reject)
@@ -382,10 +400,8 @@ class TestContrast:
         t0 = Tree.node([star(1), star(4)])
         t1 = Tree.node([star(2), star(3)])
         fillers = (Tree.leaf(), star(6), Tree.node([star(6)]))
-        verify_model(t0, t1, fillers, UNORDERED)
-        from dagkernel.model import ModelInstance
-
         inst = ModelInstance(t0, t1, 2, Fraction(3, 2), UNORDERED, fillers)
+        verify_model(inst)
         pmf = edit_height_pmf(2, Fraction(3, 2))  # (1/16, 6/16, 9/16)
         assert pmf == [Fraction(1, 16), Fraction(6, 16), Fraction(9, 16)]
         # Vertices of T0 (preorder): 0 root, 1 star1, 2 leaf, 3 star4, 4..7 leaves.
@@ -500,8 +516,6 @@ class TestLeafWeightEffect:
         t0 = Tree.node([star(1), star(4)])
         t1 = Tree.node([star(2), star(3)])
         fillers = (Tree.leaf(), star(6), Tree.node([star(6)]))
-        from dagkernel.model import ModelInstance
-
         inst = ModelInstance(t0, t1, 2, Fraction(3, 2), UNORDERED, fillers)
         report = check_leaf_weight_effect(inst, unit_weight, Fraction(1))
         assert report.expected_leaf_gap == (0, 0)

@@ -77,15 +77,18 @@ class TestMeanSimilarityClassify:
     def test_largest_mean_wins(self):
         gram = np.array([[4.0, 2.0, 1.0], [0.0, 1.0, 3.0]])
         # Class 0 holds columns 0 and 1 (means 3 and 0.5), class 1 column 2.
-        assert list(mean_similarity_classify(gram, [0, 0, 1])) == [0, 1]
+        assert list(mean_similarity_classify(gram, [0, 0, 1], 2)) == [0, 1]
 
     def test_ties_go_to_the_smaller_class(self):
         gram = np.array([[1.0, 3.0, 2.0, 2.0], [0.0, 0.0, 0.0, 0.0]])
-        assert list(mean_similarity_classify(gram, [1, 1, 0, 2])) == [0, 0]
+        assert list(mean_similarity_classify(gram, [1, 1, 0, 2], 3)) == [0, 0]
 
     def test_class_without_columns_is_an_error(self):
         with pytest.raises(ValueError, match="class 1 has no training columns"):
-            mean_similarity_classify(np.ones((1, 2)), [0, 2])
+            mean_similarity_classify(np.ones((1, 2)), [0, 2], 3)
+        # The last class too: the class count is given, not read off the list.
+        with pytest.raises(ValueError, match="class 1 has no training columns"):
+            mean_similarity_classify(np.ones((1, 2)), [0, 0], 2)
 
 
 class TestEvaluate:

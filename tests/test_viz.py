@@ -18,7 +18,7 @@ FILL = re.compile(r"  n(\d+) \[.*fillcolor=(\w+)\];")
 def forest(texts, mode=ORDERED_LABELED):
     trees = [parse_tree(t, mode) for t in texts]
     annotated = AnnotatedDag(reduce_forest(trees, mode))
-    return annotated.dag, class_profile(annotated, range(len(texts)), range(len(texts)))
+    return annotated.dag, class_profile(annotated, range(len(texts)), range(len(texts)), len(texts))
 
 
 def vertex_lines(dot):

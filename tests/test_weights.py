@@ -15,7 +15,6 @@ from dagkernel import (
     Tree,
     canonical_signature,
     class_profile,
-    delta,
     discriminance_weights,
     expand,
     exponential_weights,
@@ -64,26 +63,32 @@ class TestExponential:
                 exponential_weights(d, bad)
 
 
+def delta(rho):
+    """The corner distance of one profile row, as a one-row ClassProfile
+    computes it."""
+    return float(ClassProfile(np.array([rho], dtype=np.float64)).dist[0])
+
+
 class TestDelta:
     def test_at_corner(self):
         for k in range(3):
             rho = [0.0] * 3
             rho[k] = 1.0
-            assert delta(rho, 3) == 0.0
+            assert delta(rho) == 0.0
 
     def test_all_ones_two_classes(self):
-        assert delta([1.0, 1.0], 2) == 1.0
+        assert delta([1.0, 1.0]) == 1.0
 
     def test_half_half(self):
-        assert delta([0.5, 0.5], 2) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert delta([0.5, 0.5]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
     def test_all_zero_two_classes(self):
-        assert delta([0.0, 0.0], 2) == 1.0
+        assert delta([0.0, 0.0]) == 1.0
 
     def test_can_exceed_one(self):
         # Hypercube center: every corner is sqrt(K)/2 away.
-        assert delta([0.5] * 5, 5) == pytest.approx(math.sqrt(5) / 2)
-        assert delta([0.5] * 5, 5) > 1.0
+        assert delta([0.5] * 5) == pytest.approx(math.sqrt(5) / 2)
+        assert delta([0.5] * 5) > 1.0
 
     def test_permutation_invariance(self):
         rng = random.Random(31)
@@ -92,9 +97,7 @@ class TestDelta:
             rho = [rng.random() for _ in range(k)]
             perm = list(range(k))
             rng.shuffle(perm)
-            assert delta([rho[p] for p in perm], k) == pytest.approx(
-                delta(rho, k), abs=1e-12
-            )
+            assert delta([rho[p] for p in perm]) == pytest.approx(delta(rho), abs=1e-12)
 
     def test_matches_explicit_enumeration(self):
         rng = random.Random(32)
@@ -107,7 +110,11 @@ class TestDelta:
                 e[j] = 1.0
                 cands.append(np.linalg.norm(rho - e))
                 cands.append(np.linalg.norm(rho - (1.0 - e)))
-            assert delta(rho, k) == pytest.approx(min(cands), abs=1e-12)
+            assert delta(rho) == pytest.approx(min(cands), abs=1e-12)
+
+    def test_profile_is_a_matrix(self):
+        with pytest.raises(ValueError, match="matrix"):
+            ClassProfile(np.array([0.5, 0.5]))
 
 
 class TestShaping:
@@ -117,15 +124,15 @@ class TestShaping:
         assert smoothstep(-0.2) == 0.0
 
     def test_kinds(self):
-        assert ShapingFn("identity")(0.25) == 0.25
-        assert ShapingFn("smoothstep")(0.25) == pytest.approx(3 * 0.0625 - 2 * 0.015625)
-        assert ShapingFn("smoothstep2")(0.5) == pytest.approx(smoothstep(0.5))
+        np.testing.assert_array_equal(ShapingFn("identity").apply([0.25]), [0.25])
+        assert ShapingFn("smoothstep").apply([0.25]) == pytest.approx([3 * 0.0625 - 2 * 0.015625])
+        assert ShapingFn("smoothstep2").apply([0.5]) == pytest.approx([smoothstep(0.5)])
         thr = ShapingFn("threshold", eps=0.3)
-        assert thr(0.3) == 0.0 and thr(0.31) == 1.0 and thr(1.0) == 1.0
+        np.testing.assert_array_equal(thr.apply([0.3, 0.31, 1.0]), [0.0, 1.0, 1.0])
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            ShapingFn("smoothstep")(1.1)
+            ShapingFn("smoothstep").apply([1.1])
         with pytest.raises(ValueError):
             ShapingFn("nope")
 
@@ -136,16 +143,9 @@ class TestShaping:
             ShapingFn("smoothstep2"),
             ShapingFn("threshold", eps=0.3),
         ):
-            assert fn(1.0) == 1.0
-            assert fn(0.0) == 0.0
-            assert fn(-3.0) == 0.0
-
-    def test_apply_matches_scalar(self):
-        # Bit for bit, also just above 1 where apply still accepts the input.
-        xs = np.append(np.linspace(-1.0, 1.0, 2001), [-1.5, 1.0 + 1e-13])
-        for kind in ("identity", "smoothstep", "smoothstep2", "threshold"):
-            fn = ShapingFn(kind)
-            np.testing.assert_array_equal(fn.apply(xs), [fn(float(x)) for x in xs])
+            # Up to rounding, 1 is still in the domain and maps to 1.
+            np.testing.assert_array_equal(fn.apply([1.0, 1.0 + 1e-13, 0.0, -3.0]),
+                                          [1.0, 1.0, 0.0, 0.0])
 
     def test_monotone(self):
         xs = np.linspace(-1.0, 1.0, 101)
@@ -179,7 +179,7 @@ class TestClassProfile:
         trees = [random_tree(rng, rng.randint(2, 12)) for _ in range(6)]
         ann = self.make(trees)
         classes = [0, 0, 0, 1, 1, 1]
-        profile = class_profile(ann, classes, range(6))
+        profile = class_profile(ann, classes, range(6), 2)
         (leaf_v,) = [v for v in range(len(ann.dag)) if ann.dag.height(v) == 0]
         np.testing.assert_array_equal(profile.rho[leaf_v], [1.0, 1.0])
         assert profile.dist[leaf_v] == 1.0
@@ -214,14 +214,14 @@ class TestClassProfile:
                 held = sum(1 for i in members if classes[i] == k and sig in tree_sigs[i])
                 expected[v, k] = held / sizes[k]
         np.testing.assert_array_equal(profile.rho, expected)
-        assert profile.class_sizes == tuple(sizes)
+        assert profile.n_classes == n_classes
 
     def test_unseen_vertex_zero_profile(self):
         rng = random.Random(34)
         trees = [random_tree(rng, rng.randint(2, 12)) for _ in range(6)]
         ann = self.make(trees)
         classes = [0, 0, 0, 1, 1, 1]
-        profile = class_profile(ann, classes, [0, 3])  # members 1,2,4,5 unseen
+        profile = class_profile(ann, classes, [0, 3], 2)  # members 1,2,4,5 unseen
         sig = canonical_signature(trees[1], UNORDERED)
         if all(sig not in subtree_signatures(trees[i], UNORDERED) for i in (0, 3)):
             v = ann.dag.member_roots[1]
@@ -231,7 +231,7 @@ class TestClassProfile:
         t0 = parse_tree(FIG3_TREE)
         t1 = parse_tree("(()()()()())")
         ann = self.make([t0, t1])
-        profile = class_profile(ann, [0, 1], [0, 1])
+        profile = class_profile(ann, [0, 1], [0, 1], 2)
         r0 = ann.dag.member_roots[0]
         np.testing.assert_array_equal(profile.rho[r0], [1.0, 0.0])
         assert profile.dist[r0] == 0.0
@@ -240,30 +240,33 @@ class TestClassProfile:
         rng = random.Random(35)
         trees = [random_tree(rng, 8) for _ in range(4)]
         ann = self.make(trees)
-        with pytest.raises(ValueError):
-            class_profile(ann, [0, 0, 1, 1], [0, 1], n_classes=2)
+        with pytest.raises(ValueError, match=r"without weight-training members: \[1\]"):
+            class_profile(ann, [0, 0, 1, 1], [0, 1], 2)
+        # A class id is checked against the class count it is given.
+        with pytest.raises(ValueError, match="class id 2 out of range"):
+            class_profile(ann, [0, 1, 2, 2], [0, 1, 2], 2)
 
     def test_negative_member_rejected(self):
         # A negative index must not wrap to the last member of the forest.
         ann = self.make([parse_tree(FIG3_TREE), Tree.leaf()])
         with pytest.raises(IndexError):
-            class_profile(ann, [0, 0], [-1])
+            class_profile(ann, [0, 0], [-1], 1)
         with pytest.raises(IndexError):
-            class_profile(ann, [0, 1], [0, -1])
+            class_profile(ann, [0, 1], [0, -1], 2)
 
     def test_missing_class_rejected(self):
         rng = random.Random(36)
         trees = [random_tree(rng, 8) for _ in range(3)]
         ann = self.make(trees)
         with pytest.raises(ValueError):
-            class_profile(ann, [0, None, 1], [0, 1, 2])
+            class_profile(ann, [0, None, 1], [0, 1, 2], 2)
 
 
 class TestDiscriminance:
     def make_profile(self, rng):
         trees, classes = two_class_dataset(rng)
         ann = AnnotatedDag(reduce_forest(trees, UNORDERED))
-        return ann, class_profile(ann, classes, range(len(trees)))
+        return ann, class_profile(ann, classes, range(len(trees)), 2)
 
     def test_leaf_weight_zero(self):
         ann, profile = self.make_profile(random.Random(37))
@@ -292,12 +295,7 @@ class TestDiscriminance:
         assert np.all(np.diff(w[order]) <= 1e-15)
 
     def test_nearest_corner_tie_rule(self):
-        profile = ClassProfile(
-            2,
-            np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, 1.0]]),
-            np.array([0.0, 0.0, math.sqrt(0.5), 1.0]),
-            (1, 1),
-        )
+        profile = ClassProfile(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, 1.0]]))
         assert profile.nearest_corner(0) == (0, True)
         # With two classes e_1 coincides with the complement corner of class
         # 0; the documented rule prefers the presence reading.
@@ -310,17 +308,19 @@ class TestDiscriminance:
     def test_nearest_corner_matches_exact_arithmetic(self, k):
         # Profiles are class fractions; exact ties such as (0.2, 0.2) can come
         # out unequal in floating point and must still follow the tie rule.
+        # The distance to the nearest corner agrees with exact arithmetic.
         rng = random.Random(43 + k)
         rows = [[Fraction(rng.randint(0, d), d) for _ in range(k)]
                 for d in (4, 6, 7, 10) for _ in range(100)]
-        rho = np.array(rows, dtype=np.float64)
-        profile = ClassProfile(k, rho, np.zeros(len(rows)), (1,) * k)
+        profile = ClassProfile(np.array(rows, dtype=np.float64))
+        assert profile.n_classes == k
         for v, row in enumerate(rows):
             corners = [[int(j == c) for j in range(k)] for c in range(k)]
             corners += [[1 - x for x in corner] for corner in corners]
             sq = [sum((a - b) ** 2 for a, b in zip(row, corner)) for corner in corners]
             i = sq.index(min(sq))
             assert profile.nearest_corner(v) == (i % k, i < k)
+            assert abs(profile.dist[v] ** 2 - float(min(sq))) <= 1e-12
 
 
 class TestExports:
@@ -328,7 +328,7 @@ class TestExports:
         rng = random.Random(41)
         trees = [random_tree(rng, 10) for _ in range(4)]
         ann = AnnotatedDag(reduce_forest(trees, UNORDERED))
-        profile = class_profile(ann, [0, 0, 1, 1], range(4))
+        profile = class_profile(ann, [0, 0, 1, 1], range(4), 2)
         w = discriminance_weights(profile, ShapingFn("smoothstep"))
         buf = io.StringIO()
         export_weight_table(ann.dag, profile, w, buf)
@@ -340,7 +340,7 @@ class TestExports:
         rng = random.Random(42)
         trees = [random_tree(rng, 10) for _ in range(4)]
         ann = AnnotatedDag(reduce_forest(trees, UNORDERED))
-        profile = class_profile(ann, [0, 0, 1, 1], range(4))
+        profile = class_profile(ann, [0, 0, 1, 1], range(4), 2)
         w = discriminance_weights(profile, ShapingFn("smoothstep"))
         rows = weight_distribution_by_height(ann.dag, w)
         assert rows[0]["height"] == 0
