@@ -18,10 +18,10 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "annotate": ("AnnotatedDag",),
-    "dag": ("Dag", "expand", "format_dag", "reduce_forest"),
-    "generate": ("generate_template_corpus", "random_tree", "random_tree_of_height"),
+    "dag": ("Dag", "format_dag", "reduce_forest"),
+    "generate": ("generate_template_corpus",),
     "kernel": ("GramComputer", "export_gram_csv", "gram", "kernel_brute"),
-    "markup": ("MarkupParseError", "VOID_ELEMENTS", "markup_to_tree"),
+    "markup": ("MarkupParseError", "markup_to_tree"),
     "model": (
         "ContrastTable",
         "ModelConstructionError",
@@ -60,7 +60,6 @@ _EXPORTS = {
         "Tree",
         "TreeMode",
         "TreeParseError",
-        "canonical_signature",
         "parse_tree",
         "parse_tree_file",
         "serialize_tree",

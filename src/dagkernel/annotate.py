@@ -11,7 +11,7 @@ product and the weight learning.
 The artificial root is in no row.  Member indices are 0-based; both queries
 raise ``IndexError`` on an index outside ``0 .. n_members - 1`` (a negative
 index does not wrap).  The finished :class:`AnnotatedDag` is immutable, so
-Gram computations can share it freely and reweighting costs nothing.
+the Gram computations of every weight table can share it freely.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ ordered list (repetitions allowed); in unordered mode they form a set of
 (child, multiplicity) pairs.  Above the member roots sits an artificial root,
 with one edge per member; it represents no subtree and is always the last
 id, so a `Dag` derives it instead of storing it.  A single tree is a forest
-of one member.  Compression is invertible: `expand` rebuilds the tree of any
-vertex, so a member comes back from its root.
+of one member.  Compression is lossless: a vertex's label and edges determine
+its subtree up to isomorphism, so every member can be rebuilt from its root
+(the tests do so for every member).
 
 Compression names subtrees level by level with integers, as in the AHU tree
 isomorphism test (Aho, Hopcroft & Ullman, 1974), in one pass over all the
@@ -46,7 +47,7 @@ import numpy as np
 
 from .trees import Tree, TreeMode
 
-__all__ = ["Dag", "expand", "format_dag", "reduce_forest"]
+__all__ = ["Dag", "format_dag", "reduce_forest"]
 
 
 class Dag:
@@ -322,31 +323,6 @@ def _children_csr(mode, n_vertices, owner, child):
         child = pairs - owner * bound
     offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n_vertices))))
     return offsets, child, mults
-
-
-def expand(dag: Dag, v: int) -> Tree:
-    """Rebuild the tree that vertex ``v`` of ``dag`` stands for.
-
-    ``expand(dag, dag.member_roots[i])`` gives member i back, up to
-    isomorphism in ``dag.mode``; ``expand(dag, dag.root)`` gives the
-    supertree that joins every member under the artificial root.  Unordered
-    (child, mult) pairs expand to ``mult`` adjacent copies, children sorted by
-    class id.
-    """
-    edges: dict[int, tuple] = {}  # a vertex's edges, read once however often it occurs
-    parents: list[Optional[int]] = []
-    labels: list[Optional[str]] = []
-    stack: list[tuple[int, Optional[int]]] = [(v, None)]
-    while stack:
-        node, parent = stack.pop()
-        tid = len(parents)
-        parents.append(parent)
-        labels.append(dag._labels[node])
-        if node not in edges:
-            edges[node] = dag.edges(node)[::-1]
-        for child, mult in edges[node]:
-            stack.extend([(child, tid)] * mult)
-    return Tree(parents, labels)
 
 
 # -- text format -------------------------------------------------------------------

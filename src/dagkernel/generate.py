@@ -1,4 +1,4 @@
-"""Random tree generation, and the synthetic template corpus."""
+"""The synthetic template corpus: two labeled templates and their edits."""
 
 from __future__ import annotations
 
@@ -8,38 +8,18 @@ from typing import Optional, Sequence
 from .pipeline import Dataset
 from .trees import Tree, TreeMode
 
-__all__ = ["generate_template_corpus", "random_tree", "random_tree_of_height"]
+__all__ = ["generate_template_corpus"]
 
 
-def random_tree(
-    rng: random.Random, n_vertices: int, labels: Optional[Sequence[str]] = None
+def _random_tree_of_height(
+    rng: random.Random, height: int, extra_vertices: int, labels: Sequence[str]
 ) -> Tree:
-    """A random recursive tree: vertex ``v`` attaches to a uniform earlier vertex.
-
-    ``labels`` draws every vertex label uniformly from the alphabet; ``None``
-    leaves the tree unlabeled.
-    """
-    if n_vertices < 1:
-        raise ValueError("need at least one vertex")
-    parents: list[Optional[int]] = [None] + [rng.randrange(v) for v in range(1, n_vertices)]
-    labs = [rng.choice(labels) for _ in range(n_vertices)] if labels else None
-    return Tree(parents, labs)
-
-
-def random_tree_of_height(
-    rng: random.Random,
-    height: int,
-    extra_vertices: int = 0,
-    labels: Optional[Sequence[str]] = None,
-) -> Tree:
-    """A random tree of exactly the given height.
+    """A random labeled tree of exactly the given height.
 
     Starts from a root-to-leaf spine of ``height`` edges, then attaches
     ``extra_vertices`` more, each to a uniform vertex of depth < ``height``
     so the height stays exact.
     """
-    if height < 0:
-        raise ValueError("height must be >= 0")
     parents: list[Optional[int]] = [None]
     depths = [0]
     for d in range(1, height + 1):
@@ -50,8 +30,7 @@ def random_tree_of_height(
         p = rng.choice(eligible)
         parents.append(p)
         depths.append(depths[p] + 1)
-    labs = [rng.choice(labels) for _ in range(len(parents))] if labels else None
-    return Tree(parents, labs)
+    return Tree(parents, [rng.choice(labels) for _ in range(len(parents))])
 
 
 # -- synthetic two-template corpus ---------------------------------------------------
@@ -79,9 +58,9 @@ def generate_template_corpus(per_class: int, edit_rate: float, seed: int = 0) ->
         raise ValueError("edit rate must be in [0, 1]")
     rng = random.Random(f"corpus:{seed}")
     templates = [
-        random_tree_of_height(rng, TEMPLATE_HEIGHT, TEMPLATE_EXTRA, _TAGS) for _ in range(2)
+        _random_tree_of_height(rng, TEMPLATE_HEIGHT, TEMPLATE_EXTRA, _TAGS) for _ in range(2)
     ]
-    fillers = [random_tree_of_height(rng, h, 2 * h, _TAGS) for h in range(TEMPLATE_HEIGHT + 1)]
+    fillers = [_random_tree_of_height(rng, h, 2 * h, _TAGS) for h in range(TEMPLATE_HEIGHT + 1)]
     trees: list[Tree] = []
     classes: list[int] = []
     for cls in (0, 1):

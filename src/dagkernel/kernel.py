@@ -15,9 +15,9 @@ row and some column.  When rows and columns coincide, a vertex held by one
 row member alone adds only to that member's diagonal entry, so it stays out
 of the block, and the upper triangle is mirrored so that ``G == G.T`` exactly.
 
-Weight tables are plain arrays indexed by DAG vertex, so recomputing a Gram
-matrix under new weights costs no structural work: build the annotation
-once, then reweight at will (see :class:`GramComputer`).
+Weight tables are plain arrays indexed by DAG vertex, so a Gram matrix under
+new weights costs no structural work: build the annotation once, then one
+:class:`GramComputer` per weight table.
 """
 
 from __future__ import annotations
@@ -77,20 +77,23 @@ def gram(
 
 
 class GramComputer:
-    """Reusable kernel evaluator: one annotation, many weightings.
+    """Kernel evaluator for one annotation under one weight table.
 
-    ``reweight`` swaps the weight table without touching the annotation;
-    ``visited_vertices`` counts, over all Gram calls, the vertices shared by
-    each evaluated pair (the work a per-pair evaluation would do).
+    The weight table is fixed on construction; a new weighting of the same
+    annotation is a new computer.  ``visited_vertices`` counts, over all
+    Gram calls, the vertices shared by each evaluated pair (the work a
+    per-pair evaluation would do).
     """
 
     def __init__(self, annotated: AnnotatedDag, weights: np.ndarray):
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (len(annotated.dag),):
+            raise ValueError(
+                f"weight table has length {weights.shape}, expected {len(annotated.dag)}"
+            )
         self.annotated = annotated
-        self.weights = _check_weights(annotated, weights)
+        self.weights = weights
         self.visited_vertices = 0
-
-    def reweight(self, weights: np.ndarray) -> None:
-        self.weights = _check_weights(self.annotated, weights)
 
     def gram(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         rows, cols = list(rows), list(cols)
@@ -128,15 +131,6 @@ def _dense(pos, ids, values, keep: np.ndarray, n_rows: int) -> np.ndarray:
     out = np.zeros((n_rows, np.count_nonzero(keep)))
     out[pos[kept], column[ids[kept]]] = values[kept]
     return out
-
-
-def _check_weights(annotated: AnnotatedDag, weights: np.ndarray) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(annotated.dag),):
-        raise ValueError(
-            f"weight table has length {weights.shape}, expected {len(annotated.dag)}"
-        )
-    return weights
 
 
 def min_eig_and_norm(matrix: np.ndarray) -> tuple[float, float]:

@@ -21,9 +21,9 @@ from typing import Optional
 
 from .trees import ParseError, Tree, _check_label
 
-__all__ = ["MarkupParseError", "VOID_ELEMENTS", "markup_to_tree"]
+__all__ = ["MarkupParseError", "markup_to_tree"]
 
-VOID_ELEMENTS = frozenset(
+_VOID_ELEMENTS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
 )
 
@@ -59,11 +59,11 @@ class _ElementTreeBuilder(HTMLParser):
 
     def handle_starttag(self, tag, attrs):
         self.handle_startendtag(tag, attrs)
-        if tag not in VOID_ELEMENTS:
+        if tag not in _VOID_ELEMENTS:
             self.open.append(len(self.tags) - 1)
 
     def handle_endtag(self, tag):
-        if tag in VOID_ELEMENTS:
+        if tag in _VOID_ELEMENTS:
             return
         for depth in reversed(range(len(self.open))):
             if self.tags[self.open[depth]] == tag:

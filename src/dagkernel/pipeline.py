@@ -168,6 +168,8 @@ def evaluate(
     predicted, truth = list(predicted), list(truth)
     if len(predicted) != len(truth):
         raise ValueError("prediction and truth lengths differ")
+    if not truth:
+        raise ValueError("no predictions to evaluate")
     for y in predicted + truth:
         if not 0 <= y < n_classes:
             raise ValueError(f"class id {y} out of range")
@@ -204,7 +206,11 @@ class ExperimentConfig:
         if self.scheme == "exponential":
             if self.lam is None:
                 raise ValueError("exponential scheme needs a lambda")
+            if self.shaping is not None:
+                raise ValueError("exponential scheme takes no shaping function")
         elif self.scheme == "discriminance":
+            if self.lam is not None:
+                raise ValueError("discriminance scheme takes no lambda")
             if self.shaping is None:
                 object.__setattr__(self, "shaping", ShapingFn("smoothstep"))
         else:
@@ -241,18 +247,17 @@ def run_experiment(
     """Repeated split / weight / Gram / classify / evaluate runs.
 
     The dataset annotation is built once and shared across repeats (pass a
-    prebuilt one to share it across configurations as well); only the weight
-    table changes per repeat under the discriminance scheme.
+    prebuilt one to share it across configurations as well); each repeat
+    evaluates its Grams with one :class:`GramComputer` on its own weight table.
     """
     if annotated is None:
         annotated = annotate_dataset(dataset)
     n_classes = dataset.n_classes
-    computer = GramComputer(annotated, np.zeros(len(annotated.dag)))
     outcomes = []
     for r in range(config.repeats):
         split = split_thirds(dataset, f"{config.seed}:{r}", config.scheme)
         weights, _ = weights_for(annotated, dataset, config, split.weight)
-        computer.reweight(weights)
+        computer = GramComputer(annotated, weights)
         g_train = computer.gram(split.class_train, split.class_train)
         g_pred = computer.gram(split.pred, split.class_train)
         train_classes = [dataset.classes[i] for i in split.class_train]
@@ -321,10 +326,20 @@ def load_manifest(path: str, mode: TreeMode) -> tuple[Dataset, Optional[Split]]:
 
 
 def save_manifest(dataset: Dataset, out: IO[str]) -> None:
-    """Write an inline-tree manifest for the dataset."""
+    """Write an inline-tree manifest for the dataset.
+
+    A tree whose root label starts with ``@`` would read back as a file
+    reference, so it raises ``ValueError`` before anything is written.
+    """
+    texts = [serialize_tree(tree) for tree in dataset.trees]
+    for i, text in enumerate(texts):
+        if text.startswith("@"):
+            raise ValueError(
+                f"member {i} cannot be written inline: {text!r} starts with '@', "
+                "which marks a tree file")
     writer = csv.writer(out)
     writer.writerow(["tree", "class", "role"])
     names = dataset.class_names
-    for tree, cls in zip(dataset.trees, dataset.classes):
+    for text, cls in zip(texts, dataset.classes):
         label = "" if cls is None else (names[cls] if names else str(cls))
-        writer.writerow([serialize_tree(tree), label, ""])
+        writer.writerow([text, label, ""])

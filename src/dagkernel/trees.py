@@ -38,7 +38,6 @@ __all__ = [
     "Tree",
     "TreeMode",
     "TreeParseError",
-    "canonical_signature",
     "parse_tree",
     "parse_tree_file",
     "serialize_tree",
@@ -344,11 +343,6 @@ def subtree_signatures(tree: Tree, mode: TreeMode) -> tuple[str, ...]:
         sigs[v] = (label or "") + "(" + "".join(parts) + ")"
     tree._signatures[mode] = result = tuple(sigs)
     return result
-
-
-def canonical_signature(tree: Tree, mode: TreeMode) -> str:
-    """Canonical signature of the whole tree (see :func:`subtree_signatures`)."""
-    return subtree_signatures(tree, mode)[0]
 
 
 # -- bracket text format ------------------------------------------------------

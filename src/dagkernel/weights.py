@@ -102,7 +102,7 @@ def _corner_sq_dists(rho: np.ndarray) -> np.ndarray:
             + (rows * rows).sum(axis=0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassProfile:
     """Per-vertex class-presence profiles; the one stored field is ``rho``.
 
@@ -111,11 +111,12 @@ class ClassProfile:
     all-zero row.  Everything else derives from ``rho``: the class count is
     its column count, ``dist[v]`` (the distance of row ``v`` to its nearest
     corner) is computed once on construction, and every vertex's nearest
-    corner on first use, in one pass.
+    corner on first use, in one pass.  Equality is identity: comparing two
+    profiles never compares their arrays.
     """
 
     rho: np.ndarray
-    dist: np.ndarray = field(init=False, repr=False, compare=False)
+    dist: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=np.float64)

@@ -9,14 +9,7 @@ from typing import Iterator, Optional, Sequence
 
 import pytest
 
-from dagkernel import (
-    Tree,
-    TreeMode,
-    TreeParseError,
-    canonical_signature,
-    parse_tree,
-    subtree_signatures,
-)
+from dagkernel import Dag, Tree, TreeMode, TreeParseError, parse_tree, subtree_signatures
 
 MODES = [
     TreeMode(ordered=False, labeled=False),
@@ -46,6 +39,52 @@ FIG5_T2 = "(((())()) () ((()(()))))"
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def random_tree(
+    rng: random.Random, n_vertices: int, labels: Optional[Sequence[str]] = None
+) -> Tree:
+    """A random recursive tree: vertex ``v`` attaches to a uniform earlier vertex.
+
+    ``labels`` draws every vertex label uniformly from the alphabet; ``None``
+    leaves the tree unlabeled.
+    """
+    if n_vertices < 1:
+        raise ValueError("need at least one vertex")
+    parents: list[Optional[int]] = [None] + [rng.randrange(v) for v in range(1, n_vertices)]
+    labs = [rng.choice(labels) for _ in range(n_vertices)] if labels else None
+    return Tree(parents, labs)
+
+
+def canonical_signature(tree: Tree, mode: TreeMode) -> str:
+    """Canonical signature of the whole tree (see ``subtree_signatures``)."""
+    return subtree_signatures(tree, mode)[0]
+
+
+def expand(dag: Dag, v: int) -> Tree:
+    """Rebuild the tree that vertex ``v`` of ``dag`` stands for, reading the
+    DAG only through ``Dag.label`` and ``Dag.edges``: the round-trip oracle.
+
+    ``expand(dag, dag.member_roots[i])`` gives member i back, up to
+    isomorphism in ``dag.mode``; ``expand(dag, dag.root)`` gives the
+    supertree that joins every member under the artificial root.  Unordered
+    (child, mult) pairs expand to ``mult`` adjacent copies, children sorted by
+    class id.
+    """
+    edges: dict[int, tuple] = {}  # a vertex's edges, read once however often it occurs
+    parents: list[Optional[int]] = []
+    labels: list[Optional[str]] = []
+    stack: list[tuple[int, Optional[int]]] = [(v, None)]
+    while stack:
+        node, parent = stack.pop()
+        tid = len(parents)
+        parents.append(parent)
+        labels.append(dag.label(node))
+        if node not in edges:
+            edges[node] = dag.edges(node)[::-1]
+        for child, mult in edges[node]:
+            stack.extend([(child, tid)] * mult)
+    return Tree(parents, labels)
 
 
 def brute_isomorphic(t1: Tree, t2: Tree, mode: TreeMode, v1: int = 0, v2: int = 0) -> bool:

@@ -3,18 +3,19 @@ import random
 import numpy as np
 import pytest
 
-from dagkernel import (
-    AnnotatedDag,
-    Tree,
-    canonical_signature,
-    expand,
-    parse_tree,
-    random_tree,
-    reduce_forest,
-    subtree_signatures,
-)
+from dagkernel import AnnotatedDag, Tree, parse_tree, reduce_forest, subtree_signatures
 
-from conftest import FIG3_TREE, FIG5_T2, MODES, ORDERED, UNORDERED, count_occurrences
+from conftest import (
+    FIG3_TREE,
+    FIG5_T2,
+    MODES,
+    ORDERED,
+    UNORDERED,
+    canonical_signature,
+    count_occurrences,
+    expand,
+    random_tree,
+)
 
 
 def annotated_for(trees, mode):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dagkernel
-from dagkernel import ExperimentConfig, TreeMode, TreeParseError, cli, load_manifest
+from dagkernel import ExperimentConfig, ShapingFn, TreeMode, TreeParseError, cli, load_manifest
 
 from conftest import FIG3_TREE, FIG5_T2
 
@@ -370,6 +370,15 @@ class TestExperimentConfig:
         # run_experiment would return no outcomes at all.
         with pytest.raises(ValueError, match="repeats must be >= 1"):
             ExperimentConfig("exponential", lam=0.5, repeats=0)
+
+    # A value that the scheme does not read must not be silently ignored.
+    def test_lambda_under_discriminance_rejected(self):
+        with pytest.raises(ValueError, match="discriminance scheme takes no lambda"):
+            ExperimentConfig("discriminance", lam=0.5)
+
+    def test_shaping_under_exponential_rejected(self):
+        with pytest.raises(ValueError, match="exponential scheme takes no shaping function"):
+            ExperimentConfig("exponential", lam=0.5, shaping=ShapingFn("smoothstep"))
 
 
 # -- golden outputs ---------------------------------------------------------------------

@@ -5,18 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagkernel import (
-    Dag,
-    Tree,
-    TreeMode,
-    canonical_signature,
-    expand,
-    format_dag,
-    parse_tree,
-    random_tree,
-    reduce_forest,
-    subtree_signatures,
-)
+from dagkernel import Dag, Tree, TreeMode, format_dag, parse_tree, reduce_forest, subtree_signatures
 
 from conftest import (
     FIG3_TREE,
@@ -24,9 +13,12 @@ from conftest import (
     MODES,
     ORDERED,
     UNORDERED,
+    canonical_signature,
     count_occurrences,
+    expand,
     is_reduced,
     join_forest,
+    random_tree,
 )
 
 

@@ -11,20 +11,27 @@ from dagkernel import (
     AnnotatedDag,
     GramComputer,
     Tree,
-    canonical_signature,
-    expand,
     exponential_weights,
     export_gram_csv,
     gram,
     kernel_brute,
     parse_tree,
-    random_tree,
     reduce_forest,
     subtree_signatures,
 )
 from dagkernel.kernel import min_eig_and_norm
 
-from conftest import FIG1_T0, FIG1_T1, MODES, ORDERED, UNORDERED, all_ordered_shapes
+from conftest import (
+    FIG1_T0,
+    FIG1_T1,
+    MODES,
+    ORDERED,
+    UNORDERED,
+    all_ordered_shapes,
+    canonical_signature,
+    expand,
+    random_tree,
+)
 
 
 def unit_w(tree):
@@ -215,20 +222,7 @@ class TestGram:
 
 
 class TestReweight:
-    def test_reweight_equals_direct(self):
-        rng = random.Random(59)
-        trees = [random_tree(rng, 12) for _ in range(6)]
-        ann = annotated_for(trees, UNORDERED)
-        from dagkernel import exponential_weights
-
-        w1 = exponential_weights(ann.dag, 0.3)
-        w2 = exponential_weights(ann.dag, 0.8)
-        comp = GramComputer(ann, w1)
-        g1 = comp.gram(range(6), range(6))
-        comp.reweight(w2)
-        g2 = comp.gram(range(6), range(6))
-        np.testing.assert_array_equal(g1, gram(ann, w1, range(6), range(6)))
-        np.testing.assert_array_equal(g2, gram(ann, w2, range(6), range(6)))
+    """One annotation under several weight tables, one computer per table."""
 
     def test_identical_traversal_counts_across_weights(self):
         rng = random.Random(60)
@@ -265,9 +259,6 @@ class TestReweight:
         ann = annotated_for([Tree.leaf()], UNORDERED)
         with pytest.raises(ValueError):
             GramComputer(ann, np.ones(len(ann.dag) + 3))
-        comp = GramComputer(ann, np.ones(len(ann.dag)))
-        with pytest.raises(ValueError):
-            comp.reweight(np.ones(1 + len(ann.dag)))
 
 
 def pairwise_reference(ann, trees, mode, w, rows, cols):

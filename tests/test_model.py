@@ -14,7 +14,6 @@ from dagkernel import (
     ModelInstance,
     Tree,
     build_model,
-    canonical_signature,
     check_leaf_weight_effect,
     check_separation,
     edit_height_pmf,
@@ -30,7 +29,7 @@ from dagkernel import (
 )
 from dagkernel.model import _broom
 
-from conftest import FIG1_T0, FIG1_T1, FIG2_T0, FIG2_T1, ORDERED, UNORDERED
+from conftest import FIG1_T0, FIG1_T1, FIG2_T0, FIG2_T1, ORDERED, UNORDERED, canonical_signature
 
 
 def star(n):

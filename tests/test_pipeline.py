@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dagkernel import (
     parse_tree,
     pipeline,
     run_experiment,
+    save_manifest,
     split_thirds,
     weights_for,
 )
@@ -114,6 +117,10 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="class id 2 out of range"):
             evaluate([0, 2], [0, 1], 2)
 
+    def test_no_predictions(self):
+        with pytest.raises(ValueError, match="no predictions to evaluate"):
+            evaluate([], [], 2)
+
 
 class TestWeightsFor:
     CONFIGS = [
@@ -129,17 +136,19 @@ class TestWeightsFor:
         used = []
 
         class Recording(pipeline.GramComputer):
-            def reweight(self, weights):
-                used.append(weights)
-                super().reweight(weights)
+            def __init__(self, annotated, weights):
+                super().__init__(annotated, weights)
+                used.append(self)
 
         monkeypatch.setattr(pipeline, "GramComputer", Recording)
         run_experiment(data, config, annotated)
         assert len(used) == config.repeats
-        for r, weights in enumerate(used):
+        # One computer per repeat, on that repeat's weight table.
+        for r, computer in enumerate(used):
             split = split_thirds(data, f"{config.seed}:{r}", config.scheme)
             expected, profile = weights_for(annotated, data, config, split.weight)
-            assert np.array_equal(weights, expected)
+            assert computer.annotated is annotated
+            assert np.array_equal(computer.weights, expected)
             assert (profile is None) == (config.scheme == "exponential")
 
     def test_discriminance_needs_classes_for_the_weight_members(self):
@@ -166,3 +175,20 @@ class TestManifest:
         # One row without a role leaves the split to split_thirds.
         manifest.write_text("tree,class,role\n(()),a,train\n(),b,\n")
         assert load_manifest(str(manifest), UNORDERED)[1] is None
+
+    def test_root_label_with_at_sign_is_not_written(self):
+        # load_manifest reads a cell that starts with '@' as a tree file.
+        labeled = TreeMode(ordered=True, labeled=True)
+        trees = (parse_tree("a(@b())", labeled), parse_tree("@x(b())", labeled))
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="member 1 cannot be written inline"):
+            save_manifest(Dataset(trees, (0, 1), labeled), out)
+        assert out.getvalue() == ""
+
+    def test_inner_at_sign_round_trips(self, tmp_path):
+        labeled = TreeMode(ordered=True, labeled=True)
+        data = Dataset((parse_tree("a(@b())", labeled),), (0,), labeled)
+        manifest = tmp_path / "m.csv"
+        with open(manifest, "w", newline="") as out:
+            save_manifest(data, out)
+        assert load_manifest(str(manifest), labeled)[0].trees == data.trees

@@ -4,16 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagkernel import (
-    Tree,
-    TreeMode,
-    TreeParseError,
-    canonical_signature,
-    parse_tree,
-    random_tree,
-    serialize_tree,
-    subtree_signatures,
-)
+from dagkernel import Tree, TreeMode, TreeParseError, parse_tree, serialize_tree, subtree_signatures
 
 from conftest import (
     FIG1_T0,
@@ -23,8 +14,10 @@ from conftest import (
     UNORDERED,
     all_ordered_shapes,
     brute_isomorphic,
+    canonical_signature,
     count_occurrences,
     join_forest,
+    random_tree,
     reference_parse,
     reverse_children,
 )

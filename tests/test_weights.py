@@ -13,21 +13,18 @@ from dagkernel import (
     ClassProfile,
     ShapingFn,
     Tree,
-    canonical_signature,
     class_profile,
     discriminance_weights,
-    expand,
     exponential_weights,
     export_weight_table,
     parse_tree,
-    random_tree,
     reduce_forest,
     smoothstep,
     subtree_signatures,
     weight_distribution_by_height,
 )
 
-from conftest import FIG3_TREE, MODES, UNORDERED
+from conftest import FIG3_TREE, MODES, UNORDERED, canonical_signature, expand, random_tree
 
 
 class TestExponential:
@@ -115,6 +112,11 @@ class TestDelta:
     def test_profile_is_a_matrix(self):
         with pytest.raises(ValueError, match="matrix"):
             ClassProfile(np.array([0.5, 0.5]))
+
+    def test_equality_is_identity(self):
+        profile = ClassProfile(np.eye(2))
+        assert profile == profile
+        assert profile != ClassProfile(np.eye(2))
 
 
 class TestShaping:
