@@ -110,14 +110,14 @@ def main():
 def cmd_reduce(input_file: str, order: str, labeled: bool, out: str):
     """Compress the trees of INPUT_FILE (one bracket tree per line)."""
     mode = _mode(order, labeled)
-    with open(input_file) as fh:
+    with open(input_file, encoding="utf-8-sig") as fh:
         trees = list(parse_tree_file(fh, mode))
     if not trees:
         raise ConfigError(f"{input_file}: no trees found")
     total_vertices = sum(len(t) for t in trees)
     dag = reduce_forest(trees, mode)
     merged = dag.root  # the artificial root is bookkeeping, not data
-    with open(out, "w") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         fh.write(format_dag(dag))
     ratio = merged / total_vertices
     click.echo(f"trees: {len(trees)}")
@@ -183,12 +183,12 @@ def cmd_gram(manifest, order, labeled, weight, lam, shaping, eps, seed, out_trai
     weights, _ = weights_for(annotated, dataset, config, split.weight)
     computer = GramComputer(annotated, weights)
     g_train = computer.gram(train_idx, train_idx)
-    with open(out_train, "w", newline="") as fh:
+    with open(out_train, "w", newline="", encoding="utf-8") as fh:
         export_gram_csv(g_train, train_idx, train_idx, fh)
     click.echo(f"train Gram: {len(train_idx)}x{len(train_idx)} -> {out_train}")
     if out_pred:
         g_pred = computer.gram(pred_idx, train_idx)
-        with open(out_pred, "w", newline="") as fh:
+        with open(out_pred, "w", newline="", encoding="utf-8") as fh:
             export_gram_csv(g_pred, pred_idx, train_idx, fh)
         click.echo(f"pred Gram: {len(pred_idx)}x{len(train_idx)} -> {out_pred}")
 
@@ -202,7 +202,10 @@ def cmd_gram(manifest, order, labeled, weight, lam, shaping, eps, seed, out_trai
 @click.option("--out", type=click.Path(), default=None, help="Per-repeat metrics CSV.")
 def cmd_classify(manifest, order, labeled, weight, lam, shaping, eps, seed, repeats, out):
     """Run the repeated split / mean-similarity protocol and report metrics."""
-    dataset, _ = load_manifest(manifest, _mode(order, labeled))
+    dataset, roles = load_manifest(manifest, _mode(order, labeled))
+    if roles:  # every repeat draws its own seeded split
+        click.echo("warning: classify draws its own split for every repeat; "
+                   "the manifest's roles are ignored", err=True)
     if any(c is None for c in dataset.classes):
         raise ConfigError("classification needs a class for every tree")
     outcomes = run_experiment(dataset, _config(weight, lam, shaping, eps, seed, repeats))
@@ -211,7 +214,7 @@ def cmd_classify(manifest, order, labeled, weight, lam, shaping, eps, seed, repe
         for r, o in enumerate(outcomes)
     ]
     if out:
-        with open(out, "w", newline="") as fh:
+        with open(out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["repeat", "accuracy", "precision", "recall", "fscore"])
             writer.writerows(rows)
@@ -278,7 +281,7 @@ def cmd_simulate(height, rho, h_level, delta, leaf_weight, seed, out):
         f"{np.log(2 / delta):.4f}): {size}"
     )
     if out:
-        with open(out, "w", newline="") as fh:
+        with open(out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["class", "x", "height", "contrast", "bound", "pass"])
             writer.writerows(
@@ -310,17 +313,17 @@ def cmd_ingest(inputs, labeled, class_id, out, trees_out):
         if name == "-":
             text = sys.stdin.read()
         else:
-            with open(name) as fh:
+            with open(name, encoding="utf-8-sig") as fh:
                 text = fh.read()
         trees.append(markup_to_tree(text, labeled))
     mode = TreeMode(ordered=True, labeled=labeled)
     classes = tuple(0 if class_id else None for _ in trees)
     names = (class_id,) if class_id else None
     dataset = Dataset(tuple(trees), classes, mode, class_names=names)
-    with open(out, "w", newline="") as fh:
+    with open(out, "w", newline="", encoding="utf-8") as fh:
         save_manifest(dataset, fh)
     if trees_out:
-        with open(trees_out, "w") as fh:
+        with open(trees_out, "w", encoding="utf-8") as fh:
             for tree in trees:
                 fh.write(serialize_tree(tree) + "\n")
     click.echo(f"ingested {len(trees)} documents -> {out}")
@@ -336,7 +339,7 @@ def cmd_generate(per_class, edit_rate, seed, out):
     from .generate import generate_template_corpus
 
     dataset = generate_template_corpus(per_class, edit_rate, seed)
-    with open(out, "w", newline="") as fh:
+    with open(out, "w", newline="", encoding="utf-8") as fh:
         save_manifest(dataset, fh)
     click.echo(f"generated {len(dataset)} trees -> {out}")
 
@@ -373,7 +376,7 @@ def cmd_viz(manifest, order, labeled, shaping, eps, seed, out):
     from .viz import discriminance_dot
 
     dag, weights, profile = _discriminance(manifest, order, labeled, shaping, eps, seed)
-    with open(out, "w") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         fh.write(discriminance_dot(dag, profile, weights))
     click.echo(f"DOT written -> {out}")
 
@@ -391,14 +394,14 @@ def cmd_weights_hist(manifest, order, labeled, shaping, eps, seed, out, table_ou
     """Export the per-height distribution of learned discriminance weights."""
     dag, weights, profile = _discriminance(manifest, order, labeled, shaping, eps, seed)
     rows = weight_distribution_by_height(dag, weights)
-    with open(out, "w", newline="") as fh:
+    with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["height", "min", "q1", "median", "q3", "max", "mean"]
         )
         writer.writeheader()
         writer.writerows(rows)
     if table_out:
-        with open(table_out, "w", newline="") as fh:
+        with open(table_out, "w", newline="", encoding="utf-8") as fh:
             export_weight_table(dag, profile, weights, fh)
     click.echo(f"histogram written -> {out}")
 

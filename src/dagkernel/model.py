@@ -8,16 +8,20 @@ of height h in template i -- h drawn from a Binomial(H, rho/H) -- by the
 replacement tree of the same height.  The parameter rho in [0, H] measures
 degradation: larger rho pushes the two classes together.
 
-Because every non-leaf subtree occurs exactly once, the expected kernel gap
-between same-class and cross-class edits (the *contrast* of a vertex) has a
-closed form, computed here in exact rational arithmetic by one
-:class:`ContrastTable` per template.  For the same reason the self kernel of
-a template subtree is the weight sum over its descendants, so the table also
-gives the template's self kernel and the bound constant C_h without
-evaluating a kernel.  The module checks the contrast lower bound, the
-plug-in sufficient training-set size, and the exact effect of giving leaves
-positive weight; only that last check evaluates kernels, over edited trees
-that the instance builds once each.
+Because every non-leaf subtree occurs exactly once, editing a template at
+two vertices destroys exactly the subtree classes rooted in the union of
+their *families*: a vertex's family is its descendants plus its ancestors,
+and a leaf's is empty, since a leaf edit swaps a leaf for a leaf.  The
+expected kernel gap between same-class and cross-class edits (the
+*contrast* of a vertex) is therefore a sum of weights over those unions,
+computed here in exact rational arithmetic by one :class:`ContrastTable`
+per template.  For the same reason the self kernel of a template subtree is
+the weight sum over its descendants, so the table also gives the template's
+self kernel and the bound constant C_h without evaluating a kernel.  The
+module checks the contrast lower bound, the plug-in sufficient training-set
+size, and the exact effect of giving leaves positive weight; only that last
+check evaluates kernels, over edited trees that the instance builds once
+each.
 """
 
 from __future__ import annotations
@@ -262,6 +266,12 @@ def sample_dataset(
 # -- contrast -----------------------------------------------------------------------
 
 
+def _ancestors(tree: Tree, v: int):
+    """The strict ancestors of ``v``, nearest first."""
+    while (v := tree.parent(v)) is not None:
+        yield v
+
+
 class ContrastTable:
     """Closed-form contrast tables of one template of a model instance.
 
@@ -269,7 +279,10 @@ class ContrastTable:
     (the closed form relies on it).  Rational weights keep every result an
     exact :class:`fractions.Fraction`.  In a verified template every non-leaf
     subtree occurs once, so the self kernel of the subtree at ``v`` is the
-    weight sum ``w_desc[v]`` over its descendants.
+    weight sum ``w_desc[v]`` over its descendants.  The *family* of a
+    non-leaf vertex is its descendants plus its ancestors (itself included):
+    the vertices whose subtree changes when it is edited.  A leaf's family is
+    empty, because the height-0 replacement is itself a leaf.
     """
 
     def __init__(self, instance: ModelInstance, cls: int, weight_fn: WeightFn):
@@ -277,25 +290,15 @@ class ContrastTable:
             raise ValueError("exact contrast requires leaf weight 0")
         tree = instance.tree(cls)
         self.tree = tree
-        n = len(tree)
         self.w = [weight_fn(tree.subtree(v)) for v in tree.vertices()]
         heights = tree.heights()
         self.pick_prob = [instance.pmf[h] / heights.count(h) for h in heights]
-        # Weight sums over descendants (incl. self), ancestors, and the chain
-        # from a vertex up to the root (incl. self).
-        self.w_desc = [0] * n
-        for v in range(n - 1, -1, -1):
-            self.w_desc[v] = self.w[v] + sum(self.w_desc[c] for c in tree.children(v))
-        self.w_upchain = [0] * n
-        for v in range(n):
-            p = tree.parent(v)
-            self.w_upchain[v] = self.w[v] + (0 if p is None else self.w_upchain[p])
-        self.w_fam = [
-            self.w_desc[v] + self.w_upchain[v] - self.w[v] for v in range(n)
+        self.w_desc = [sum(self.w[d] for d in tree.descendants(v)) for v in tree.vertices()]
+        self.family = [
+            frozenset() if tree.is_leaf(v)
+            else frozenset(tree.descendants(v)).union(_ancestors(tree, v))
+            for v in tree.vertices()
         ]
-        self.depth = [0] * n
-        for v in range(1, n):
-            self.depth[v] = self.depth[tree.parent(v)] + 1
 
     @property
     def self_kernel(self):
@@ -308,33 +311,14 @@ class ContrastTable:
         best = max(self.w_desc[u] for u in self.tree.vertices_at_height(h))
         return Fraction(self.self_kernel - best, len(self.tree.leaves()))
 
-    def _lca(self, x: int, u: int) -> int:
-        while self.depth[x] > self.depth[u]:
-            x = self.tree.parent(x)
-        while self.depth[u] > self.depth[x]:
-            u = self.tree.parent(u)
-        while x != u:
-            x = self.tree.parent(x)
-            u = self.tree.parent(u)
-        return x
-
     def affected_weight(self, x: int, u: int):
         """Total weight of the subtree classes destroyed when editing at both
-        x and u (the union of their vertex families; descendants only when
-        x == u).  The height-0 replacement is a leaf, so a leaf edit is a
-        no-op and contributes no family."""
+        x and u: the union of their families, or the descendants of x when
+        x == u (both edits then change the ancestors of x alike, so those
+        subtrees still match)."""
         if x == u:
             return self.w_desc[x]
-        tree = self.tree
-        if tree.is_leaf(x):
-            return 0 if tree.is_leaf(u) else self.w_fam[u]
-        if tree.is_leaf(u):
-            return self.w_fam[x]
-        if u in tree.descendants(x):
-            return self.w_fam[x]
-        if x in tree.descendants(u):
-            return self.w_fam[u]
-        return self.w_fam[x] + self.w_fam[u] - self.w_upchain[self._lca(x, u)]
+        return sum(self.w[v] for v in self.family[x] | self.family[u])
 
     def expectation(self, values: Sequence):
         """Expectation over the edited vertex u of per-vertex ``values``."""

@@ -281,7 +281,9 @@ def load_manifest(path: str, mode: TreeMode) -> tuple[Dataset, Optional[Split]]:
     mapping).  Roles, when present on every row, must be one of weight /
     train / pred and are returned as the :class:`Split` they name.  Every
     error about a row (a bad tree, an unreadable tree file, an unknown role)
-    names its 1-based data row, e.g. ``in row 2 of m.csv``.
+    names its 1-based data row, e.g. ``in row 2 of m.csv``.  The manifest
+    and its tree files are read as UTF-8; a leading byte-order mark, as
+    spreadsheet tools save it, is skipped.
     """
     import os
 
@@ -289,7 +291,7 @@ def load_manifest(path: str, mode: TreeMode) -> tuple[Dataset, Optional[Split]]:
     trees: list[Tree] = []
     raw_classes: list[Optional[str]] = []
     roles: list[Optional[str]] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "tree" not in reader.fieldnames:
             raise ValueError(f"{path}: manifest needs a header with a 'tree' column")
@@ -298,7 +300,8 @@ def load_manifest(path: str, mode: TreeMode) -> tuple[Dataset, Optional[Split]]:
             text = (row.get("tree") or "").strip()
             if text.startswith("@"):
                 try:
-                    with open(os.path.join(base, text[1:])) as tree_fh:
+                    tree_path = os.path.join(base, text[1:])
+                    with open(tree_path, encoding="utf-8-sig") as tree_fh:
                         text = tree_fh.read().strip()
                 except OSError as exc:
                     raise ValueError(
@@ -328,8 +331,11 @@ def load_manifest(path: str, mode: TreeMode) -> tuple[Dataset, Optional[Split]]:
 def save_manifest(dataset: Dataset, out: IO[str]) -> None:
     """Write an inline-tree manifest for the dataset.
 
-    A tree whose root label starts with ``@`` would read back as a file
-    reference, so it raises ``ValueError`` before anything is written.
+    :func:`load_manifest` would read some values back as something else: a
+    tree whose root label starts with ``@`` as a file reference, an empty
+    class name as no class, and a class name with leading or trailing
+    whitespace as its stripped form.  Each raises ``ValueError`` before
+    anything is written.
     """
     texts = [serialize_tree(tree) for tree in dataset.trees]
     for i, text in enumerate(texts):
@@ -337,9 +343,14 @@ def save_manifest(dataset: Dataset, out: IO[str]) -> None:
             raise ValueError(
                 f"member {i} cannot be written inline: {text!r} starts with '@', "
                 "which marks a tree file")
+    names = dataset.class_names
+    labels = ["" if cls is None else (names[cls] if names else str(cls))
+              for cls in dataset.classes]
+    for cls, label in zip(dataset.classes, labels):
+        if cls is not None and (not label or label != label.strip()):
+            raise ValueError(
+                f"class name {label!r} cannot be written: the manifest reader "
+                "strips each cell, and an empty cell means no class")
     writer = csv.writer(out)
     writer.writerow(["tree", "class", "role"])
-    names = dataset.class_names
-    for text, cls in zip(texts, dataset.classes):
-        label = "" if cls is None else (names[cls] if names else str(cls))
-        writer.writerow([text, label, ""])
+    writer.writerows([text, label, ""] for text, label in zip(texts, labels))

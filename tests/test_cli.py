@@ -217,6 +217,37 @@ class TestReduce:
         assert capsys.readouterr().out == "trees: 1\nvertices: 15 -> 5 (ratio 0.333)\n"
 
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # Spreadsheet tools save UTF-8 text with a leading byte-order mark.
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            (tmp_path / f"{name}.trees").write_text(f"{FIG3_TREE}\n{FIG5_T2}\n",
+                                                     encoding=encoding)
+            argv = ["reduce", str(tmp_path / f"{name}.trees"), "--out", str(tmp_path / name)]
+            assert cli.run(argv) == 0
+        assert (tmp_path / "bom").read_bytes() == (tmp_path / "plain").read_bytes()
+        out = capsys.readouterr().out
+        assert out == "trees: 2\nvertices: 26 -> 7 (ratio 0.269)\n" * 2
+
+
+class TestClassify:
+    def test_manifest_roles_are_ignored_with_a_warning(self, tmp_path, capsys):
+        # classify draws its own split per repeat; the report is the one of
+        # the same manifest without roles.
+        members = ["(()),a", "(()()),a", "((())),a", "(()),b", "(()()()),b", "(((()))),b"]
+        roles = ["weight", "train", "pred"] * 2
+        plain, with_roles = tmp_path / "plain.csv", tmp_path / "roles.csv"
+        plain.write_text("tree,class\n" + "".join(f"{row}\n" for row in members))
+        with_roles.write_text("tree,class,role\n" + "".join(
+            f"{row},{role}\n" for row, role in zip(members, roles)))
+        assert cli.run(["classify", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert cli.run(["classify", str(with_roles)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == ("warning: classify draws its own split for every repeat; "
+                                "the manifest's roles are ignored\n")
+
+
 class TestExitCodes:
     """Every exit code of ``cli.run`` prints its stderr prefix and no traceback."""
 

@@ -1,7 +1,11 @@
 import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagkernel import (
     Dataset,
@@ -18,11 +22,39 @@ from dagkernel import (
     pipeline,
     run_experiment,
     save_manifest,
+    serialize_tree,
     split_thirds,
     weights_for,
 )
 
 UNORDERED = TreeMode(ordered=False, labeled=False)
+LABELED = TreeMode(ordered=True, labeled=True)
+
+# Labels and class names with CSV delimiters, quotes, non-ASCII characters
+# and '@'; class names may also hold inner spaces.
+LABEL_CHARS = "a,\"'@é日"
+LABELS = st.one_of(st.none(), st.text(LABEL_CHARS, min_size=1, max_size=3))
+BRACKET_TREES = st.recursive(
+    st.builds(lambda label: (label or "") + "()", LABELS),
+    lambda kids: st.builds(lambda label, subtrees: (label or "") + "(" + "".join(subtrees) + ")",
+                           LABELS, st.lists(kids, max_size=3)),
+    max_leaves=6,
+).filter(lambda text: not text.startswith("@"))
+CLASS_NAMES = st.text(LABEL_CHARS + " ", min_size=1, max_size=4).filter(
+    lambda name: name == name.strip())
+
+
+@st.composite
+def labeled_datasets(draw):
+    """Labeled datasets in which every class names at least one member, so
+    that the class names read back in the same sorted order."""
+    names = sorted(draw(st.lists(CLASS_NAMES, max_size=3, unique=True)))
+    extra = draw(st.lists(st.one_of(st.none(), st.integers(0, max(len(names) - 1, 0))),
+                          min_size=0 if names else 1, max_size=4))
+    classes = draw(st.permutations(list(range(len(names))) + extra))
+    classes = [c if names else None for c in classes]
+    trees = tuple(parse_tree(draw(BRACKET_TREES), LABELED) for _ in classes)
+    return Dataset(trees, tuple(classes), LABELED, class_names=tuple(names) or None)
 
 
 def dataset(classes):
@@ -184,6 +216,44 @@ class TestManifest:
         with pytest.raises(ValueError, match="member 1 cannot be written inline"):
             save_manifest(Dataset(trees, (0, 1), labeled), out)
         assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("names", [(" x", "x"), ("x", "x "), ("",)])
+    def test_class_name_that_reads_back_differently_is_not_written(self, names):
+        # load_manifest strips each cell, and an empty cell means no class.
+        data = Dataset((parse_tree("()", UNORDERED),) * len(names),
+                       tuple(range(len(names))), UNORDERED, class_names=names)
+        out = io.StringIO()
+        bad = next(name for name in names if name != name.strip() or not name)
+        with pytest.raises(ValueError, match=f"class name {bad!r} cannot be written"):
+            save_manifest(data, out)
+        assert out.getvalue() == ""
+
+    @settings(max_examples=60, deadline=None)
+    @given(labeled_datasets(), st.booleans())
+    def test_round_trip(self, data, bom):
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = os.path.join(tmp, "m.csv")
+            # utf-8-sig writes the byte-order mark that spreadsheet tools save.
+            with open(manifest, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as out:
+                save_manifest(data, out)
+            loaded, roles = load_manifest(manifest, LABELED)
+        assert roles is None
+        assert [serialize_tree(t) for t in loaded.trees] == [
+            serialize_tree(t) for t in data.trees]
+        assert loaded.classes == data.classes
+        assert loaded.class_names == data.class_names
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # The manifest and its tree files may each start with a UTF-8 BOM.
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            (tmp_path / f"{name}.tree").write_text("b(c())\n", encoding=encoding)
+            (tmp_path / f"{name}.csv").write_text(
+                f"tree,class,role\n@{name}.tree,é,train\na(),x,pred\n", encoding=encoding)
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        plain, bom = (load_manifest(str(tmp_path / f"{name}.csv"), LABELED)
+                      for name in ("plain", "bom"))
+        assert bom == plain
+        assert bom[0].class_names == ("x", "é")
 
     def test_inner_at_sign_round_trips(self, tmp_path):
         labeled = TreeMode(ordered=True, labeled=True)
