@@ -10,6 +10,9 @@ submodule, and ``dagkernel.X`` or ``from dagkernel import X`` imports the
 submodule that defines ``X`` the first time it is asked for.  A program thus
 pays only for the modules it uses; ``classify`` never loads the stochastic
 model, the corpus generator, the markup parser or the DOT writer.
+
+``_EXPORTS`` is the one list of public names, grouped by defining submodule;
+the submodules keep no ``__all__``.  To make a name public, add it there.
 """
 
 import importlib

@@ -23,8 +23,6 @@ import numpy as np
 
 from .dag import Dag, _positions
 
-__all__ = ["AnnotatedDag"]
-
 
 class AnnotatedDag:
     """Forest DAG plus its member x vertex count matrix (CSR)."""

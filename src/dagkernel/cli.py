@@ -13,7 +13,9 @@ when the file holds one tree.  Its ratio counts the classes only.
 
 ``gram`` and ``classify`` weight by ``--weight exp`` or ``--weight discr``.
 ``viz`` and ``weights-hist`` always learn discriminance weights; ``--seed``
-picks their weight third when the manifest names no weight role.
+picks their weight third when the manifest names no weight role.  The words
+that select a weighting are this module's: ``_SHAPING_KINDS`` maps each
+``--shaping`` word to the :class:`weights.ShapingFn` kind it names.
 
 Each command imports what only it runs inside its body, after the docstring
 that is its help text: ``simulate`` the model, ``ingest`` the markup parser,
@@ -28,12 +30,12 @@ Exit codes: 0 success, 1 usage, 2 parse error, 3 configuration error
 from __future__ import annotations
 
 import csv
+import math
 import sys
 import warnings
 from typing import Optional
 
 import click
-import numpy as np
 
 from . import __version__
 from .dag import format_dag, reduce_forest
@@ -124,19 +126,23 @@ def cmd_reduce(input_file: str, order: str, labeled: bool, out: str):
     click.echo(f"vertices: {total_vertices} -> {merged} (ratio {ratio:.3f})")
 
 
+# --shaping word -> ShapingFn kind; its keys, in this order, are the choices.
+_SHAPING_KINDS = {"id": "identity", "smooth": "smoothstep", "smooth2": "smoothstep2",
+                  "thresh": "threshold"}
+
+
 def _config(weight, lam, shaping, eps, seed, repeats=1) -> ExperimentConfig:
     """The configuration that the weighting flags name."""
     if weight == "exp":
         return ExperimentConfig("exponential", lam=lam, repeats=repeats, seed=seed)
-    return ExperimentConfig(
-        "discriminance", shaping=ShapingFn.parse(shaping, eps), repeats=repeats, seed=seed
-    )
+    return ExperimentConfig("discriminance", shaping=ShapingFn(_SHAPING_KINDS[shaping], eps),
+                            repeats=repeats, seed=seed)
 
 
 shaping_options = [
     click.option(
         "--shaping",
-        type=click.Choice(["id", "smooth", "smooth2", "thresh"]),
+        type=click.Choice(list(_SHAPING_KINDS)),
         default="smooth",
         show_default=True,
         help="Shaping function for discriminance weights.",
@@ -232,7 +238,8 @@ def cmd_classify(manifest, order, labeled, weight, lam, shaping, eps, seed, repe
 @main.command("simulate")
 @click.option("--height", type=int, default=3, show_default=True)
 @click.option("--rho", type=str, default=None,
-              help="Edit intensity in [0, height]; accepts fractions like 9/4.")
+              help="Edit intensity strictly between 0 and height; accepts fractions "
+                   "like 9/4.")
 @click.option("--h", "h_level", type=int, default=None,
               help="Bound level (default: height - 1).")
 @click.option("--delta", type=float, default=0.1, show_default=True,
@@ -246,6 +253,9 @@ def cmd_simulate(height, rho, h_level, delta, leaf_weight, seed, out):
                         sufficient_size, unit_weight)
 
     rho_f = _fraction("--rho", rho) if rho else None
+    # rho = 0 edits only leaves and rho = height only the root: a degenerate model.
+    if rho_f is not None and not 0 < rho_f < height:
+        raise ConfigError("--rho must lie strictly between 0 and height")
     leaf_w = _fraction("--leaf-weight", leaf_weight)
     instance = build_model(height, seed=seed, rho=rho_f)
     h_level = height - 1 if h_level is None else h_level
@@ -278,7 +288,7 @@ def cmd_simulate(height, rho, h_level, delta, leaf_weight, seed, out):
     click.echo(f"leaf-weight never raises the minimum: {flag(plus.min_not_increased)}")
     click.echo(
         f"sufficient training size (delta={delta}, log(2/delta)="
-        f"{np.log(2 / delta):.4f}): {size}"
+        f"{math.log(2 / delta):.4f}): {size}"
     )
     if out:
         with open(out, "w", newline="", encoding="utf-8") as fh:

@@ -47,8 +47,6 @@ import numpy as np
 
 from .trees import Tree, TreeMode
 
-__all__ = ["Dag", "format_dag", "reduce_forest"]
-
 
 class Dag:
     """Immutable compressed forest; see module docstring for the encoding.

@@ -8,8 +8,6 @@ from typing import Optional, Sequence
 from .pipeline import Dataset
 from .trees import Tree, TreeMode
 
-__all__ = ["generate_template_corpus"]
-
 
 def _random_tree_of_height(
     rng: random.Random, height: int, extra_vertices: int, labels: Sequence[str]

@@ -30,13 +30,6 @@ import numpy as np
 from .annotate import AnnotatedDag
 from .trees import Tree, TreeMode, subtree_signatures
 
-__all__ = [
-    "GramComputer",
-    "export_gram_csv",
-    "gram",
-    "kernel_brute",
-]
-
 WeightFn = Callable[[Tree], float]
 
 

@@ -21,8 +21,6 @@ from typing import Optional
 
 from .trees import ParseError, Tree, _check_label
 
-__all__ = ["MarkupParseError", "markup_to_tree"]
-
 _VOID_ELEMENTS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
 )

@@ -36,25 +36,6 @@ from typing import Optional, Sequence
 from .kernel import WeightFn, kernel_brute
 from .trees import Tree, TreeMode, subtree_signatures
 
-__all__ = [
-    "ContrastTable",
-    "ModelConstructionError",
-    "ModelInstance",
-    "Prop1Report",
-    "Prop2Report",
-    "VertexContrast",
-    "build_model",
-    "check_leaf_weight_effect",
-    "check_separation",
-    "edit_height_pmf",
-    "mass_at_most",
-    "sample_dataset",
-    "sample_edited",
-    "sufficient_size",
-    "unit_weight",
-    "verify_model",
-]
-
 UNORDERED = TreeMode(ordered=False, labeled=False)
 
 

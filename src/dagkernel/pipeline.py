@@ -31,22 +31,6 @@ from .trees import Tree, TreeMode, TreeParseError, parse_tree, serialize_tree
 from .weights import (ClassProfile, ShapingFn, class_profile, discriminance_weights,
                       exponential_weights)
 
-__all__ = [
-    "Dataset",
-    "ExperimentConfig",
-    "MetricsReport",
-    "RepeatOutcome",
-    "Split",
-    "annotate_dataset",
-    "evaluate",
-    "load_manifest",
-    "mean_similarity_classify",
-    "run_experiment",
-    "save_manifest",
-    "split_thirds",
-    "weights_for",
-]
-
 
 @dataclass(frozen=True)
 class Split:

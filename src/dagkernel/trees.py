@@ -33,17 +33,6 @@ from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
-__all__ = [
-    "ParseError",
-    "Tree",
-    "TreeMode",
-    "TreeParseError",
-    "parse_tree",
-    "parse_tree_file",
-    "serialize_tree",
-    "subtree_signatures",
-]
-
 
 @dataclass(frozen=True)
 class TreeMode:

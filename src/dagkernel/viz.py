@@ -15,8 +15,6 @@ import numpy as np
 from .dag import Dag
 from .weights import ClassProfile
 
-__all__ = ["PALETTE", "discriminance_dot"]
-
 # (presence, absence) fill colors per class id, cycled when classes run out.
 PALETTE = (
     ("blue", "lightblue"),

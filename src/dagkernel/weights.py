@@ -23,17 +23,6 @@ import numpy as np
 from .annotate import AnnotatedDag
 from .dag import Dag
 
-__all__ = [
-    "ClassProfile",
-    "ShapingFn",
-    "class_profile",
-    "discriminance_weights",
-    "exponential_weights",
-    "export_weight_table",
-    "smoothstep",
-    "weight_distribution_by_height",
-]
-
 
 def exponential_weights(dag: Dag, lam: float) -> np.ndarray:
     """``lam ** height`` per vertex, with ``0 ** 0 == 1`` so that ``lam = 0``
@@ -81,13 +70,6 @@ class ShapingFn:
         if self.kind == "smoothstep":
             return smoothstep(xs)
         return smoothstep(smoothstep(xs))
-
-    @classmethod
-    def parse(cls, name: str, eps: float = 0.3) -> "ShapingFn":
-        """A kind, or its CLI name ``id``, ``smooth``, ``smooth2`` or ``thresh``."""
-        short = {"id": "identity", "smooth": "smoothstep", "smooth2": "smoothstep2",
-                 "thresh": "threshold"}
-        return cls(short.get(name, name), eps)
 
 
 def _corner_sq_dists(rho: np.ndarray) -> np.ndarray:

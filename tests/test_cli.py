@@ -1,4 +1,3 @@
-import importlib
 import os
 import subprocess
 import sys
@@ -8,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import dagkernel
-from dagkernel import ExperimentConfig, ShapingFn, TreeMode, TreeParseError, cli, load_manifest
+from dagkernel import (ExperimentConfig, ShapingFn, TreeMode, TreeParseError, cli, load_manifest,
+                       weights_for)
 
 from conftest import FIG3_TREE, FIG5_T2
 
@@ -158,11 +158,6 @@ class TestNamespace:
             exec(f"from dagkernel import {name}", {})
         assert set(dagkernel.__all__) <= set(dir(dagkernel))
 
-    def test_module_lists_agree(self):
-        for module, names in dagkernel._EXPORTS.items():
-            submodule = importlib.import_module(f"dagkernel.{module}")
-            assert set(submodule.__all__) == set(names), module
-
     def test_all_holds_no_module(self):
         assert not [n for n in dagkernel.__all__
                     if isinstance(getattr(dagkernel, n), types.ModuleType)]
@@ -258,9 +253,15 @@ class TestExitCodes:
         return code, err
 
     def test_unknown_option_is_usage_error(self, capsys):
-        code, err = self.run(["reduce", "--nope"], capsys)
-        assert code == cli.EXIT_USAGE
-        assert err.startswith("usage error: ")
+        # The --shaping words are the CLI's own; any other word is refused.
+        manifest = str(GOLDEN / "generate" / "m.csv")
+        for argv, fragment in ((["reduce", "--nope"], "--nope"),
+                               (["classify", manifest, "--shaping", "cubic"],
+                                "'cubic' is not one of")):
+            code, err = self.run(argv, capsys)
+            assert code == cli.EXIT_USAGE
+            assert err.startswith("usage error: ")
+            assert fragment in err
 
     def test_unclosed_bracket_is_parse_error(self, tmp_path, capsys):
         trees = tmp_path / "bad.trees"
@@ -331,8 +332,11 @@ class TestExitCodes:
         assert err.startswith("configuration error: repeats must be >= 1")
 
 
+    # At --rho 0 or --rho height (3 by default) no vertex below the root and
+    # above the leaves is ever edited, so the model is degenerate.
     @pytest.mark.parametrize("argv", [["--delta", "2"], ["--delta", "0"], ["--h", "5"],
-                                      ["--rho", "1/0"], ["--leaf-weight", "1/0"]])
+                                      ["--rho", "1/0"], ["--leaf-weight", "1/0"],
+                                      ["--rho", "0"], ["--rho", "3"]])
     def test_bad_simulate_option_prints_no_report(self, capsys, argv):
         code = cli.run(["simulate", *argv])
         captured = capsys.readouterr()
@@ -410,6 +414,23 @@ class TestExperimentConfig:
     def test_shaping_under_exponential_rejected(self):
         with pytest.raises(ValueError, match="exponential scheme takes no shaping function"):
             ExperimentConfig("exponential", lam=0.5, shaping=ShapingFn("smoothstep"))
+
+    @pytest.mark.parametrize("word, kind", [("id", "identity"), ("smooth", "smoothstep"),
+                                            ("smooth2", "smoothstep2"), ("thresh", "threshold")])
+    def test_shaping_word_names_its_kind(self, tmp_path, monkeypatch, word, kind):
+        # The configuration that gram learns its weights under carries the
+        # kind that the --shaping word names, and the --eps value with it.
+        seen = []
+
+        def recording(annotated, dataset, config, weight_idx):
+            seen.append(config)
+            return weights_for(annotated, dataset, config, weight_idx)
+
+        monkeypatch.setattr(cli, "weights_for", recording)
+        argv = ["gram", str(GOLDEN / "generate" / "m.csv"), *ORDERED_LABELED, "--weight", "discr",
+                "--shaping", word, "--eps", "0.2", "--out-train", str(tmp_path / "g.csv")]
+        assert cli.run(argv) == 0
+        assert [config.shaping for config in seen] == [ShapingFn(kind, 0.2)]
 
 
 # -- golden outputs ---------------------------------------------------------------------

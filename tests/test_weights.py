@@ -155,12 +155,6 @@ class TestShaping:
             ys = ShapingFn(kind).apply(xs)
             assert np.all(np.diff(ys) >= -1e-15)
 
-    def test_parse_aliases(self):
-        assert ShapingFn.parse("smooth").kind == "smoothstep"
-        assert ShapingFn.parse("thresh", 0.2).eps == 0.2
-        with pytest.raises(ValueError):
-            ShapingFn.parse("cubic")
-
 
 def two_class_dataset(rng, n_per_class=6):
     trees, classes = [], []
