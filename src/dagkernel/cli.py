@@ -17,6 +17,11 @@ picks their weight third when the manifest names no weight role.  The words
 that select a weighting are this module's: ``_SHAPING_KINDS`` maps each
 ``--shaping`` word to the :class:`weights.ShapingFn` kind it names.
 
+The library checks every input.  This module passes on every flag the user
+gave, read by the chosen scheme or not, and maps library errors to exit
+codes; it checks only what no library function sees (a fraction's zero
+divisor, ``--rho`` at its ends, empty Gram sets, no ``ingest`` documents).
+
 Each command imports what only it runs inside its body, after the docstring
 that is its help text: ``simulate`` the model, ``ingest`` the markup parser,
 ``generate`` the corpus generator and ``viz`` the DOT writer.  ``run``
@@ -114,8 +119,6 @@ def cmd_reduce(input_file: str, order: str, labeled: bool, out: str):
     mode = _mode(order, labeled)
     with open(input_file, encoding="utf-8-sig") as fh:
         trees = list(parse_tree_file(fh, mode))
-    if not trees:
-        raise ConfigError(f"{input_file}: no trees found")
     total_vertices = sum(len(t) for t in trees)
     dag = reduce_forest(trees, mode)
     merged = dag.root  # the artificial root is bookkeeping, not data
@@ -132,11 +135,17 @@ _SHAPING_KINDS = {"id": "identity", "smooth": "smoothstep", "smooth2": "smoothst
 
 
 def _config(weight, lam, shaping, eps, seed, repeats=1) -> ExperimentConfig:
-    """The configuration that the weighting flags name."""
-    if weight == "exp":
-        return ExperimentConfig("exponential", lam=lam, repeats=repeats, seed=seed)
-    return ExperimentConfig("discriminance", shaping=ShapingFn(_SHAPING_KINDS[shaping], eps),
-                            repeats=repeats, seed=seed)
+    """The configuration that the weighting flags name: every value the user
+    gave, for the library to refuse where unread, and the defaults it reads."""
+    ctx = click.get_current_context()
+    given = {name for name in ("lam", "shaping", "eps")
+             if ctx.get_parameter_source(name) is click.core.ParameterSource.COMMANDLINE}
+    discr = weight == "discr"
+    shaping_fn = (ShapingFn(_SHAPING_KINDS[shaping], eps if "eps" in given else None)
+                  if discr or given & {"shaping", "eps"} else None)
+    return ExperimentConfig("discriminance" if discr else "exponential",
+                            lam=lam if "lam" in given or not discr else None,
+                            shaping=shaping_fn, repeats=repeats, seed=seed)
 
 
 shaping_options = [
@@ -147,7 +156,7 @@ shaping_options = [
         show_default=True,
         help="Shaping function for discriminance weights.",
     ),
-    click.option("--eps", type=float, default=0.3, show_default=True,
+    click.option("--eps", type=float, default=ShapingFn("threshold").eps, show_default=True,
                  help="Threshold for --shaping thresh."),
 ]
 weight_options = [
@@ -185,6 +194,9 @@ def cmd_gram(manifest, order, labeled, weight, lam, shaping, eps, seed, out_trai
         raise ConfigError("no training members")
     if out_pred and not pred_idx:
         raise ConfigError("--out-pred needs prediction members, and the split has none")
+    if split.weight and config.scheme == "exponential":
+        click.echo("warning: exponential weights are not learned; the manifest's "
+                   "weight rows go into neither Gram matrix", err=True)
     annotated = annotate_dataset(dataset)
     weights, _ = weights_for(annotated, dataset, config, split.weight)
     computer = GramComputer(annotated, weights)
@@ -212,8 +224,6 @@ def cmd_classify(manifest, order, labeled, weight, lam, shaping, eps, seed, repe
     if roles:  # every repeat draws its own seeded split
         click.echo("warning: classify draws its own split for every repeat; "
                    "the manifest's roles are ignored", err=True)
-    if any(c is None for c in dataset.classes):
-        raise ConfigError("classification needs a class for every tree")
     outcomes = run_experiment(dataset, _config(weight, lam, shaping, eps, seed, repeats))
     rows = [
         (r, o.metrics.accuracy, o.metrics.precision, o.metrics.recall, o.metrics.fscore)
@@ -259,8 +269,6 @@ def cmd_simulate(height, rho, h_level, delta, leaf_weight, seed, out):
     leaf_w = _fraction("--leaf-weight", leaf_weight)
     instance = build_model(height, seed=seed, rho=rho_f)
     h_level = height - 1 if h_level is None else h_level
-    if not 0 <= h_level < height:
-        raise ConfigError("--h must lie in [0, height)")
     report = check_separation(instance, unit_weight, h_level)
     plus = check_leaf_weight_effect(instance, unit_weight, leaf_w)
     size = sufficient_size(instance, unit_weight, h_level, delta)
@@ -359,17 +367,15 @@ def _discriminance(manifest, order, labeled, shaping, eps, seed):
     its ``weight`` role if non-empty, else from the seeded weight third if
     every tree has a class, else from every tree with a class."""
     dataset, roles = load_manifest(manifest, _mode(order, labeled))
+    config = _config("discr", None, shaping, eps, seed)
     annotated = annotate_dataset(dataset)
     labeled_members = [i for i, c in enumerate(dataset.classes) if c is not None]
     if roles and roles.weight:
         weight_idx = roles.weight
     elif len(labeled_members) == len(dataset):
         weight_idx = split_thirds(dataset, seed, "discriminance").weight
-    elif labeled_members:
-        weight_idx = labeled_members
     else:
-        raise ConfigError("discriminance weights need class information")
-    config = _config("discr", None, shaping, eps, seed)
+        weight_idx = labeled_members
     weights, profile = weights_for(annotated, dataset, config, weight_idx)
     return annotated.dag, weights, profile
 

@@ -127,23 +127,14 @@ def mean_similarity_classify(
 
 
 @dataclass(frozen=True)
-class ClassCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-
-@dataclass(frozen=True)
 class MetricsReport:
-    """Accuracy plus macro-averaged precision/recall/F-score with one-vs-rest
-    confusion counts per class.  Zero-denominator metrics are defined as 0."""
+    """Accuracy plus one-vs-rest precision/recall/F-score, macro-averaged
+    over the classes.  Zero-denominator metrics are defined as 0."""
 
     accuracy: float
     precision: float
     recall: float
     fscore: float
-    per_class: tuple[ClassCounts, ...]
 
 
 def evaluate(
@@ -158,19 +149,15 @@ def evaluate(
         if not 0 <= y < n_classes:
             raise ValueError(f"class id {y} out of range")
     n, k = len(truth), n_classes
-    # Row: true class, column: predicted class.
+    # Row: true class, column: predicted class; so a column sums to the
+    # predictions of its class, and a row to the true members of its class.
     confusion = np.bincount(np.asarray(truth, np.int64) * k + np.asarray(predicted, np.int64),
                             minlength=k * k).reshape(k, k)
-    tp = np.diag(confusion)
-    fp = confusion.sum(axis=0) - tp
-    fn = confusion.sum(axis=1) - tp
-    counts = tuple(map(ClassCounts, tp.tolist(), fp.tolist(), (n - tp - fp - fn).tolist(),
-                       fn.tolist()))
-    precisions = [c.tp / (c.tp + c.fp) if c.tp + c.fp else 0.0 for c in counts]
-    recalls = [c.tp / (c.tp + c.fn) if c.tp + c.fn else 0.0 for c in counts]
+    tp = np.diag(confusion).tolist()
+    precisions = [t / p if p else 0.0 for t, p in zip(tp, confusion.sum(axis=0).tolist())]
+    recalls = [t / c if c else 0.0 for t, c in zip(tp, confusion.sum(axis=1).tolist())]
     fscores = [2 * p * r / (p + r) if p + r else 0.0 for p, r in zip(precisions, recalls)]
-    return MetricsReport(int(tp.sum()) / n, sum(precisions) / k, sum(recalls) / k,
-                         sum(fscores) / k, counts)
+    return MetricsReport(sum(tp) / n, sum(precisions) / k, sum(recalls) / k, sum(fscores) / k)
 
 
 # -- repeated experiments -------------------------------------------------------------

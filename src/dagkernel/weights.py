@@ -44,17 +44,23 @@ class ShapingFn:
     """Monotone map from (-inf, 1] to [0, 1] with f(x)=0 for x<=0 and f(1)=1.
 
     Kinds: ``identity``, ``smoothstep``, ``smoothstep2`` (smoothstep applied
-    twice) and ``threshold`` (0/1 step strictly above ``eps``).
+    twice) and ``threshold`` (0/1 step strictly above ``eps``, 0.3 if not
+    given).  Only ``threshold`` takes an ``eps``: another kind given one
+    raises ``ValueError``, so shapings that shape alike are equal.
     """
 
     kind: str
-    eps: float = 0.3
+    eps: Optional[float] = None
 
     _KINDS = ("identity", "smoothstep", "smoothstep2", "threshold")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown shaping function {self.kind!r}")
+        if self.kind != "threshold" and self.eps is not None:
+            raise ValueError(f"{self.kind} shaping takes no eps; only threshold does")
+        if self.kind == "threshold" and self.eps is None:
+            object.__setattr__(self, "eps", 0.3)
         if self.kind == "threshold" and not 0.0 <= self.eps < 1.0:
             raise ValueError("threshold eps must be in [0, 1)")
 

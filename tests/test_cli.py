@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -243,6 +244,37 @@ class TestClassify:
                                 "the manifest's roles are ignored\n")
 
 
+class TestGram:
+    def test_weight_rows_under_exponential_weights_warn(self, tmp_path, capsys):
+        # Exponential weights learn nothing, so the weight rows of a manifest
+        # with complete roles go into neither Gram matrix: the Grams are
+        # those of the same manifest without its weight rows.
+        rows = ["(()),a,train", "(()()),b,train", "((())),a,pred", "(()()()),b,pred"]
+        weight_rows = ["(((()))),a,weight", "((()())),b,weight"]
+        errs = {}
+        for name, lines in (("plain", rows), ("weighted", rows + weight_rows)):
+            manifest = tmp_path / f"{name}.csv"
+            manifest.write_text("tree,class,role\n" + "".join(f"{line}\n" for line in lines))
+            argv = ["gram", str(manifest), "--out-train", str(tmp_path / f"{name}-train.csv"),
+                    "--out-pred", str(tmp_path / f"{name}-pred.csv")]
+            assert cli.run(argv) == 0
+            errs[name] = capsys.readouterr().err
+        assert errs == {"plain": "", "weighted": (
+            "warning: exponential weights are not learned; the manifest's weight rows go "
+            "into neither Gram matrix\n")}
+        for part in ("train", "pred"):
+            weighted = (tmp_path / f"weighted-{part}.csv").read_bytes()
+            assert weighted == (tmp_path / f"plain-{part}.csv").read_bytes()
+
+
+# gram's weighting flags besides --weight.  Of the 16 combinations of
+# --weight with these, each given or not, the 5 in READ give only values that
+# their scheme reads; the library refuses the other 11.
+WEIGHTING_FLAGS = {"--lambda": "0.9", "--shaping": "thresh", "--eps": "0.2"}
+READ = {("exp",), ("exp", "--lambda"), ("discr",), ("discr", "--shaping"),
+        ("discr", "--shaping", "--eps")}
+
+
 class TestExitCodes:
     """Every exit code of ``cli.run`` prints its stderr prefix and no traceback."""
 
@@ -311,6 +343,22 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert err == ("configuration error: cannot read @missing.txt "
                        f"(No such file or directory) in row 2 of {manifest}\n")
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("reduce", "", "cannot reduce an empty forest"),
+        ("classify", "tree,class\n(()),a\n(()()),b\n((())),a\n(()),\n",
+         "member 3 has no class; cannot stratify"),
+    ], ids=["reduce", "classify"])
+    def test_library_rule_is_configuration_error(self, tmp_path, capsys, command, text,
+                                                 message):
+        # The library's own check, not a copy of it in the CLI, refuses the input.
+        given = tmp_path / "input"
+        given.write_text(text)
+        out = tmp_path / "out"
+        code, err = self.run([command, str(given), "--out", str(out)], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert err == f"configuration error: {message}\n"
+        assert not out.exists()
 
     def test_failed_assertion_is_internal_error(self, tmp_path, capsys, monkeypatch):
         def broken(trees, mode):
@@ -387,6 +435,40 @@ class TestExitCodes:
                        "and the split has none\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
 
+    @pytest.mark.parametrize("weight", ["exp", "discr"])
+    @pytest.mark.parametrize("given", [names for n in range(4)
+                                       for names in itertools.combinations(WEIGHTING_FLAGS, n)],
+                             ids=lambda names: "+".join(names) or "none")
+    def test_every_weighting_flag_reaches_the_library(self, tmp_path, capsys, weight, given):
+        out = tmp_path / "g.csv"
+        flags = [part for name in given for part in (name, WEIGHTING_FLAGS[name])]
+        argv = ["gram", str(GOLDEN / "generate" / "m.csv"), *ORDERED_LABELED,
+                "--weight", weight, *flags, "--out-train", str(out)]
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if (weight, *given) in READ:
+            assert code == 0
+            assert out.exists()
+        else:
+            assert code == cli.EXIT_CONFIG
+            assert captured.err.startswith("configuration error: ")
+            assert captured.out == ""
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["viz", "weights-hist"])
+    @pytest.mark.parametrize("flags, expected", [(["--eps", "0.2"], cli.EXIT_CONFIG),
+                                                 (["--shaping", "thresh", "--eps", "0.2"], 0)])
+    def test_eps_needs_threshold_shaping(self, tmp_path, capsys, command, flags, expected):
+        out = tmp_path / "o"
+        code, err = self.run([command, str(GOLDEN / "generate" / "m.csv"), *ORDERED_LABELED,
+                              *flags, "--out", str(out)], capsys)
+        assert code == expected
+        assert out.exists() == (code == 0)
+        if code:
+            assert err == ("configuration error: smoothstep shaping takes no eps; "
+                           "only threshold does\n")
+
     @pytest.mark.parametrize("command", ["viz", "weights-hist"])
     @pytest.mark.parametrize("option", [["--weight", "discr"], ["--lambda", "0.9"]])
     def test_learned_weights_take_no_scheme_options(self, tmp_path, capsys, command, option):
@@ -419,7 +501,9 @@ class TestExperimentConfig:
                                             ("smooth2", "smoothstep2"), ("thresh", "threshold")])
     def test_shaping_word_names_its_kind(self, tmp_path, monkeypatch, word, kind):
         # The configuration that gram learns its weights under carries the
-        # kind that the --shaping word names, and the --eps value with it.
+        # kind that the --shaping word names, and the --eps value with it
+        # where the kind takes one.
+        eps = [0.2] if kind == "threshold" else []
         seen = []
 
         def recording(annotated, dataset, config, weight_idx):
@@ -428,9 +512,10 @@ class TestExperimentConfig:
 
         monkeypatch.setattr(cli, "weights_for", recording)
         argv = ["gram", str(GOLDEN / "generate" / "m.csv"), *ORDERED_LABELED, "--weight", "discr",
-                "--shaping", word, "--eps", "0.2", "--out-train", str(tmp_path / "g.csv")]
+                "--shaping", word, *(f"--eps={e}" for e in eps),
+                "--out-train", str(tmp_path / "g.csv")]
         assert cli.run(argv) == 0
-        assert [config.shaping for config in seen] == [ShapingFn(kind, 0.2)]
+        assert [config.shaping for config in seen] == [ShapingFn(kind, *eps)]
 
 
 # -- golden outputs ---------------------------------------------------------------------

@@ -138,6 +138,15 @@ class TestShaping:
         with pytest.raises(ValueError):
             ShapingFn("nope")
 
+    def test_only_threshold_takes_eps(self):
+        # A kind that reads no eps refuses one, so shapings that shape alike
+        # are equal.
+        assert ShapingFn("threshold").eps == 0.3
+        assert ShapingFn("smoothstep") == ShapingFn("smoothstep", None)
+        for kind in ("identity", "smoothstep", "smoothstep2"):
+            with pytest.raises(ValueError, match=f"{kind} shaping takes no eps"):
+                ShapingFn(kind, 0.2)
+
     def test_endpoint_contract(self):
         for fn in (
             ShapingFn("identity"),
