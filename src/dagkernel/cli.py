@@ -368,7 +368,6 @@ def _discriminance(manifest, order, labeled, shaping, eps, seed):
     every tree has a class, else from every tree with a class."""
     dataset, roles = load_manifest(manifest, _mode(order, labeled))
     config = _config("discr", None, shaping, eps, seed)
-    annotated = annotate_dataset(dataset)
     labeled_members = [i for i, c in enumerate(dataset.classes) if c is not None]
     if roles and roles.weight:
         weight_idx = roles.weight
@@ -376,6 +375,8 @@ def _discriminance(manifest, order, labeled, shaping, eps, seed):
         weight_idx = split_thirds(dataset, seed, "discriminance").weight
     else:
         weight_idx = labeled_members
+    dataset.n_classes  # refuses a dataset with no classes before compression
+    annotated = annotate_dataset(dataset)
     weights, profile = weights_for(annotated, dataset, config, weight_idx)
     return annotated.dag, weights, profile
 

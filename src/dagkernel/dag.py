@@ -35,7 +35,7 @@ with multiplicity 1; unordered mode stores distinct children sorted by id,
 with their multiplicities.  The count matrix is stored the same way: row i
 is positions ``row_offsets[i]:row_offsets[i + 1]`` of an array of increasing
 vertex ids and an array of counts.  `Dag.member_counts` hands out that
-read-only triple, the one the constructor takes.
+read-only triple, the one `_compress` hands it.
 """
 
 from __future__ import annotations
@@ -51,70 +51,30 @@ from .trees import Tree, TreeMode
 class Dag:
     """Immutable compressed forest; see module docstring for the encoding.
 
-    ``children`` is the CSR triple (offsets, child ids, multiplicities) and
-    ``member_counts`` the CSR triple (row offsets, vertex ids, counts) of the
-    member x vertex count matrix.  The artificial root is the last id.
+    Only `reduce_forest` builds one: ``Dag`` has no public constructor.
+    Vertex ids run over ``0 .. len - 1``, the artificial root last; the
+    accessors raise ``IndexError`` on any other id (a negative id does not
+    wrap).
     """
 
     __slots__ = ("mode", "_heights", "_labels", "_offsets", "_kids", "_mults", "_counts")
 
-    def __init__(
-        self,
-        mode: TreeMode,
-        heights: Sequence[int],
-        labels: Sequence[Optional[str]],
-        children: tuple[Sequence[int], Sequence[int], Sequence[int]],
-        member_counts: tuple[Sequence[int], Sequence[int], Sequence[float]],
-    ):
-        self.mode = mode
-        self._heights = _frozen(heights, np.int64)
-        self._labels = tuple(labels)
-        self._offsets, self._kids, self._mults = (_frozen(a, np.int64) for a in children)
-        self._counts = tuple(
-            _frozen(a, dtype)
-            for a, dtype in zip(member_counts, (np.int64, np.int64, np.float64))
-        )
-        self._validate()
+    @classmethod
+    def _raw(cls, mode: TreeMode, heights, labels, children, member_counts) -> "Dag":
+        # The arrays of `_compress`, already int64 (counts float64) and
+        # consistent; the Dag keeps read-only views of them.
+        dag = object.__new__(cls)
+        dag.mode = mode
+        dag._heights = _frozen(heights)
+        dag._labels = tuple(labels)
+        dag._offsets, dag._kids, dag._mults = map(_frozen, children)
+        dag._counts = tuple(map(_frozen, member_counts))
+        return dag
 
-    def _validate(self) -> None:
-        n = len(self._heights)
-        heights, offsets, kids, mults = self._heights, self._offsets, self._kids, self._mults
-        if not len(self._labels) == n == len(offsets) - 1:
-            raise ValueError("heights, labels and children must have equal length")
-        if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]) or not (
-                offsets[-1] == len(kids) == len(mults)):
-            raise ValueError("children offsets must rise from 0 to the number of edges")
-        owner = np.repeat(np.arange(n), np.diff(offsets))
-        bad = np.flatnonzero((kids < 0) | (kids >= n))
-        if len(bad):
-            raise ValueError(f"vertex {owner[bad[0]]} references invalid child {kids[bad[0]]}")
-        if np.any(mults < 1) or (self.mode.ordered and np.any(mults != 1)):
-            raise ValueError("edge multiplicity must be >= 1, and 1 in ordered mode")
-        has_kids = offsets[1:] > offsets[:-1]
-        bad = np.flatnonzero(~has_kids & (heights != 0))
-        if len(bad):
-            raise ValueError(f"childless vertex {bad[0]} must have height 0")
-        below = heights[kids]
-        bad = np.flatnonzero(below >= heights[owner])
-        if len(bad):
-            raise ValueError(f"edge {owner[bad[0]]}->{kids[bad[0]]} does not decrease height")
-        if len(kids):
-            top = np.maximum.reduceat(below, offsets[:-1][has_kids])
-            bad = np.flatnonzero(heights[has_kids] != top + 1)
-            if len(bad):
-                raise ValueError(f"vertex {np.flatnonzero(has_kids)[bad[0]]} has "
-                                 "inconsistent height")
-        row_offsets, ids, counts = self._counts
-        message = "a member count row needs increasing vertex ids and positive counts"
-        if not (row_offsets[0] == 0 and np.all(row_offsets[1:] > row_offsets[:-1])
-                and row_offsets[-1] == len(ids) == len(counts)):
-            raise ValueError(message)
-        # Consecutive ids must rise, except where a new row starts.
-        rising = ids[1:] > ids[:-1]
-        rising[row_offsets[1:-1] - 1] = True
-        if not (np.all((ids >= 0) & (ids < n - 1)) and np.all(rising)
-                and np.all(counts >= 1)):
-            raise ValueError(message)
+    def _vertex(self, v: int) -> int:
+        if not 0 <= v < len(self._heights):
+            raise IndexError("vertex id out of range")
+        return v
 
     # -- accessors -------------------------------------------------------------
 
@@ -145,16 +105,14 @@ class Dag:
         return len(self._heights)
 
     def height(self, v: Optional[int] = None) -> int:
-        if v is None:
-            v = self.root
-        return int(self._heights[v])
+        return int(self._heights[self.root if v is None else self._vertex(v)])
 
     def heights(self) -> np.ndarray:
         """Every vertex's height, as the read-only int64 array the `Dag` stores."""
         return self._heights
 
     def label(self, v: int) -> Optional[str]:
-        return self._labels[v]
+        return self._labels[self._vertex(v)]
 
     def edges(self, v: int):
         """Outgoing edges as (child, multiplicity) pairs.
@@ -162,6 +120,7 @@ class Dag:
         Ordered mode yields one pair per edge in order (multiplicity 1);
         unordered mode yields the stored multiplicity pairs.
         """
+        v = self._vertex(v)
         a, b = self._offsets[v], self._offsets[v + 1]
         return tuple(zip(self._kids[a:b].tolist(), self._mults[a:b].tolist()))
 
@@ -170,9 +129,9 @@ class Dag:
                 f"height {self.height()})")
 
 
-def _frozen(values, dtype) -> np.ndarray:
+def _frozen(values: np.ndarray) -> np.ndarray:
     # A read-only view: the Dag never exposes a writable handle on its arrays.
-    out = np.asarray(values, dtype=dtype).view()
+    out = values.view()
     out.flags.writeable = False
     return out
 
@@ -181,7 +140,8 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 def reduce_forest(trees: Sequence[Tree], mode: TreeMode) -> Dag:
-    """Compress a forest in one pass over its trees (see module doc)."""
+    """Compress a forest in one pass over its trees (see module doc).  This is
+    the only way to build a `Dag`."""
     if not trees:
         raise ValueError("cannot reduce an empty forest")
     return _compress(mode, trees)
@@ -280,9 +240,9 @@ def _compress(mode: TreeMode, trees: Sequence[Tree]) -> Dag:
     rows = cells // n_classes
     ids = cells - rows * n_classes
     row_offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(trees)))))
-    return Dag(mode, np.append(out_heights, out_heights[-1] + 1), out_labels + [None],
-               _children_csr(mode, n_classes + 1, owner, child),
-               (row_offsets, ids, counts.astype(np.float64)))
+    return Dag._raw(mode, np.append(out_heights, out_heights[-1] + 1), out_labels + [None],
+                    _children_csr(mode, n_classes + 1, owner, child),
+                    (row_offsets, ids, counts.astype(np.float64)))
 
 
 def _level_keys(mode, level, label, offsets, kids, class_of, bound) -> np.ndarray:

@@ -220,13 +220,16 @@ def run_experiment(
     The dataset annotation is built once and shared across repeats (pass a
     prebuilt one to share it across configurations as well); each repeat
     evaluates its Grams with one :class:`GramComputer` on its own weight table.
+    The classes are checked and every split is drawn before any compression,
+    so bad class input fails first.
     """
+    n_classes = dataset.n_classes
+    splits = [split_thirds(dataset, f"{config.seed}:{r}", config.scheme)
+              for r in range(config.repeats)]
     if annotated is None:
         annotated = annotate_dataset(dataset)
-    n_classes = dataset.n_classes
     outcomes = []
-    for r in range(config.repeats):
-        split = split_thirds(dataset, f"{config.seed}:{r}", config.scheme)
+    for split in splits:
         weights, _ = weights_for(annotated, dataset, config, split.weight)
         computer = GramComputer(annotated, weights)
         g_train = computer.gram(split.class_train, split.class_train)

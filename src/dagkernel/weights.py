@@ -123,8 +123,11 @@ class ClassProfile:
 
         Ties resolve to presence over absence first, then to the smaller
         class id, so a class-pure subtree always reads as "present in its
-        class".
+        class".  A vertex id outside ``0 .. len(rho) - 1`` raises
+        ``IndexError``; a negative id does not wrap.
         """
+        if not 0 <= v < len(self.rho):
+            raise IndexError("vertex id out of range")
         i = int(self._nearest[v])
         return i % self.n_classes, i < self.n_classes
 

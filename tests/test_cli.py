@@ -348,10 +348,20 @@ class TestExitCodes:
         ("reduce", "", "cannot reduce an empty forest"),
         ("classify", "tree,class\n(()),a\n(()()),b\n((())),a\n(()),\n",
          "member 3 has no class; cannot stratify"),
-    ], ids=["reduce", "classify"])
-    def test_library_rule_is_configuration_error(self, tmp_path, capsys, command, text,
-                                                 message):
-        # The library's own check, not a copy of it in the CLI, refuses the input.
+        ("classify", "tree,class\n(()),a\n(()()),b\n",
+         "need at least 3 members to split in thirds"),
+        ("viz", "tree,class\n(()),\n(()()),\n((())),\n", "dataset has no class information"),
+        ("weights-hist", "tree,class\n(()),\n(()()),\n((())),\n",
+         "dataset has no class information"),
+    ], ids=["reduce", "classify", "classify-two-members", "viz", "weights-hist"])
+    def test_library_rule_is_configuration_error(self, tmp_path, capsys, monkeypatch, command,
+                                                 text, message):
+        # The library's own check, not a copy of it in the CLI, refuses the
+        # input, and bad class input is refused before any compression.
+        def compressing(trees, mode):
+            raise AssertionError("compressed before checking the classes")
+
+        monkeypatch.setattr(dagkernel.pipeline, "reduce_forest", compressing)
         given = tmp_path / "input"
         given.write_text(text)
         out = tmp_path / "out"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagkernel import Dag, Tree, TreeMode, format_dag, parse_tree, reduce_forest, subtree_signatures
+from dagkernel import (AnnotatedDag, Dag, Tree, TreeMode, class_profile, format_dag, parse_tree,
+                       reduce_forest, subtree_signatures)
 
 from conftest import (
     FIG3_TREE,
@@ -263,50 +264,45 @@ class TestNumbering:
         assert ids(forest, forest.root) == expected(trees)
 
 
-def dag_parts(**fault):
-    """Constructor arguments of a valid unordered forest DAG, with ``fault``
-    replacing some: leaf 0, vertex 1 with the leaf twice below it, and the
-    artificial root 2 above one member whose count row is {0: 2, 1: 1}."""
-    parts = dict(mode=UNORDERED, heights=[0, 1, 2], offsets=[0, 0, 1, 2], kids=[0, 1],
-                 mults=[2, 1], rows=([0, 2], [0, 1], [2.0, 1.0]))
-    parts.update(fault)
-    return (parts["mode"], parts["heights"], [None] * 3,
-            (parts["offsets"], parts["kids"], parts["mults"]), parts["rows"])
+def small_dag():
+    """Leaf 0, vertex 1 with the leaf twice below it, and the artificial root
+    2 above the one member, whose count row is {0: 2, 1: 1}."""
+    return reduce_forest([parse_tree("(()())")], UNORDERED)
 
 
 class TestValidation:
     def test_valid_parts(self):
-        d = Dag(*dag_parts())
+        d = small_dag()
         assert d.member_roots == (1,) and d.edges(1) == ((0, 2),)
         assert repr(d) == "Dag(unordered+unlabeled, 1 members, 3 vertices, height 2)"
 
     def test_root_and_heights_come_from_the_stored_arrays(self):
-        d = Dag(*dag_parts())
+        d = small_dag()
         assert d.root == len(d) - 1 == 2
         heights = d.heights()
         assert heights.dtype == np.int64 and heights.tolist() == [0, 1, 2]
         assert not heights.flags.writeable
 
-    @pytest.mark.parametrize("fault, message", [
-        (dict(heights=[0, 1]), "equal length"),
-        (dict(offsets=[0, 1, 0, 2]), "offsets"),
-        (dict(heights=[1, 1, 2]), "childless vertex 0 must have height 0"),
-        (dict(heights=[0, 1, 3]), "vertex 2 has inconsistent height"),
-        (dict(kids=[0, 3]), "vertex 2 references invalid child 3"),
-        (dict(kids=[0, -1]), "vertex 2 references invalid child -1"),
-        (dict(heights=[0, 2, 2]), "edge 2->1 does not decrease height"),
-        (dict(mults=[0, 1]), "multiplicity"),
-        (dict(mode=ORDERED), "multiplicity"),  # ordered mode repeats a child instead
-        (dict(rows=([0, 2, 2], [0, 1], [2.0, 1.0])), "count row"),  # empty row
-        (dict(rows=([0, 2], [1, 0], [1.0, 2.0])), "count row"),  # not increasing
-        (dict(rows=([0, 2], [0, 1], [2.0, 0.5])), "count row"),  # count below 1
-        (dict(rows=([0, 3], [0, 1, 2], [2.0, 1.0, 1.0])), "count row"),  # holds the root
-    ], ids=["lengths", "offsets", "childless", "height", "child-high", "child-low", "edge",
-            "mult", "ordered-mult", "row-empty",
-            "row-order", "row-count", "row-root"])
-    def test_rejected(self, fault, message):
-        with pytest.raises(ValueError, match=message):
-            Dag(*dag_parts(**fault))
+    def test_no_public_constructor(self):
+        # Only reduce_forest builds a Dag; the hand-built arrays are refused.
+        with pytest.raises(TypeError):
+            Dag(UNORDERED, [0, 1, 2], [None] * 3, ([0, 0, 1, 2], [0, 1], [2, 1]),
+                ([0, 2], [0, 1], [2.0, 1.0]))
+
+    QUERIES = {
+        "edges": lambda dag, v: dag.edges(v),
+        "label": lambda dag, v: dag.label(v),
+        "height": lambda dag, v: dag.height(v),
+        "nearest_corner": lambda dag, v: class_profile(
+            AnnotatedDag(dag), [0], [0], 1).nearest_corner(v),
+    }
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    @pytest.mark.parametrize("index", [-1, -2, 3])  # the DAG has 3 vertices
+    def test_vertex_out_of_range_raises(self, query, index):
+        # A negative id must not wrap to the last vertices.
+        with pytest.raises(IndexError, match="vertex id out of range"):
+            self.QUERIES[query](small_dag(), index)
 
 
 class TestDagStructure:

@@ -182,6 +182,16 @@ class TestWeightsFor:
             assert np.array_equal(computer.weights, expected)
             assert (profile is None) == (config.scheme == "exponential")
 
+    @pytest.mark.parametrize("classes", [[0, None, 1, 0, 1], [None] * 3, [0, 1]],
+                             ids=["unlabeled-row", "no-classes", "two-members"])
+    def test_run_experiment_checks_classes_before_compression(self, classes, monkeypatch):
+        def compressing(trees, mode):
+            raise AssertionError("compressed before checking the classes")
+
+        monkeypatch.setattr(pipeline, "reduce_forest", compressing)
+        with pytest.raises(ValueError):
+            run_experiment(dataset(classes), ExperimentConfig("discriminance"))
+
     def test_discriminance_needs_classes_for_the_weight_members(self):
         data = dataset([0, None, 1, 0, 1])
         config = ExperimentConfig("discriminance")
