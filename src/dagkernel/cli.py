@@ -28,8 +28,9 @@ that is its help text: ``simulate`` the model, ``ingest`` the markup parser,
 catches ``trees.ParseError``, the base of the tree and markup parse errors,
 so ``classify`` loads no more than the classification pipeline.
 
-Exit codes: 0 success, 1 usage, 2 parse error, 3 configuration error
-(including a file that cannot be read or written), 4 internal assertion.
+Exit codes: 0 success, 1 usage, 2 parse error (a malformed tree, document
+or manifest row), 3 configuration error (any other ``ValueError``, including
+a file that cannot be read or written), 4 internal assertion.
 """
 
 from __future__ import annotations
@@ -64,10 +65,6 @@ EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
 
 
-class ConfigError(Exception):
-    """Semantically invalid configuration (flags parse but cannot be run)."""
-
-
 def _mode(order: str, labeled: bool) -> TreeMode:
     return TreeMode(ordered=(order == "ordered"), labeled=labeled)
 
@@ -79,7 +76,7 @@ def _fraction(option: str, text: str):
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ConfigError(f"{option} {text} divides by zero") from None
+        raise ValueError(f"{option} {text} divides by zero") from None
 
 
 mode_options = [
@@ -191,9 +188,9 @@ def cmd_gram(manifest, order, labeled, weight, lam, shaping, eps, seed, out_trai
     split = roles or split_thirds(dataset, seed, config.scheme)
     train_idx, pred_idx = split.class_train, split.pred
     if not train_idx:
-        raise ConfigError("no training members")
+        raise ValueError("no training members")
     if out_pred and not pred_idx:
-        raise ConfigError("--out-pred needs prediction members, and the split has none")
+        raise ValueError("--out-pred needs prediction members, and the split has none")
     if split.weight and config.scheme == "exponential":
         click.echo("warning: exponential weights are not learned; the manifest's "
                    "weight rows go into neither Gram matrix", err=True)
@@ -265,7 +262,7 @@ def cmd_simulate(height, rho, h_level, delta, leaf_weight, seed, out):
     rho_f = _fraction("--rho", rho) if rho else None
     # rho = 0 edits only leaves and rho = height only the root: a degenerate model.
     if rho_f is not None and not 0 < rho_f < height:
-        raise ConfigError("--rho must lie strictly between 0 and height")
+        raise ValueError("--rho must lie strictly between 0 and height")
     leaf_w = _fraction("--leaf-weight", leaf_weight)
     instance = build_model(height, seed=seed, rho=rho_f)
     h_level = height - 1 if h_level is None else h_level
@@ -325,21 +322,16 @@ def cmd_ingest(inputs, labeled, class_id, out, trees_out):
     from .markup import markup_to_tree
 
     if not inputs:
-        raise ConfigError("no input documents")
+        raise ValueError("no input documents")
     trees = []
     for name in inputs:
-        if name == "-":
-            text = sys.stdin.read()
-        else:
-            with open(name, encoding="utf-8-sig") as fh:
-                text = fh.read()
-        trees.append(markup_to_tree(text, labeled))
+        with click.open_file(name, encoding="utf-8-sig") as fh:  # '-' is stdin
+            trees.append(markup_to_tree(fh.read(), labeled))
     mode = TreeMode(ordered=True, labeled=labeled)
     classes = tuple(0 if class_id else None for _ in trees)
     names = (class_id,) if class_id else None
     dataset = Dataset(tuple(trees), classes, mode, class_names=names)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        save_manifest(dataset, fh)
+    save_manifest(dataset, out)
     if trees_out:
         with open(trees_out, "w", encoding="utf-8") as fh:
             for tree in trees:
@@ -357,8 +349,7 @@ def cmd_generate(per_class, edit_rate, seed, out):
     from .generate import generate_template_corpus
 
     dataset = generate_template_corpus(per_class, edit_rate, seed)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        save_manifest(dataset, fh)
+    save_manifest(dataset, out)
     click.echo(f"generated {len(dataset)} trees -> {out}")
 
 
@@ -442,7 +433,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         except ParseError as exc:
             click.echo(f"parse error: {exc}", err=True)
             return EXIT_PARSE
-        except (ConfigError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             click.echo(f"configuration error: {exc}", err=True)
             return EXIT_CONFIG
         except AssertionError as exc:

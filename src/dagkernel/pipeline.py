@@ -20,14 +20,14 @@ import random
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .annotate import AnnotatedDag
 from .dag import reduce_forest
 from .kernel import GramComputer, min_eig_and_norm
-from .trees import Tree, TreeMode, TreeParseError, parse_tree, serialize_tree
+from .trees import ParseError, Tree, TreeMode, TreeParseError, parse_tree, serialize_tree
 from .weights import (ClassProfile, ShapingFn, class_profile, discriminance_weights,
                       exponential_weights)
 
@@ -252,12 +252,13 @@ def load_manifest(path: str, mode: TreeMode) -> tuple[Dataset, Optional[Split]]:
     The tree column holds inline bracket text, or ``@relative/path`` to a
     file containing one bracket tree.  Classes may be arbitrary strings; they
     are mapped to ids 0..K-1 in sorted order (``class_names`` records the
-    mapping).  Roles, when present on every row, must be one of weight /
-    train / pred and are returned as the :class:`Split` they name.  Every
-    error about a row (a bad tree, an unreadable tree file, an unknown role)
-    names its 1-based data row, e.g. ``in row 2 of m.csv``.  The manifest
-    and its tree files are read as UTF-8; a leading byte-order mark, as
-    spreadsheet tools save it, is skipped.
+    mapping).  Roles, when there are rows and each has one, must be one of
+    weight / train / pred and are returned as the :class:`Split` they name.
+    Every error about a row (a bad tree, a row that ``csv`` refuses, an
+    unreadable tree file, an unknown role) names its 1-based data row, e.g.
+    ``in row 2 of m.csv``; a tree's error position counts from the start of
+    its cell or file.  Cells may be of any length.  The manifest and its tree
+    files are read as UTF-8; a leading byte-order mark is skipped.
     """
     import os
 
@@ -265,36 +266,44 @@ def load_manifest(path: str, mode: TreeMode) -> tuple[Dataset, Optional[Split]]:
     trees: list[Tree] = []
     raw_classes: list[Optional[str]] = []
     roles: list[Optional[str]] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "tree" not in reader.fieldnames:
-            raise ValueError(f"{path}: manifest needs a header with a 'tree' column")
-        for row_number, row in enumerate(reader, 1):
-            where = f"row {row_number} of {path}"
-            text = (row.get("tree") or "").strip()
-            if text.startswith("@"):
+    # csv refuses cells over 131,072 characters; 2**31 - 1 fits every C long.
+    limit = csv.field_size_limit(2**31 - 1)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or "tree" not in reader.fieldnames:
+                raise ValueError(f"{path}: manifest needs a header with a 'tree' column")
+            for row_number, row in enumerate(reader, 1):
+                where = f"row {row_number} of {path}"
+                text = (row.get("tree") or "").rstrip()
+                reference = text.lstrip()
+                if reference.startswith("@"):
+                    try:
+                        with open(os.path.join(base, reference[1:]), encoding="utf-8-sig") as tf:
+                            text = tf.read().rstrip()
+                    except OSError as exc:
+                        raise ValueError(
+                            f"cannot read {reference} ({exc.strerror or exc}) in {where}") from exc
                 try:
-                    tree_path = os.path.join(base, text[1:])
-                    with open(tree_path, encoding="utf-8-sig") as tree_fh:
-                        text = tree_fh.read().strip()
-                except OSError as exc:
-                    raise ValueError(
-                        f"cannot read {text} ({exc.strerror or exc}) in {where}") from exc
-            try:
-                trees.append(parse_tree(text, mode))
-            except TreeParseError as exc:
-                raise exc.located(where) from None
-            cls = (row.get("class") or "").strip()
-            raw_classes.append(cls or None)
-            role = (row.get("role") or "").strip().lower()
-            if role and role not in ("weight", "train", "pred"):
-                raise ValueError(f"unknown role {role!r} in {where}")
-            roles.append(role or None)
+                    trees.append(parse_tree(text, mode))
+                except TreeParseError as exc:
+                    raise exc.located(where) from None
+                cls = (row.get("class") or "").strip()
+                raw_classes.append(cls or None)
+                role = (row.get("role") or "").strip().lower()
+                if role and role not in ("weight", "train", "pred"):
+                    raise ValueError(f"unknown role {role!r} in {where}")
+                roles.append(role or None)
+    except csv.Error as exc:  # from reading a row; line_num is 0 until the header is read
+        where = f"row {len(trees) + 1}" if reader.line_num else "the header"
+        raise ParseError(f"{exc} in {where} of {path}") from None
+    finally:
+        csv.field_size_limit(limit)
     names = sorted({c for c in raw_classes if c is not None})
     to_id = {name: k for k, name in enumerate(names)}
     classes = tuple(None if c is None else to_id[c] for c in raw_classes)
     dataset = Dataset(tuple(trees), classes, mode, class_names=tuple(names) or None)
-    if any(r is None for r in roles):
+    if not roles or None in roles:
         return dataset, None
     return dataset, Split(*(
         tuple(i for i, r in enumerate(roles) if r == name)
@@ -302,14 +311,14 @@ def load_manifest(path: str, mode: TreeMode) -> tuple[Dataset, Optional[Split]]:
     ))
 
 
-def save_manifest(dataset: Dataset, out: IO[str]) -> None:
-    """Write an inline-tree manifest for the dataset.
+def save_manifest(dataset: Dataset, path: str) -> None:
+    """Write an inline-tree manifest for the dataset to ``path``, as UTF-8.
 
     :func:`load_manifest` would read some values back as something else: a
     tree whose root label starts with ``@`` as a file reference, an empty
     class name as no class, and a class name with leading or trailing
-    whitespace as its stripped form.  Each raises ``ValueError`` before
-    anything is written.
+    whitespace as its stripped form.  Each raises ``ValueError`` before the
+    file is opened, so a refused dataset leaves ``path`` as it was.
     """
     texts = [serialize_tree(tree) for tree in dataset.trees]
     for i, text in enumerate(texts):
@@ -325,6 +334,7 @@ def save_manifest(dataset: Dataset, out: IO[str]) -> None:
             raise ValueError(
                 f"class name {label!r} cannot be written: the manifest reader "
                 "strips each cell, and an empty cell means no class")
-    writer = csv.writer(out)
-    writer.writerow(["tree", "class", "role"])
-    writer.writerows([text, label, ""] for text, label in zip(texts, labels))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tree", "class", "role"])
+        writer.writerows([text, label, ""] for text, label in zip(texts, labels))

@@ -53,9 +53,9 @@ class TreeMode:
 
 
 class ParseError(ValueError):
-    """Malformed input text: a bracket tree (:class:`TreeParseError`) or a
-    markup document (``markup.MarkupParseError``).  One base lets a caller
-    catch both without importing the markup parser."""
+    """Malformed input: a bracket tree (:class:`TreeParseError`), a markup
+    document (``markup.MarkupParseError``) or a manifest row that ``csv``
+    refuses.  One base lets a caller catch them without the markup parser."""
 
 
 class TreeParseError(ParseError):
@@ -446,29 +446,27 @@ def _raise_first_error(text: str, mode: Optional[TreeMode]) -> NoReturn:
 
 
 def serialize_tree(tree: Tree) -> str:
-    """Bracket text for the tree; the inverse of :func:`parse_tree`."""
+    """Bracket text for the tree, the inverse of :func:`parse_tree`, written
+    in one pass over its preorder parent array."""
     out: list[str] = []
-    # Emit "label(" on the way down and ")" on the way up.
-    stack: list[tuple[int, bool]] = [(0, False)]
-    while stack:
-        v, closing = stack.pop()
-        if closing:
+    due: list[int] = []  # open vertices whose ')' is still due, the deepest last
+    for v, (parent, label) in enumerate(zip(tree._parents, tree._labels)):
+        while due and due[-1] != parent:
+            due.pop()
             out.append(")")
-            continue
-        out.append((tree.label(v) or "") + "(")
-        stack.append((v, True))
-        for c in reversed(tree.children(v)):
-            stack.append((c, False))
+        due.append(v)
+        out.append((label or "") + "(")
+    out.append(")" * len(due))
     return "".join(out)
 
 
 def parse_tree_file(lines: Iterable[str], mode: Optional[TreeMode] = None) -> Iterator[Tree]:
-    """Parse a dataset file: one bracket tree per non-empty line.
+    """Parse a dataset file: one bracket tree per non-blank line.
 
-    A :class:`TreeParseError` names the 1-based line of the bad tree.
-    """
+    A :class:`TreeParseError` names the 1-based line of the bad tree, and
+    its position counts from the start of that line."""
     for number, line in enumerate(lines, 1):
-        line = line.strip()
+        line = line.rstrip()
         if line:
             try:
                 tree = parse_tree(line, mode)

@@ -243,6 +243,12 @@ class TestClassify:
         assert captured.err == ("warning: classify draws its own split for every repeat; "
                                 "the manifest's roles are ignored\n")
 
+    def test_manifest_without_rows_has_no_roles(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("tree,class\n")
+        assert cli.run(["classify", str(manifest)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: dataset has no class information\n"
+
 
 class TestGram:
     def test_weight_rows_under_exponential_weights_warn(self, tmp_path, capsys):
@@ -265,6 +271,19 @@ class TestGram:
         for part in ("train", "pred"):
             weighted = (tmp_path / f"weighted-{part}.csv").read_bytes()
             assert weighted == (tmp_path / f"plain-{part}.csv").read_bytes()
+
+    def test_cell_longer_than_csv_default_limit(self, tmp_path, capsys):
+        # The csv module refuses cells over 131,072 characters by default.
+        doc = tmp_path / "doc.xml"
+        doc.write_text("<r>" + "<leaf_with_a_long_label/>" * 6_000 + "</r>")
+        manifest = tmp_path / "m.csv"
+        assert cli.run(["ingest", str(doc), str(doc), str(doc), "--class-id", "x",
+                        "--out", str(manifest)]) == 0
+        assert len(manifest.read_text().splitlines()[1]) > 131_072
+        argv = ["gram", str(manifest), *ORDERED_LABELED, "--weight", "exp",
+                "--out-train", str(tmp_path / "g.csv")]
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 # gram's weighting flags besides --weight.  Of the 16 combinations of
@@ -328,6 +347,46 @@ class TestExitCodes:
         # Unlabeled ingestion drops the tags, so the document converts.
         assert cli.run(["ingest", str(doc), "--out", str(out), "--unlabeled"]) == 0
         assert out.read_text().splitlines()[1] == "(()),,"
+
+    def test_nul_byte_in_a_cell_is_parse_error(self, tmp_path, capsys):
+        # Python 3.10's csv refuses the row; later versions hand the cell to
+        # the tree parser.  Either way the error names the row.
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("tree,class\n(()),a\n(\x00()),b\n")
+        code, err = self.run(["classify", str(manifest)], capsys)
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("parse error: ")
+        assert err.endswith(f" in row 2 of {manifest}\n")
+
+    @pytest.mark.parametrize("indent", ["   ", "\t "], ids=["spaces", "tab"])
+    def test_positions_count_from_the_text_as_written(self, tmp_path, capsys, indent):
+        # parse_tree skips the leading whitespace, and the position counts it.
+        at = len(indent) + 3
+        trees = tmp_path / "t.trees"
+        trees.write_text(f"(())\n{indent}(()\n")
+        code, err = self.run(["reduce", str(trees), "--out", str(tmp_path / "o")], capsys)
+        assert (code, err) == (cli.EXIT_PARSE,
+                               f"parse error: unclosed '(' (at position {at}) in line 2\n")
+        (tmp_path / "bad.tree").write_text(f"{indent}(()\n")
+        manifest = tmp_path / "m.csv"
+        for cell in (f"{indent}(()", "@bad.tree"):
+            manifest.write_text(f"tree,class\n(()),a\n{cell},b\n")
+            code, err = self.run(["classify", str(manifest)], capsys)
+            assert (code, err) == (cli.EXIT_PARSE, f"parse error: unclosed '(' (at position "
+                                                   f"{at}) in row 2 of {manifest}\n")
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "absent"])
+    def test_refused_manifest_leaves_its_path_as_it_was(self, tmp_path, capsys, existing):
+        doc = tmp_path / "doc.html"
+        doc.write_text("<a><b></b></a>")
+        out = tmp_path / "m.csv"
+        if existing:
+            out.write_bytes(b"kept")
+        code, err = self.run(["ingest", str(doc), "--class-id", " x", "--out", str(out)],
+                             capsys)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error: class name ' x' cannot be written")
+        assert out.read_bytes() == b"kept" if existing else not out.exists()
 
     def test_unknown_role_names_its_row(self, tmp_path, capsys):
         manifest = tmp_path / "m.csv"

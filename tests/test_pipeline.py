@@ -1,6 +1,8 @@
-import io
+import csv
+import itertools
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from dagkernel import (
     Dataset,
     ExperimentConfig,
+    ParseError,
     ShapingFn,
     Split,
     TreeMode,
@@ -55,6 +58,21 @@ def labeled_datasets(draw):
     classes = [c if names else None for c in classes]
     trees = tuple(parse_tree(draw(BRACKET_TREES), LABELED) for _ in classes)
     return Dataset(trees, tuple(classes), LABELED, class_names=tuple(names) or None)
+
+
+def manifest_target(tmp_path, existing):
+    """A manifest path that holds a file of known bytes, or that is free."""
+    path = tmp_path / "m.csv"
+    if existing:
+        path.write_bytes(b"tree,class,role\r\n(),a,\r\n")
+    return path
+
+
+def assert_as_it_was(path, existing):
+    if existing:
+        assert path.read_bytes() == b"tree,class,role\r\n(),a,\r\n"
+    else:
+        assert not path.exists()
 
 
 def dataset(classes):
@@ -217,34 +235,42 @@ class TestManifest:
         manifest.write_text("tree,class,role\n(()),a,train\n(),b,\n")
         assert load_manifest(str(manifest), UNORDERED)[1] is None
 
-    def test_root_label_with_at_sign_is_not_written(self):
+    def test_no_data_rows_name_no_split(self, tmp_path):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("tree,class,role\n")
+        assert load_manifest(str(manifest), UNORDERED)[1] is None
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "absent"])
+    def test_root_label_with_at_sign_is_not_written(self, tmp_path, existing):
         # load_manifest reads a cell that starts with '@' as a tree file.
         labeled = TreeMode(ordered=True, labeled=True)
         trees = (parse_tree("a(@b())", labeled), parse_tree("@x(b())", labeled))
-        out = io.StringIO()
+        out = manifest_target(tmp_path, existing)
         with pytest.raises(ValueError, match="member 1 cannot be written inline"):
-            save_manifest(Dataset(trees, (0, 1), labeled), out)
-        assert out.getvalue() == ""
+            save_manifest(Dataset(trees, (0, 1), labeled), str(out))
+        assert_as_it_was(out, existing)
 
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "absent"])
     @pytest.mark.parametrize("names", [(" x", "x"), ("x", "x "), ("",)])
-    def test_class_name_that_reads_back_differently_is_not_written(self, names):
+    def test_class_name_that_reads_back_differently_is_not_written(self, tmp_path, names,
+                                                                   existing):
         # load_manifest strips each cell, and an empty cell means no class.
         data = Dataset((parse_tree("()", UNORDERED),) * len(names),
                        tuple(range(len(names))), UNORDERED, class_names=names)
-        out = io.StringIO()
+        out = manifest_target(tmp_path, existing)
         bad = next(name for name in names if name != name.strip() or not name)
         with pytest.raises(ValueError, match=f"class name {bad!r} cannot be written"):
-            save_manifest(data, out)
-        assert out.getvalue() == ""
+            save_manifest(data, str(out))
+        assert_as_it_was(out, existing)
 
     @settings(max_examples=60, deadline=None)
     @given(labeled_datasets(), st.booleans())
     def test_round_trip(self, data, bom):
         with tempfile.TemporaryDirectory() as tmp:
             manifest = os.path.join(tmp, "m.csv")
-            # utf-8-sig writes the byte-order mark that spreadsheet tools save.
-            with open(manifest, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as out:
-                save_manifest(data, out)
+            save_manifest(data, manifest)
+            if bom:  # as spreadsheet tools save it
+                Path(manifest).write_bytes("\ufeff".encode() + Path(manifest).read_bytes())
             loaded, roles = load_manifest(manifest, LABELED)
         assert roles is None
         assert [serialize_tree(t) for t in loaded.trees] == [
@@ -268,6 +294,41 @@ class TestManifest:
         labeled = TreeMode(ordered=True, labeled=True)
         data = Dataset((parse_tree("a(@b())", labeled),), (0,), labeled)
         manifest = tmp_path / "m.csv"
-        with open(manifest, "w", newline="") as out:
-            save_manifest(data, out)
+        save_manifest(data, str(manifest))
         assert load_manifest(str(manifest), labeled)[0].trees == data.trees
+
+    def test_cell_of_any_length_round_trips(self, tmp_path):
+        # The csv module refuses cells over 131,072 characters by default.
+        tree = parse_tree("r(" + "leaf_with_a_long_label()" * 6_000 + ")", LABELED)
+        assert len(serialize_tree(tree)) > 131_072
+        limit = csv.field_size_limit()
+        manifest = tmp_path / "m.csv"
+        save_manifest(Dataset((tree, tree), (0, None), LABELED, class_names=("x",)),
+                      str(manifest))
+        loaded, _ = load_manifest(str(manifest), LABELED)
+        assert loaded.trees == (tree, tree)
+        assert loaded.classes == (0, None)
+        assert csv.field_size_limit() == limit
+
+    @pytest.mark.parametrize("lines_read, where", [(0, "the header"), (1, "row 1"),
+                                                   (3, "row 3")])
+    def test_row_that_csv_refuses_is_a_parse_error(self, tmp_path, monkeypatch, lines_read,
+                                                   where):
+        # On Python 3.10 csv refuses a NUL byte; a source that fails after
+        # ``lines_read`` lines stands in for it on every version.
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("tree,class\n(()),a\n(),b\n(()()),a\n")
+        reader = csv.DictReader
+
+        def failing(fh):
+            def lines():
+                yield from itertools.islice(fh, lines_read)
+                raise csv.Error("line contains NUL")
+            return reader(lines())
+
+        monkeypatch.setattr(csv, "DictReader", failing)
+        limit = csv.field_size_limit()
+        with pytest.raises(ParseError) as err:
+            load_manifest(str(manifest), UNORDERED)
+        assert str(err.value) == f"line contains NUL in {where} of {manifest}"
+        assert csv.field_size_limit() == limit

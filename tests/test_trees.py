@@ -317,6 +317,20 @@ class TestBracketFormat:
         t = random_tree(random.Random(seed), n, alphabet)
         assert parse_tree(serialize_tree(t)) == t
 
+    @settings(max_examples=100, deadline=None)
+    @given(BRACKET_TREES)
+    def test_serialize_reads_only_the_parent_array(self, text):
+        # Writing a tree builds no child lists and leaves none cached.
+        tree = parse_tree(text)
+
+        def children(self, v):
+            raise AssertionError("serialize_tree asked for child lists")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Tree, "children", children)
+            assert serialize_tree(tree) == "".join(text.split())
+        assert tree._children is None
+
     @pytest.mark.parametrize(
         "text,parents,labels",
         [
