@@ -60,19 +60,16 @@ def labeled_datasets(draw):
     return Dataset(trees, tuple(classes), LABELED, class_names=tuple(names) or None)
 
 
-def manifest_target(tmp_path, existing):
-    """A manifest path that holds a file of known bytes, or that is free."""
-    path = tmp_path / "m.csv"
-    if existing:
-        path.write_bytes(b"tree,class,role\r\n(),a,\r\n")
-    return path
+def manifest_targets(tmp_path):
+    """A manifest path that holds a file of known bytes, and one that is free."""
+    existing = tmp_path / "existing.csv"
+    existing.write_bytes(b"tree,class,role\r\n(),a,\r\n")
+    return existing, tmp_path / "absent.csv"
 
 
-def assert_as_it_was(path, existing):
-    if existing:
-        assert path.read_bytes() == b"tree,class,role\r\n(),a,\r\n"
-    else:
-        assert not path.exists()
+def assert_as_they_were(existing, absent):
+    assert existing.read_bytes() == b"tree,class,role\r\n(),a,\r\n"
+    assert not absent.exists()
 
 
 def dataset(classes):
@@ -240,28 +237,27 @@ class TestManifest:
         manifest.write_text("tree,class,role\n")
         assert load_manifest(str(manifest), UNORDERED)[1] is None
 
-    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "absent"])
-    def test_root_label_with_at_sign_is_not_written(self, tmp_path, existing):
+    def test_root_label_with_at_sign_is_not_written(self, tmp_path):
         # load_manifest reads a cell that starts with '@' as a tree file.
         labeled = TreeMode(ordered=True, labeled=True)
         trees = (parse_tree("a(@b())", labeled), parse_tree("@x(b())", labeled))
-        out = manifest_target(tmp_path, existing)
-        with pytest.raises(ValueError, match="member 1 cannot be written inline"):
-            save_manifest(Dataset(trees, (0, 1), labeled), str(out))
-        assert_as_it_was(out, existing)
+        targets = manifest_targets(tmp_path)
+        for out in targets:
+            with pytest.raises(ValueError, match="member 1 cannot be written inline"):
+                save_manifest(Dataset(trees, (0, 1), labeled), str(out))
+        assert_as_they_were(*targets)
 
-    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "absent"])
     @pytest.mark.parametrize("names", [(" x", "x"), ("x", "x "), ("",)])
-    def test_class_name_that_reads_back_differently_is_not_written(self, tmp_path, names,
-                                                                   existing):
+    def test_class_name_that_reads_back_differently_is_not_written(self, tmp_path, names):
         # load_manifest strips each cell, and an empty cell means no class.
         data = Dataset((parse_tree("()", UNORDERED),) * len(names),
                        tuple(range(len(names))), UNORDERED, class_names=names)
-        out = manifest_target(tmp_path, existing)
+        targets = manifest_targets(tmp_path)
         bad = next(name for name in names if name != name.strip() or not name)
-        with pytest.raises(ValueError, match=f"class name {bad!r} cannot be written"):
-            save_manifest(data, str(out))
-        assert_as_it_was(out, existing)
+        for out in targets:
+            with pytest.raises(ValueError, match=f"class name {bad!r} cannot be written"):
+                save_manifest(data, str(out))
+        assert_as_they_were(*targets)
 
     @settings(max_examples=60, deadline=None)
     @given(labeled_datasets(), st.booleans())
