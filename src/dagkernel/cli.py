@@ -28,15 +28,20 @@ that is its help text: ``simulate`` the model, ``ingest`` the markup parser,
 catches ``trees.ParseError``, the base of the tree and markup parse errors,
 so ``classify`` loads no more than the classification pipeline.
 
-Exit codes: 0 success, 1 usage, 2 parse error (a malformed tree, document
-or manifest row), 3 configuration error (any other ``ValueError``, including
-a file that cannot be read or written), 4 internal assertion.
+Output paths are checked when the flags are read, before any work, and every
+file goes through ``_write``: a command that fails on its outputs wrote none.
+
+Exit codes: 0 success, 1 usage, 2 parse error (a malformed tree, document or
+manifest row), 3 configuration error (any other ``ValueError``, a file that
+cannot be read or written, two outputs naming one file), 4 internal assertion.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import math
+import os
 import sys
 import warnings
 from typing import Optional
@@ -79,6 +84,32 @@ def _fraction(option: str, text: str):
         raise ValueError(f"{option} {text} divides by zero") from None
 
 
+class _Output(click.Path):
+    """An output path; refused as a directory, in a missing directory or named by another output."""
+
+    def convert(self, value, param, ctx):
+        flag, path = param.opts[0], super().convert(value, param, ctx)
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+        other = ctx.meta.setdefault(("output", os.path.realpath(path)), flag)
+        if other != flag:
+            raise ValueError(f"{flag} and {other} name the same file {path!r}")
+        return path
+
+
+def _write(path: Optional[str], write) -> None:
+    """Call ``write`` on ``path`` opened for text; no path writes nothing."""
+    if path is not None:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
+
+
+def _table(header, rows):
+    """The ``_write`` callback of a CSV file: ``header``, then ``rows``."""
+    return lambda fh: csv.writer(fh).writerows([header, *rows])
+
+
 mode_options = [
     click.option(
         "--mode",
@@ -110,7 +141,7 @@ def main():
 @main.command("reduce")
 @click.argument("input_file", type=click.Path(exists=True))
 @_add_options(mode_options)
-@click.option("--out", type=click.Path(), required=True, help="Output DAG file.")
+@click.option("--out", type=_Output(), required=True, help="Output DAG file.")
 def cmd_reduce(input_file: str, order: str, labeled: bool, out: str):
     """Compress the trees of INPUT_FILE (one bracket tree per line)."""
     mode = _mode(order, labeled)
@@ -119,8 +150,7 @@ def cmd_reduce(input_file: str, order: str, labeled: bool, out: str):
     total_vertices = sum(len(t) for t in trees)
     dag = reduce_forest(trees, mode)
     merged = dag.root  # the artificial root is bookkeeping, not data
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(format_dag(dag))
+    _write(out, lambda fh: fh.write(format_dag(dag)))
     ratio = merged / total_vertices
     click.echo(f"trees: {len(trees)}")
     click.echo(f"vertices: {total_vertices} -> {merged} (ratio {ratio:.3f})")
@@ -175,8 +205,8 @@ weight_options = [
 @_add_options(mode_options)
 @_add_options(weight_options)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out-train", type=click.Path(), required=True)
-@click.option("--out-pred", type=click.Path(), default=None)
+@click.option("--out-train", type=_Output(), required=True)
+@click.option("--out-pred", type=_Output(), default=None)
 def cmd_gram(manifest, order, labeled, weight, lam, shaping, eps, seed, out_train, out_pred):
     """Export training (and prediction) Gram matrices for external use.
 
@@ -198,13 +228,11 @@ def cmd_gram(manifest, order, labeled, weight, lam, shaping, eps, seed, out_trai
     weights, _ = weights_for(annotated, dataset, config, split.weight)
     computer = GramComputer(annotated, weights)
     g_train = computer.gram(train_idx, train_idx)
-    with open(out_train, "w", newline="", encoding="utf-8") as fh:
-        export_gram_csv(g_train, train_idx, train_idx, fh)
+    _write(out_train, lambda fh: export_gram_csv(g_train, train_idx, train_idx, fh))
     click.echo(f"train Gram: {len(train_idx)}x{len(train_idx)} -> {out_train}")
     if out_pred:
         g_pred = computer.gram(pred_idx, train_idx)
-        with open(out_pred, "w", newline="", encoding="utf-8") as fh:
-            export_gram_csv(g_pred, pred_idx, train_idx, fh)
+        _write(out_pred, lambda fh: export_gram_csv(g_pred, pred_idx, train_idx, fh))
         click.echo(f"pred Gram: {len(pred_idx)}x{len(train_idx)} -> {out_pred}")
 
 
@@ -214,7 +242,7 @@ def cmd_gram(manifest, order, labeled, weight, lam, shaping, eps, seed, out_trai
 @_add_options(weight_options)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--repeats", type=int, default=1, show_default=True)
-@click.option("--out", type=click.Path(), default=None, help="Per-repeat metrics CSV.")
+@click.option("--out", type=_Output(), default=None, help="Per-repeat metrics CSV.")
 def cmd_classify(manifest, order, labeled, weight, lam, shaping, eps, seed, repeats, out):
     """Run the repeated split / mean-similarity protocol and report metrics."""
     dataset, roles = load_manifest(manifest, _mode(order, labeled))
@@ -226,11 +254,7 @@ def cmd_classify(manifest, order, labeled, weight, lam, shaping, eps, seed, repe
         (r, o.metrics.accuracy, o.metrics.precision, o.metrics.recall, o.metrics.fscore)
         for r, o in enumerate(outcomes)
     ]
-    if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["repeat", "accuracy", "precision", "recall", "fscore"])
-            writer.writerows(rows)
+    _write(out, _table(["repeat", "accuracy", "precision", "recall", "fscore"], rows))
     click.echo("repeat  accuracy  precision  recall  fscore")
     for r, acc, prec, rec, f1 in rows:
         click.echo(f"{r:6d}  {acc:8.4f}  {prec:9.4f}  {rec:6.4f}  {f1:6.4f}")
@@ -253,7 +277,7 @@ def cmd_classify(manifest, order, labeled, weight, lam, shaping, eps, seed, repe
               help="Risk level for the sufficient-size formula.")
 @click.option("--leaf-weight", type=str, default="1", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), default=None, help="Per-vertex report CSV.")
+@click.option("--out", type=_Output(), default=None, help="Per-vertex report CSV.")
 def cmd_simulate(height, rho, h_level, delta, leaf_weight, seed, out):
     """Build a verified two-class model and check its theoretical guarantees."""
     from .model import (build_model, check_leaf_weight_effect, check_separation,
@@ -295,16 +319,11 @@ def cmd_simulate(height, rho, h_level, delta, leaf_weight, seed, out):
         f"sufficient training size (delta={delta}, log(2/delta)="
         f"{math.log(2 / delta):.4f}): {size}"
     )
-    if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class", "x", "height", "contrast", "bound", "pass"])
-            writer.writerows(
-                (row.cls, row.x, row.height, float(row.contrast),
-                 float(report.per_class[row.cls].bound) if report.applicable else "",
-                 row.holds)  # None, where the bound is not asserted, writes ""
-                for row in report.rows
-            )
+    _write(out, _table(["class", "x", "height", "contrast", "bound", "pass"], (
+        (row.cls, row.x, row.height, float(row.contrast),
+         float(report.per_class[row.cls].bound) if report.applicable else "",
+         row.holds)  # None, where the bound is not asserted, writes ""
+        for row in report.rows)))
     ok = report.all_hold and plus.identity_holds and plus.min_not_increased
     if not ok:
         raise AssertionError("model checks failed")
@@ -314,8 +333,8 @@ def cmd_simulate(height, rho, h_level, delta, leaf_weight, seed, out):
 @click.argument("inputs", nargs=-1, type=click.Path())
 @click.option("--labeled/--unlabeled", default=True, show_default=True)
 @click.option("--class-id", type=str, default="", help="Class for all inputs.")
-@click.option("--out", type=click.Path(), required=True, help="Manifest CSV.")
-@click.option("--trees-out", type=click.Path(), default=None,
+@click.option("--out", type=_Output(), required=True, help="Manifest CSV.")
+@click.option("--trees-out", type=_Output(), default=None,
               help="Also write one bracket tree per line.")
 def cmd_ingest(inputs, labeled, class_id, out, trees_out):
     """Convert markup documents (files, or '-' for stdin) into a manifest."""
@@ -332,10 +351,7 @@ def cmd_ingest(inputs, labeled, class_id, out, trees_out):
     names = (class_id,) if class_id else None
     dataset = Dataset(tuple(trees), classes, mode, class_names=names)
     save_manifest(dataset, out)
-    if trees_out:
-        with open(trees_out, "w", encoding="utf-8") as fh:
-            for tree in trees:
-                fh.write(serialize_tree(tree) + "\n")
+    _write(trees_out, lambda fh: fh.writelines(serialize_tree(t) + "\n" for t in trees))
     click.echo(f"ingested {len(trees)} documents -> {out}")
 
 
@@ -343,7 +359,7 @@ def cmd_ingest(inputs, labeled, class_id, out, trees_out):
 @click.option("--per-class", type=int, default=60, show_default=True)
 @click.option("--edit-rate", type=float, default=0.3, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), required=True, help="Manifest CSV.")
+@click.option("--out", type=_Output(), required=True, help="Manifest CSV.")
 def cmd_generate(per_class, edit_rate, seed, out):
     """Generate the synthetic two-template markup corpus."""
     from .generate import generate_template_corpus
@@ -378,14 +394,13 @@ def _discriminance(manifest, order, labeled, shaping, eps, seed):
 @_add_options(shaping_options)
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Picks the weight third when the manifest names no weight role.")
-@click.option("--out", type=click.Path(), required=True, help="DOT file.")
+@click.option("--out", type=_Output(), required=True, help="DOT file.")
 def cmd_viz(manifest, order, labeled, shaping, eps, seed, out):
     """Render the dataset DAG scaled by learned discriminance weights."""
     from .viz import discriminance_dot
 
     dag, weights, profile = _discriminance(manifest, order, labeled, shaping, eps, seed)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(discriminance_dot(dag, profile, weights))
+    _write(out, lambda fh: fh.write(discriminance_dot(dag, profile, weights)))
     click.echo(f"DOT written -> {out}")
 
 
@@ -395,22 +410,15 @@ def cmd_viz(manifest, order, labeled, shaping, eps, seed, out):
 @_add_options(shaping_options)
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Picks the weight third when the manifest names no weight role.")
-@click.option("--out", type=click.Path(), required=True, help="Histogram CSV.")
-@click.option("--table-out", type=click.Path(), default=None,
+@click.option("--out", type=_Output(), required=True, help="Histogram CSV.")
+@click.option("--table-out", type=_Output(), default=None,
               help="Also write the per-vertex weight table CSV.")
 def cmd_weights_hist(manifest, order, labeled, shaping, eps, seed, out, table_out):
     """Export the per-height distribution of learned discriminance weights."""
     dag, weights, profile = _discriminance(manifest, order, labeled, shaping, eps, seed)
     rows = weight_distribution_by_height(dag, weights)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["height", "min", "q1", "median", "q3", "max", "mean"]
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    if table_out:
-        with open(table_out, "w", newline="", encoding="utf-8") as fh:
-            export_weight_table(dag, profile, weights, fh)
+    _write(out, _table(list(rows[0]), (row.values() for row in rows)))
+    _write(table_out, lambda fh: export_weight_table(dag, profile, weights, fh))
     click.echo(f"histogram written -> {out}")
 
 

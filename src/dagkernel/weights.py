@@ -184,11 +184,11 @@ def export_weight_table(
     dag: Dag, profile: ClassProfile, weights: np.ndarray, out: IO[str]
 ) -> None:
     """CSV ``vertex_id,height,delta,weight`` (artificial root excluded)."""
+    root = dag.root
     writer = csv.writer(out)
     writer.writerow(["vertex_id", "height", "delta", "weight"])
-    heights = dag.heights().tolist()
-    for v in range(dag.root):
-        writer.writerow([v, heights[v], repr(float(profile.dist[v])), repr(float(weights[v]))])
+    writer.writerows(zip(range(root), dag.heights()[:root].tolist(), profile.dist[:root].tolist(),
+                         np.asarray(weights, dtype=np.float64)[:root].tolist()))
 
 
 def weight_distribution_by_height(dag: Dag, weights: np.ndarray) -> list[dict]:
@@ -199,15 +199,7 @@ def weight_distribution_by_height(dag: Dag, weights: np.ndarray) -> list[dict]:
     rows = []
     for h in sorted(set(heights.tolist())):
         vals = values[heights == h]
-        rows.append(
-            {
-                "height": h,
-                "min": float(vals.min()),
-                "q1": float(np.quantile(vals, 0.25)),
-                "median": float(np.quantile(vals, 0.5)),
-                "q3": float(np.quantile(vals, 0.75)),
-                "max": float(vals.max()),
-                "mean": float(vals.mean()),
-            }
-        )
+        q1, median, q3 = np.quantile(vals, [0.25, 0.5, 0.75]).tolist()
+        rows.append({"height": h, "min": float(vals.min()), "q1": q1, "median": median,
+                     "q3": q3, "max": float(vals.max()), "mean": float(vals.mean())})
     return rows

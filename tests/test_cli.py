@@ -5,6 +5,7 @@ import sys
 import types
 from pathlib import Path
 
+import click
 import pytest
 
 import dagkernel
@@ -111,6 +112,67 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert "missing_dir" in err
+
+    @staticmethod
+    def inputs(tmp_path, monkeypatch):
+        (tmp_path / "m.csv").write_bytes((GOLDEN / "generate" / "m.csv").read_bytes())
+        (tmp_path / "d.html").write_text("<html><body><p>a</p></body></html>")
+        monkeypatch.chdir(tmp_path)
+        return {"m.csv", "d.html"}
+
+    @pytest.mark.parametrize("argv, message, first", [
+        (["gram", "m.csv", "--mode", "ordered", "--labeled", "--out-train", "g1.csv",
+          "--out-pred", "missing/p.csv"],
+         "[Errno 2] No such file or directory: 'missing/p.csv'", "g1.csv"),
+        (["gram", "m.csv", "--mode", "ordered", "--labeled", "--out-train", "g1.csv",
+          "--out-pred", "."], "[Errno 21] Is a directory: '.'", "g1.csv"),
+        (["ingest", "d.html", "--out", "m1.csv", "--trees-out", "missing/t.txt"],
+         "[Errno 2] No such file or directory: 'missing/t.txt'", "m1.csv"),
+        (["weights-hist", "m.csv", "--mode", "ordered", "--labeled", "--out", "h.csv",
+          "--table-out", "missing/t.csv"],
+         "[Errno 2] No such file or directory: 'missing/t.csv'", "h.csv"),
+    ])
+    def test_second_output_is_checked_before_the_first_is_written(
+            self, tmp_path, capsys, monkeypatch, argv, message, first):
+        self.inputs(tmp_path, monkeypatch)
+        assert cli.run(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / first).exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gram", "m.csv", "--mode", "ordered", "--labeled", "--out-train", "same.csv",
+          "--out-pred", "./same.csv"],
+         "--out-pred and --out-train name the same file './same.csv'"),
+        (["weights-hist", "m.csv", "--mode", "ordered", "--labeled", "--out", "same.csv",
+          "--table-out", "same.csv"], "--table-out and --out name the same file 'same.csv'"),
+        (["ingest", "d.html", "--out", "same.csv", "--trees-out", "same.csv"],
+         "--trees-out and --out name the same file 'same.csv'"),
+    ])
+    def test_two_outputs_naming_one_file(self, tmp_path, capsys, monkeypatch, argv, message):
+        inputs = self.inputs(tmp_path, monkeypatch)
+        assert cli.run(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert set(os.listdir(tmp_path)) == inputs
+
+    def test_classify_checks_its_output_before_the_experiment(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def experiment(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        self.inputs(tmp_path, monkeypatch)
+        monkeypatch.setattr(cli, "run_experiment", experiment)
+        argv = ["classify", "m.csv", "--out", "missing/x.csv"]
+        assert cli.run(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: [Errno 2] No such file or directory: 'missing/x.csv'\n")
+
+    def test_every_output_option_is_checked(self):
+        types_of = {f"{name} {param.opts[0]}": type(param.type)
+                    for name, command in cli.main.commands.items() for param in command.params
+                    if isinstance(param, click.Option)
+                    and (param.name.startswith("out") or param.name.endswith("out"))}
+        assert len(types_of) == 11
+        assert set(types_of.values()) == {cli._Output}
 
 
 def _child(code):
