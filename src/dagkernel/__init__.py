@@ -41,7 +41,6 @@ _EXPORTS = {
         "sample_edited",
         "sufficient_size",
         "unit_weight",
-        "verify_model",
     ),
     "pipeline": (
         "Dataset",

@@ -8,20 +8,23 @@ of height h in template i -- h drawn from a Binomial(H, rho/H) -- by the
 replacement tree of the same height.  The parameter rho in [0, H] measures
 degradation: larger rho pushes the two classes together.
 
-Because every non-leaf subtree occurs exactly once, editing a template at
-two vertices destroys exactly the subtree classes rooted in the union of
-their *families*: a vertex's family is its descendants plus its ancestors,
-and a leaf's is empty, since a leaf edit swaps a leaf for a leaf.  The
-expected kernel gap between same-class and cross-class edits (the
-*contrast* of a vertex) is therefore a sum of weights over those unions,
-computed here in exact rational arithmetic by one :class:`ContrastTable`
-per template.  For the same reason the self kernel of a template subtree is
-the weight sum over its descendants, so the table also gives the template's
-self kernel and the bound constant C_h without evaluating a kernel.  The
-module checks the contrast lower bound, the plug-in sufficient training-set
-size, and the exact effect of giving leaves positive weight; only that last
-check evaluates kernels, over edited trees that the instance builds once
-each.
+A :class:`ModelInstance` is verified when it is made, so every instance
+meets these requirements and one more, the ownership rule: an edit at a
+non-leaf vertex u changes the subtrees of u's ancestors, and each of those
+belongs to that edit alone -- no other edit of either template and no
+replacement tree holds it.  Editing a template at two vertices then
+destroys exactly the subtree classes rooted in the union of their
+*families*: a vertex's family is its descendants plus its ancestors, and a
+leaf's is empty, since a leaf edit swaps a leaf for a leaf.  The expected
+kernel gap between same-class and cross-class edits (the *contrast* of a
+vertex) is therefore a sum of weights over those unions, computed here in
+exact rational arithmetic by one :class:`ContrastTable` per template.  For
+the same reason the self kernel of a template subtree is the weight sum over
+its descendants, so the table also gives the template's self kernel and the
+bound constant C_h without evaluating a kernel.  The module checks the
+contrast lower bound, the plug-in sufficient training-set size, and the
+exact effect of giving leaves positive weight; only that last check
+evaluates kernels, over the edited trees that verification built.
 """
 
 from __future__ import annotations
@@ -40,21 +43,33 @@ UNORDERED = TreeMode(ordered=False, labeled=False)
 
 
 class ModelConstructionError(Exception):
-    """The generated trees failed verification."""
+    """The trees of a model instance break a model requirement."""
 
 
 @dataclass(frozen=True)
 class ModelInstance:
-    """Pair of template trees plus replacement family and edit law;
-    :func:`build_model` returns it verified."""
+    """Pair of template trees plus replacement family and edit law.
+
+    The model height H is the templates' height.  The constructor checks
+    every model requirement (see the module docstring) by brute-force
+    signature comparison and raises :class:`ModelConstructionError` on the
+    first violation, or ``ValueError`` for a labeled mode, H < 1 or rho
+    outside [0, H]; so no unverified instance exists.
+    """
 
     t0: Tree
     t1: Tree
-    height: int
     rho: Fraction
     mode: TreeMode
     fillers: tuple[Tree, ...]  # index h -> replacement tree of height h
-    _edits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _edits: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_edits", _verify(self))
+
+    @property
+    def height(self) -> int:
+        return self.t0.height()
 
     @cached_property
     def pmf(self) -> list[Fraction]:
@@ -68,10 +83,9 @@ class ModelInstance:
 
     def edited(self, cls: int, u: int) -> Tree:
         """Template ``cls`` with vertex ``u`` replaced by the replacement tree
-        of the same height; built once, the same object on every call."""
+        of the same height; built once, by verification."""
         if (cls, u) not in self._edits:
-            tree = self.tree(cls)
-            self._edits[cls, u] = tree.replace_subtree(u, self.fillers[tree.height(u)])
+            raise ValueError(f"no vertex {u} in template {cls}")
         return self._edits[cls, u]
 
 
@@ -89,32 +103,25 @@ def build_model(
     rho: Optional[Fraction] = None,
     mode: TreeMode = UNORDERED,
 ) -> ModelInstance:
-    """Generate and verify a model instance of the given height.
+    """Generate a model instance of the given height (rho defaults to 3H/4);
+    like every instance, it is verified when it is made.
 
     Templates are caterpillars with one internal vertex per height whose
     leaf-attachment counts differ between the two trees at every height
     (odd counts in one tree, even in the other), which forces all the
-    non-isomorphism requirements; they are verified explicitly anyway.
+    non-isomorphism requirements; the instance checks them anyway.
     Replacement trees are brooms: a chain ending in a star wider than any
     template vertex, hence never a template subtree.
     """
     if height < 2:
         raise ValueError("model height must be >= 2")
-    if mode.labeled:
-        raise ValueError("the benchmark model is unlabeled")
-    if rho is None:
-        rho = Fraction(3 * height, 4)
-    rho = Fraction(rho)
-    if not 0 <= rho <= height:
-        raise ValueError("rho must lie in [0, height]")
     rng = random.Random(seed)
     t0 = _caterpillar(height, [rng.choice((1, 3)) for _ in range(height)])
     t1 = _caterpillar(height, [rng.choice((2, 4)) for _ in range(height)])
     width = max(t0.outdegree(), t1.outdegree()) + 1
     fillers = tuple(_broom(h, width) for h in range(height + 1))
-    instance = ModelInstance(t0, t1, height, rho, mode, fillers)
-    verify_model(instance)
-    return instance
+    rho = Fraction(3 * height, 4) if rho is None else Fraction(rho)
+    return ModelInstance(t0, t1, rho, mode, fillers)
 
 
 def _caterpillar(height: int, leaf_counts: Sequence[int]) -> Tree:
@@ -135,69 +142,64 @@ def _broom(height: int, width: int) -> Tree:
     return node
 
 
-def _outside_nonleaf_sigs(instance: ModelInstance, cls: int, u: int) -> set[str]:
-    # Signatures of the vertices of template cls edited at u that are not
-    # leaves and do not belong to the inserted replacement block
-    # [u, u + len(replacement)).
-    end = u + len(instance.fillers[instance.tree(cls).height(u)])
-    edited = instance.edited(cls, u)
-    return {
-        s for v, s in enumerate(subtree_signatures(edited, instance.mode))
-        if not (edited.is_leaf(v) or u <= v < end)
-    }
+def _ancestors(tree: Tree, v: int):
+    """The strict ancestors of ``v``, nearest first."""
+    while (v := tree.parent(v)) is not None:
+        yield v
 
 
-def verify_model(instance: ModelInstance) -> None:
-    """Check every model requirement by brute-force signature comparison;
-    raise :class:`ModelConstructionError` on the first violation.  The
-    templates and replacement trees are checked first; the cross-edit check
-    then signs the instance's own edited trees, so they are built and signed
-    once for every later use."""
+def _nonleaf_sigs(tree: Tree, mode: TreeMode) -> list[str]:
+    return [s for v, s in enumerate(subtree_signatures(tree, mode)) if not tree.is_leaf(v)]
+
+
+def _verify(instance: ModelInstance) -> dict[tuple[int, int], Tree]:
+    """Check every model requirement, raising on the first violation; return
+    the edited templates keyed by (class, vertex), each built and signed once."""
     t0, t1, fillers, mode = instance.t0, instance.t1, instance.fillers, instance.mode
-    if not t0.height() == t1.height() == instance.height:
-        raise ModelConstructionError(
-            f"template trees must both have the model height {instance.height}")
-    height = instance.height
+    if mode.labeled:
+        raise ValueError("the benchmark model is unlabeled")
+    if t0.height() != t1.height():
+        raise ModelConstructionError("template trees must have equal heights")
+    instance.pmf  # refuses H < 1 and rho outside [0, H]
     nonleaf = []
     for i, tree in enumerate((t0, t1)):
-        sigs = [
-            s for v, s in enumerate(subtree_signatures(tree, mode)) if not tree.is_leaf(v)
-        ]
+        sigs = _nonleaf_sigs(tree, mode)
         if len(sigs) != len(set(sigs)):
-            raise ModelConstructionError(
-                f"template {i} repeats a non-leaf subtree"
-            )
+            raise ModelConstructionError(f"template {i} repeats a non-leaf subtree")
         nonleaf.append(set(sigs))
     if nonleaf[0] & nonleaf[1]:
         raise ModelConstructionError("templates share a non-leaf subtree")
-    if len(fillers) != height + 1:
+    if len(fillers) != instance.height + 1:
         raise ModelConstructionError("need one replacement tree per height 0..H")
     # A replacement of height h > 0 is no leaf, so only the non-leaf template
     # subtrees can equal it.
-    template_sigs = nonleaf[0] | nonleaf[1]
     for h, filler in enumerate(fillers):
         if filler.height() != h:
             raise ModelConstructionError(f"replacement tree {h} has wrong height")
-        if h > 0 and subtree_signatures(filler, mode)[0] in template_sigs:
-            raise ModelConstructionError(
-                f"replacement tree {h} occurs inside a template"
-            )
+        if h > 0 and subtree_signatures(filler, mode)[0] in nonleaf[0] | nonleaf[1]:
+            raise ModelConstructionError(f"replacement tree {h} occurs inside a template")
     if len(fillers[0]) != 1:
         raise ModelConstructionError("the height-0 replacement must be a leaf")
-    # Cross-isomorphisms after simultaneous edits, exhaustively over vertex
-    # pairs: nothing outside the inserted blocks and the leaves may coincide.
-    outside0, outside1 = (
-        [_outside_nonleaf_sigs(instance, cls, u) for u in instance.tree(cls).vertices()]
-        for cls in (0, 1)
-    )
-    for u in t0.vertices():
-        for v in t1.vertices():
-            common = outside0[u] & outside1[v]
-            if common:
-                raise ModelConstructionError(
-                    f"edits at ({u}, {v}) leave a shared subtree outside the "
-                    f"replacements: {sorted(common)[0]}"
-                )
+    # Ownership.  A leaf edit changes nothing; a non-leaf edit changes the
+    # subtrees of its site's ancestors, which no template holds, since they
+    # hold a replacement tree.  No other edit and no replacement may hold one.
+    replacement_sigs = {s for filler in fillers for s in _nonleaf_sigs(filler, mode)}
+    owner: dict[str, tuple[int, int]] = {}
+    edits = {}
+    for cls, tree in enumerate((t0, t1)):
+        for u in tree.vertices():
+            edits[cls, u] = edited = tree.replace_subtree(u, fillers[tree.height(u)])
+            sigs = subtree_signatures(edited, mode)
+            changed = _ancestors(edited, u) if tree.height(u) else ()
+            for s in (sigs[a] for a in changed):
+                if owner.setdefault(s, (cls, u)) != (cls, u):
+                    raise ModelConstructionError(
+                        f"edits {owner[s]} and ({cls}, {u}) leave a shared subtree "
+                        f"outside the replacements: {s}")
+    for s, (cls, u) in owner.items():
+        if s in replacement_sigs:
+            raise ModelConstructionError(f"edit ({cls}, {u}) leaves a replacement subtree: {s}")
+    return edits
 
 
 # -- edit distribution --------------------------------------------------------------
@@ -205,6 +207,8 @@ def verify_model(instance: ModelInstance) -> None:
 
 def edit_height_pmf(height: int, rho: Fraction) -> list[Fraction]:
     """Exact Binomial(H, rho/H) mass on 0..H."""
+    if height < 1:
+        raise ValueError("model height must be >= 1")
     rho = Fraction(rho)
     if not 0 <= rho <= height:
         raise ValueError("rho must lie in [0, height]")
@@ -245,12 +249,6 @@ def sample_dataset(
 
 
 # -- contrast -----------------------------------------------------------------------
-
-
-def _ancestors(tree: Tree, v: int):
-    """The strict ancestors of ``v``, nearest first."""
-    while (v := tree.parent(v)) is not None:
-        yield v
 
 
 class ContrastTable:
@@ -395,11 +393,11 @@ def sufficient_size(
 ) -> int:
     """Plug-in training-set size that guarantees, with probability 1 - delta,
     a mean-similarity classifier with error at most 1 - mass_at_most(h) +
-    delta."""
+    delta, for 0 <= h < model height (C_H is 0 by definition)."""
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    if not 0 <= h <= instance.height:
-        raise ValueError("need 0 <= h <= model height")
+    if not 0 <= h < instance.height:
+        raise ValueError("need 0 <= h < model height")
     tables = [ContrastTable(instance, cls, weight_fn) for cls in (0, 1)]
     max_k = max(float(table.self_kernel) for table in tables)
     c_min = min(float(table.bound(h)) for table in tables)

@@ -117,6 +117,9 @@ def mean_similarity_classify(
     train_classes = np.asarray(train_classes)
     if gram_pred.shape[1] != len(train_classes):
         raise ValueError("column count must match the training class list")
+    bad = train_classes[(train_classes < 0) | (train_classes >= n_classes)]
+    if bad.size:
+        raise ValueError(f"class id {bad[0]} out of range")
     means = np.empty((gram_pred.shape[0], n_classes))
     for k in range(n_classes):
         members = train_classes == k

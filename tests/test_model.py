@@ -1,4 +1,4 @@
-import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,6 +15,7 @@ from dagkernel import (
     ModelConstructionError,
     ModelInstance,
     Tree,
+    TreeMode,
     annotate_dataset,
     build_model,
     check_leaf_weight_effect,
@@ -30,12 +31,12 @@ from dagkernel import (
     split_thirds,
     sufficient_size,
     unit_weight,
-    verify_model,
     weights_for,
 )
 from dagkernel.model import _broom
 
-from conftest import FIG1_T0, FIG1_T1, FIG2_T0, FIG2_T1, ORDERED, UNORDERED, canonical_signature
+from conftest import (FIG1_T0, FIG1_T1, FIG2_T0, FIG2_T1, ORDERED, UNORDERED, all_ordered_shapes,
+                      canonical_signature)
 
 
 def star(n):
@@ -64,17 +65,11 @@ def uneven_pair(extra_leaf=True):
     return t0, t1
 
 
-def instance_of(t0, t1, fillers=None):
-    """A hand-built, unverified instance with the default edit intensity."""
+def instance_of(t0, t1, fillers=None, mode=UNORDERED):
+    """A hand-built instance with the default edit intensity."""
     height = t0.height()
     fillers = brooms_for(t0, t1) if fillers is None else fillers
-    return ModelInstance(t0, t1, height, Fraction(3 * height, 4), UNORDERED, fillers)
-
-
-def uneven_instance():
-    inst = instance_of(*uneven_pair())
-    verify_model(inst)
-    return inst
+    return ModelInstance(t0, t1, Fraction(3 * height, 4), mode, fillers)
 
 
 WEIGHTS = [pytest.param(unit_weight, id="unit"), pytest.param(halving_weight, id="halving")]
@@ -112,12 +107,29 @@ def definitional_bound(inst, weight, cls, h):
 
 class TestVerification:
     def test_generated_models_verify(self):
-        for height in (2, 3, 4, 5):
-            for seed in (0, 1, 2):
-                verify_model(build_model(height, seed=seed))
+        for height in range(2, 16):
+            for seed in range(5):
+                for mode in (UNORDERED, ORDERED):
+                    inst = build_model(height, seed=seed, mode=mode)
+                    assert inst.height == height and inst.mode == mode
 
-    def test_figure_pair_with_extra_leaf_passes(self):
-        verify_model(instance_of(parse_tree(FIG2_T0), parse_tree(FIG2_T1)))
+    def test_figure_pair_with_extra_leaf_is_refused(self):
+        # T0's root has the one child 1, so the edit at 1 turns the root into
+        # the height-3 replacement tree: the closed-form root contrast would
+        # read 0 where its definition gives 27/64 and -27/64.
+        with pytest.raises(ModelConstructionError,
+                           match=r"^edit \(0, 1\) leaves a replacement subtree: "):
+            instance_of(parse_tree(FIG2_T0), parse_tree(FIG2_T1))
+
+    def test_two_edits_of_one_template_leaving_one_subtree_fail(self):
+        # The edits at 2 and 6 of t0 both leave node(broom1, leaf): the
+        # closed-form class-0 contrast there would read 47/64, not 103/128.
+        t0 = Tree.node([Tree.node([star(1), Tree.leaf()]), Tree.node([star(2), Tree.leaf()])])
+        t1 = Tree.node([Tree.node([star(3), Tree.leaf(), Tree.leaf(), Tree.leaf()]),
+                        Tree.node([star(4), Tree.leaf(), Tree.leaf()]), Tree.leaf()])
+        with pytest.raises(ModelConstructionError, match=r"^edits \(0, 2\) and \(0, 6\) "
+                                                         "leave a shared subtree outside"):
+            instance_of(t0, t1)
 
     def test_first_figure_pair_satisfies_sharing_conditions(self):
         # Non-leaf subtrees are unique within each tree and disjoint across.
@@ -135,40 +147,36 @@ class TestVerification:
     def test_tree_with_itself_fails(self):
         t = parse_tree(FIG1_T0)
         with pytest.raises(ModelConstructionError):
-            verify_model(instance_of(t, t))
+            instance_of(t, t)
 
     def test_repeated_subtrees_fail(self):
         t0 = Tree.node([star(2), star(2)])  # two isomorphic 2-stars
         t1 = Tree.node([star(3), star(1)])
         with pytest.raises(ModelConstructionError):
-            verify_model(instance_of(t0, t1))
+            instance_of(t0, t1)
 
     def test_filler_inside_template_fails(self):
         t0 = Tree.node([star(1), star(4)])
         t1 = Tree.node([star(2), star(3)])
         bad = (Tree.leaf(), star(2), _broom(2, 6))  # height-1 filler occurs in t1
         with pytest.raises(ModelConstructionError):
-            verify_model(instance_of(t0, t1, bad))
+            instance_of(t0, t1, bad)
 
     def test_unequal_heights_fail(self):
         t0 = Tree.node([star(1), star(4)])
         t1 = star(3)
-        with pytest.raises(ModelConstructionError):
-            verify_model(instance_of(t0, t1, brooms_for(t0, t0)))
-        # Equal template heights that differ from the instance's height.
-        inst = instance_of(parse_tree(FIG2_T0), parse_tree(FIG2_T1))
-        with pytest.raises(ModelConstructionError, match=f"model height {inst.height + 1}$"):
-            verify_model(dataclasses.replace(inst, height=inst.height + 1))
+        with pytest.raises(ModelConstructionError, match="^template trees must have equal heights$"):
+            instance_of(t0, t1, brooms_for(t0, t0))
 
     def test_edits_leaving_a_shared_subtree_fail(self):
         # Each template alone is fine, but replacing star(3) and star(6) by
         # the height-1 replacement leaves node(replacement) in both trees.
         t0, t1 = uneven_pair(extra_leaf=False)
         with pytest.raises(ModelConstructionError, match="shared subtree outside"):
-            verify_model(instance_of(t0, t1))
+            instance_of(t0, t1)
 
     def test_verification_builds_the_instance_edits(self, monkeypatch):
-        # build_model verifies the instance's own edited trees, so the
+        # Construction verifies the instance's own edited trees, so the
         # leaf-weight check that follows builds (and signs) no tree of its own.
         inst = build_model(4, seed=1)
         built = []
@@ -179,7 +187,7 @@ class TestVerification:
         assert built == []
 
     def test_ordered_mode_models(self):
-        verify_model(build_model(3, seed=5, mode=ORDERED))
+        assert build_model(3, seed=5, mode=ORDERED).mode == ORDERED
 
     def test_failed_verification_reaches_the_caller(self, monkeypatch):
         import dagkernel.model
@@ -187,7 +195,7 @@ class TestVerification:
         def reject(instance):
             raise ModelConstructionError("rejected")
 
-        monkeypatch.setattr(dagkernel.model, "verify_model", reject)
+        monkeypatch.setattr(dagkernel.model, "_verify", reject)
         with pytest.raises(ModelConstructionError, match="^rejected$"):
             build_model(3)
 
@@ -196,6 +204,45 @@ class TestVerification:
             build_model(3, rho=Fraction(7, 2))
         with pytest.raises(ValueError):
             build_model(1)
+
+    def test_instance_refuses_a_labeled_mode_and_rho_outside_the_heights(self):
+        t0, t1 = uneven_pair()
+        with pytest.raises(ValueError, match="^the benchmark model is unlabeled$"):
+            instance_of(t0, t1, mode=TreeMode(ordered=False, labeled=True))
+        for rho in (Fraction(-1, 2), Fraction(7, 2)):
+            with pytest.raises(ValueError, match=r"^rho must lie in \[0, height\]$"):
+                ModelInstance(t0, t1, rho, UNORDERED, brooms_for(t0, t1))
+
+    def test_height_zero_is_refused(self):
+        with pytest.raises(ValueError, match="^model height must be >= 1$"):
+            edit_height_pmf(0, 0)
+        with pytest.raises(ValueError, match="^model height must be >= 1$"):
+            ModelInstance(Tree.leaf(), Tree.leaf(), 0, UNORDERED, (Tree.leaf(),))
+
+    @pytest.mark.parametrize("mode, max_vertices, built", [
+        pytest.param(UNORDERED, 7, 70, id="unordered"), pytest.param(ORDERED, 6, 136, id="ordered")])
+    def test_every_instance_has_the_definitional_contrasts(self, mode, max_vertices, built):
+        # Every ordered pair of distinct templates of height 2-3 that
+        # constructs, with brooms as replacement trees; in unordered mode
+        # one template per isomorphism class.
+        shapes = {}
+        for tree in all_ordered_shapes(max_vertices):
+            if 2 <= tree.height() <= 3:
+                shapes.setdefault(canonical_signature(tree, mode), tree)
+        instances = []
+        for t0, t1 in itertools.permutations(shapes.values(), 2):
+            if t0.height() == t1.height():
+                try:
+                    instances.append(instance_of(t0, t1, mode=mode))
+                except ModelConstructionError:
+                    pass
+        assert len(instances) == built
+        for inst, weight in itertools.product(instances, (unit_weight, halving_weight)):
+            for cls in (0, 1):
+                table = ContrastTable(inst, cls, weight)
+                for x in inst.tree(cls).vertices():
+                    assert table.contrast(x) == definitional_contrast(inst, weight, cls, x), (
+                        inst.t0, inst.t1, cls, x)
 
 
 class TestEditDistribution:
@@ -422,7 +469,7 @@ class TestContrast:
         instances = [build_model(height, seed=seed, mode=mode)
                      for height in (2, 3, 4, 5) for seed in (0, 1, 2)
                      for mode in (UNORDERED, ORDERED)]
-        for inst in instances + [uneven_instance()]:
+        for inst in instances + [instance_of(*uneven_pair())]:
             for cls in (0, 1):
                 table = ContrastTable(inst, cls, weight)
                 tree = inst.tree(cls)
@@ -448,8 +495,7 @@ class TestContrast:
         t0 = Tree.node([star(1), star(4)])
         t1 = Tree.node([star(2), star(3)])
         fillers = (Tree.leaf(), star(6), Tree.node([star(6)]))
-        inst = ModelInstance(t0, t1, 2, Fraction(3, 2), UNORDERED, fillers)
-        verify_model(inst)
+        inst = ModelInstance(t0, t1, Fraction(3, 2), UNORDERED, fillers)
         pmf = edit_height_pmf(2, Fraction(3, 2))  # (1/16, 6/16, 9/16)
         assert pmf == [Fraction(1, 16), Fraction(6, 16), Fraction(9, 16)]
         # Vertices of T0 (preorder): 0 root, 1 star1, 2 leaf, 3 star4, 4..7 leaves.
@@ -536,9 +582,15 @@ class TestSufficientSize:
 
     def test_degenerate_bound_rejected(self):
         inst = build_model(3, seed=13)
-        # h = H: the best height-H self kernel is the whole tree, gap is 0.
-        with pytest.raises(ValueError):
-            sufficient_size(inst, unit_weight, 3, 0.1)
+        with pytest.raises(ValueError, match="^degenerate bound"):
+            sufficient_size(inst, lambda t: 0, 1, 0.1)
+
+    def test_h_range_checked(self):
+        # h = H: the best height-H self kernel is the whole tree, so C_H is 0.
+        inst = build_model(3, seed=13)
+        for h in (-1, 3):
+            with pytest.raises(ValueError, match="^need 0 <= h < model height$"):
+                sufficient_size(inst, unit_weight, h, 0.1)
 
     def test_decreasing_in_height_term(self):
         # At fixed kernel constants the 1/H^2 factor shrinks the size; check
@@ -564,7 +616,7 @@ class TestLeafWeightEffect:
         t0 = Tree.node([star(1), star(4)])
         t1 = Tree.node([star(2), star(3)])
         fillers = (Tree.leaf(), star(6), Tree.node([star(6)]))
-        inst = ModelInstance(t0, t1, 2, Fraction(3, 2), UNORDERED, fillers)
+        inst = ModelInstance(t0, t1, Fraction(3, 2), UNORDERED, fillers)
         report = check_leaf_weight_effect(inst, unit_weight, Fraction(1))
         assert report.expected_leaf_gap == (0, 0)
         for entry in report.entries:

@@ -140,6 +140,13 @@ class TestMeanSimilarityClassify:
         with pytest.raises(ValueError, match="class 1 has no training columns"):
             mean_similarity_classify(np.ones((1, 2)), [0, 0], 2)
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_class_out_of_range_is_an_error(self, bad):
+        # Such a column would otherwise count toward no class.
+        gram = np.array([[1.0, 5.0, 0.0], [0.0, 0.0, 9.0]])
+        with pytest.raises(ValueError, match=f"^class id {bad} out of range$"):
+            mean_similarity_classify(gram, [0, bad, 1], 2)
+
 
 class TestEvaluate:
     def test_macro_metrics(self):
