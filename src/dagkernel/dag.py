@@ -24,7 +24,10 @@ class pairs of the tree vertices gives the member x subtree-class count matrix
 (`Dag.member_counts`).
 
 Numbering: ids are sorted by (height, first discovery).  Vertices are
-discovered tree by tree, each tree in reverse preorder.  Every edge goes from
+discovered tree by tree, each tree in reverse preorder.  A member that is the
+same `Tree` object as an earlier member is named once: it would discover no
+new class, so it is not walked again and its count row is a copy of the
+earlier one, and ids and rows are those of walking it.  Every edge goes from
 a higher id to a strictly lower one, and a member's root is the last id of
 its count row.
 
@@ -141,7 +144,11 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 def reduce_forest(trees: Sequence[Tree], mode: TreeMode) -> Dag:
     """Compress a forest in one pass over its trees (see module doc).  This is
-    the only way to build a `Dag`."""
+    the only way to build a `Dag`.
+
+    A member that is the same `Tree` object as an earlier one is named once
+    and its count row is copied, so ids and rows are those of a fresh copy;
+    the artificial root still has one edge per member."""
     if not trees:
         raise ValueError("cannot reduce an empty forest")
     return _compress(mode, trees)
@@ -156,11 +163,18 @@ def _positions(lengths: np.ndarray) -> np.ndarray:
 def _compress(mode: TreeMode, trees: Sequence[Tree]) -> Dag:
     """Name every subtree class of ``trees`` level by level (module doc).
 
-    Nodes are the tree vertices in discovery order: the vertex v of a tree
-    whose nodes end before node e is node e - 1 - v.  Children of a node are
-    CSR lists of nodes, left to right.
+    Nodes are the vertices of the distinct tree objects, first seen first,
+    in discovery order: the vertex v of a tree whose nodes end before node e
+    is node e - 1 - v.  Children of a node are CSR lists of nodes, left to
+    right.
     """
-    sizes = np.fromiter(map(len, trees), np.int64, len(trees))
+    # Identity, not equality: Tree hashes are not cached, and the loaders
+    # hand out one object per distinct text.
+    by_id = {id(t): t for t in trees}
+    slot = {key: i for i, key in enumerate(by_id)}
+    member_slot = np.fromiter(map(slot.__getitem__, map(id, trees)), np.int64, len(trees))
+    distinct = list(by_id.values())
+    sizes = np.fromiter(map(len, distinct), np.int64, len(distinct))
     ends = np.cumsum(sizes)
     n = int(ends[-1])
     # Node of each tree vertex, in the trees' own preorder, one tree after another.
@@ -169,14 +183,14 @@ def _compress(mode: TreeMode, trees: Sequence[Tree]) -> Dag:
     is_root[ends - sizes] = True
     parent = np.full(n, -1, np.int64)
     parent[node_of[~is_root]] = np.repeat(ends - 1, sizes - 1) - np.fromiter(
-        chain.from_iterable(t._parents[1:] for t in trees), np.int64, n - len(trees))
+        chain.from_iterable(t._parents[1:] for t in distinct), np.int64, n - len(distinct))
 
     if mode.labeled:
-        names = list(dict.fromkeys(chain.from_iterable(t._labels for t in trees)))
+        names = list(dict.fromkeys(chain.from_iterable(t._labels for t in distinct)))
         name_id = {name: i for i, name in enumerate(names)}
         label = np.empty(n, np.int64)
-        label[node_of] = np.fromiter(
-            map(name_id.__getitem__, chain.from_iterable(t._labels for t in trees)), np.int64, n)
+        label[node_of] = np.fromiter(map(name_id.__getitem__, chain.from_iterable(
+            t._labels for t in distinct)), np.int64, n)
     else:
         names, label = [None], np.zeros(n, np.int64)
     # Per-vertex temporaries are dropped as soon as they are used up: together
@@ -187,7 +201,7 @@ def _compress(mode: TreeMode, trees: Sequence[Tree]) -> Dag:
     # node, lists every child list left to right.  Roots have parent -1 and
     # sort first.
     packed = np.sort(parent * n + np.arange(n - 1, -1, -1))
-    kids = (n - 1) - packed[len(trees):] % n
+    kids = (n - 1) - packed[len(distinct):] % n
     deg = np.bincount(parent[parent >= 0], minlength=n)
     offsets = np.concatenate(([0], np.cumsum(deg)))
     del packed
@@ -232,17 +246,21 @@ def _compress(mode: TreeMode, trees: Sequence[Tree]) -> Dag:
     owner = np.concatenate((np.repeat(np.arange(n_classes), deg),
                             np.full(len(trees), n_classes)))
     child = np.concatenate((class_of[kids[np.repeat(offsets[reps], deg) + _positions(deg)]],
-                            class_of[ends - 1]))
+                            class_of[ends - 1][member_slot]))
     out_labels = [names[i] for i in label[reps].tolist()]
 
-    cells, counts = np.unique(np.repeat(np.arange(len(trees)), sizes) * n_classes + class_of,
+    cells, counts = np.unique(np.repeat(np.arange(len(distinct)), sizes) * n_classes + class_of,
                               return_counts=True)
     rows = cells // n_classes
     ids = cells - rows * n_classes
-    row_offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(trees)))))
+    row_offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(distinct)))))
+    # One row per member: a gather of its distinct tree's row.
+    lengths = np.diff(row_offsets)[member_slot]
+    take = np.repeat(row_offsets[member_slot], lengths) + _positions(lengths)
     return Dag._raw(mode, np.append(out_heights, out_heights[-1] + 1), out_labels + [None],
                     _children_csr(mode, n_classes + 1, owner, child),
-                    (row_offsets, ids, counts.astype(np.float64)))
+                    (np.concatenate(([0], np.cumsum(lengths))), ids[take],
+                     counts[take].astype(np.float64)))
 
 
 def _level_keys(mode, level, label, offsets, kids, class_of, bound) -> np.ndarray:

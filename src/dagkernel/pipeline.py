@@ -27,7 +27,7 @@ import numpy as np
 from .annotate import AnnotatedDag
 from .dag import reduce_forest
 from .kernel import GramComputer, min_eig_and_norm
-from .trees import ParseError, Tree, TreeMode, TreeParseError, parse_tree, serialize_tree
+from .trees import ParseError, Tree, TreeMode, _interning_parser, parse_tree, serialize_tree
 from .weights import (ClassProfile, ShapingFn, class_profile, discriminance_weights,
                       exponential_weights)
 
@@ -260,12 +260,15 @@ def load_manifest(path: str, mode: TreeMode) -> tuple[Dataset, Optional[Split]]:
     Every error about a row (a bad tree, a row that ``csv`` refuses, an
     unreadable tree file, an unknown role) names its 1-based data row, e.g.
     ``in row 2 of m.csv``; a tree's error position counts from the start of
-    its cell or file.  Cells may be of any length.  The manifest and its tree
-    files are read as UTF-8; a leading byte-order mark is skipped.
+    its cell or file.  Rows with identical tree text (after the ``@file``
+    read and ``rstrip``) share one `Tree`, parsed once, so a bad text is
+    named at its first row.  Cells may be of any length.  The manifest and
+    its tree files are read as UTF-8; a leading byte-order mark is skipped.
     """
     import os
 
     base = os.path.dirname(os.path.abspath(path))
+    tree_of = _interning_parser(parse_tree, mode)
     trees: list[Tree] = []
     raw_classes: list[Optional[str]] = []
     roles: list[Optional[str]] = []
@@ -287,10 +290,7 @@ def load_manifest(path: str, mode: TreeMode) -> tuple[Dataset, Optional[Split]]:
                     except OSError as exc:
                         raise ValueError(
                             f"cannot read {reference} ({exc.strerror or exc}) in {where}") from exc
-                try:
-                    trees.append(parse_tree(text, mode))
-                except TreeParseError as exc:
-                    raise exc.located(where) from None
+                trees.append(tree_of(text, where))
                 cls = (row.get("class") or "").strip()
                 raw_classes.append(cls or None)
                 role = (row.get("role") or "").strip().lower()

@@ -463,13 +463,32 @@ def serialize_tree(tree: Tree) -> str:
 def parse_tree_file(lines: Iterable[str], mode: Optional[TreeMode] = None) -> Iterator[Tree]:
     """Parse a dataset file: one bracket tree per non-blank line.
 
-    A :class:`TreeParseError` names the 1-based line of the bad tree, and
-    its position counts from the start of that line."""
+    Lines with identical text (after ``rstrip``) yield one shared `Tree`,
+    parsed once.  A :class:`TreeParseError` names the 1-based line of the
+    bad tree, the first line with that text, and its position counts from
+    the start of that line."""
+    tree_of = _interning_parser(parse_tree, mode)
     for number, line in enumerate(lines, 1):
         line = line.rstrip()
         if line:
+            yield tree_of(line, f"line {number}")
+
+
+def _interning_parser(parse, mode: Optional[TreeMode]):
+    """``tree_of(text, where)`` for one file: ``parse(text, mode)`` at the
+    first call with ``text``, the same `Tree` at every later one.  A parse
+    error names ``where``, e.g. ``"line 3"``.  The text map lives as long
+    as ``tree_of``: one file's load.  ``parse`` is the loader's own
+    ``parse_tree`` global, so a wrapper set on that global sees each parse."""
+    seen: dict[str, Tree] = {}
+
+    def tree_of(text: str, where: str) -> Tree:
+        tree = seen.get(text)
+        if tree is None:
             try:
-                tree = parse_tree(line, mode)
+                tree = seen[text] = parse(text, mode)
             except TreeParseError as exc:
-                raise exc.located(f"line {number}") from None
-            yield tree
+                raise exc.located(where) from None
+        return tree
+
+    return tree_of

@@ -274,6 +274,19 @@ class TestReduce:
         )
         assert capsys.readouterr().out == "trees: 1\nvertices: 15 -> 5 (ratio 0.333)\n"
 
+    def test_repeated_trees_change_no_line_but_the_root(self, tmp_path, capsys):
+        # Each distinct tree is named once; its repeats add edges to the
+        # artificial root, the last line, and nothing else.
+        cells = [line.rsplit(",", 2)[0]
+                 for line in (GOLDEN / "generate" / "m.csv").read_text().splitlines()[1:]]
+        for name, trees in (("every", cells * 3), ("once", list(dict.fromkeys(cells)))):
+            (tmp_path / f"{name}.trees").write_text("".join(f"{t}\n" for t in trees))
+            assert cli.run(["reduce", str(tmp_path / f"{name}.trees"), *ORDERED_LABELED,
+                            "--out", str(tmp_path / f"{name}.dag")]) == 0
+        assert capsys.readouterr().out.startswith(f"trees: {3 * len(cells)}\n")
+        every, once = ((tmp_path / f"{name}.dag").read_text().splitlines()
+                       for name in ("every", "once"))
+        assert len(set(cells)) < len(cells) and every[:-1] == once[:-1]
 
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
         # Spreadsheet tools save UTF-8 text with a leading byte-order mark.

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagkernel import (AnnotatedDag, Dag, Tree, TreeMode, class_profile, format_dag, parse_tree,
-                       reduce_forest, subtree_signatures)
+from dagkernel import (AnnotatedDag, Dag, GramComputer, Tree, TreeMode, class_profile,
+                       exponential_weights, format_dag, parse_tree, reduce_forest, serialize_tree,
+                       subtree_signatures)
 
 from conftest import (
     FIG3_TREE,
@@ -262,6 +263,47 @@ class TestNumbering:
         assert ids(tree, tree.root) == expected(trees[:1])
         forest = reduce_forest(trees, mode)
         assert ids(forest, forest.root) == expected(trees)
+
+
+class TestRepeatedMembers:
+    """A member that is an earlier member's object is named once; the Dag is
+    that of fresh copies, which are named one by one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=forests())
+    def test_repeated_objects_give_the_dag_of_fresh_copies(self, case):
+        mode, trees = case
+        shared = reduce_forest(trees, mode)
+        fresh = reduce_forest([parse_tree(serialize_tree(t), mode) for t in trees], mode)
+        assert shared.heights().tolist() == fresh.heights().tolist()
+        assert [shared.label(v) for v in range(len(shared))] == (
+            [fresh.label(v) for v in range(len(fresh))])
+        assert [shared.edges(v) for v in range(len(shared))] == (
+            [fresh.edges(v) for v in range(len(fresh))])
+        for a, b in zip(shared.member_counts, fresh.member_counts):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        assert shared.member_roots == fresh.member_roots
+        assert shared.n_members == fresh.n_members == len(trees)
+        members = range(len(trees))
+        grams = [GramComputer(AnnotatedDag(d), exponential_weights(d, 0.5)).gram(members, members)
+                 for d in (shared, fresh)]
+        assert grams[0].tobytes() == grams[1].tobytes()
+
+    @pytest.mark.parametrize("mode", [ORDERED, UNORDERED], ids=str)
+    def test_first_and_last_member_repeat(self, mode):
+        # Leaf 0, b's root 1 and a's root 2, then the artificial root 3.
+        a, b = parse_tree("((())())"), parse_tree("(())")
+        d = reduce_forest([a, b, b, a], mode)
+        assert len(d) == 4 and d.member_roots == (2, 1, 1, 2)
+        if mode.ordered:  # one edge per member, in member order
+            assert d.edges(3) == ((2, 1), (1, 1), (1, 1), (2, 1))
+        else:  # the multiplicity counts the copies
+            assert d.edges(3) == ((1, 2), (2, 2))
+        row_offsets, ids, counts = d.member_counts
+        rows = [(ids[i:j].tolist(), counts[i:j].tolist())
+                for i, j in zip(row_offsets[:-1], row_offsets[1:])]
+        assert rows == [([0, 1, 2], [2.0, 1.0, 1.0]), ([0, 1], [1.0, 1.0]),
+                        ([0, 1], [1.0, 1.0]), ([0, 1, 2], [2.0, 1.0, 1.0])]
 
 
 def small_dag():

@@ -16,12 +16,14 @@ from dagkernel import (
     ShapingFn,
     Split,
     TreeMode,
+    TreeParseError,
     annotate_dataset,
     evaluate,
     generate_template_corpus,
     load_manifest,
     mean_similarity_classify,
     parse_tree,
+    parse_tree_file,
     pipeline,
     run_experiment,
     save_manifest,
@@ -293,6 +295,12 @@ class TestManifest:
         assert bom == plain
         assert bom[0].class_names == ("x", "é")
 
+    def test_tree_file_and_inline_row_share_one_tree(self, tmp_path):
+        (tmp_path / "t.tree").write_text("(()())\n")
+        (tmp_path / "m.csv").write_text("tree,class\n@t.tree,a\n(()()),b\n")
+        data, _ = load_manifest(str(tmp_path / "m.csv"), UNORDERED)
+        assert len(data) == 2 and data.trees[0] is data.trees[1]
+
     def test_inner_at_sign_round_trips(self, tmp_path):
         labeled = TreeMode(ordered=True, labeled=True)
         data = Dataset((parse_tree("a(@b())", labeled),), (0,), labeled)
@@ -335,3 +343,38 @@ class TestManifest:
             load_manifest(str(manifest), UNORDERED)
         assert str(err.value) == f"line contains NUL in {where} of {manifest}"
         assert csv.field_size_limit() == limit
+
+
+def load_texts(loader, tmp_path, texts):
+    """The trees of ``texts`` as manifest rows or as the lines of a tree file,
+    and how an error names the 1-based row or line i."""
+    if loader == "manifest":
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("tree,class\n" + "".join(f"{text},a\n" for text in texts))
+        return (lambda: load_manifest(str(manifest), UNORDERED)[0].trees,
+                lambda i: f"row {i} of {manifest}")
+    return (lambda: tuple(parse_tree_file([f"{text}\n" for text in texts], UNORDERED)),
+            lambda i: f"line {i}")
+
+
+@pytest.mark.parametrize("loader", ["manifest", "file"])
+class TestInterning:
+    """Both loaders parse each distinct tree text once and share its Tree."""
+
+    def test_identical_texts_share_one_tree(self, tmp_path, loader):
+        load, _ = load_texts(loader, tmp_path, ["(())", "()", "(())  ", "(())"])
+        trees = load()
+        assert len(trees) == 4
+        assert trees[0] is trees[2] is trees[3]
+        assert trees[1] is not trees[0] and trees[1] == parse_tree("()")
+
+    @pytest.mark.parametrize("texts, bad_at", [
+        (["()", "(()", "()", "()", "(()"], 2),  # a bad text repeats: its first row
+        (["(())", "()", "(())", "(()"], 4),  # a repeat of a good text comes first
+    ])
+    def test_bad_text_is_named_at_its_first_place(self, tmp_path, loader, texts, bad_at):
+        load, where = load_texts(loader, tmp_path, texts)
+        with pytest.raises(TreeParseError) as err:
+            load()
+        assert err.value.position == 3
+        assert str(err.value) == f"unclosed '(' (at position 3) in {where(bad_at)}"
