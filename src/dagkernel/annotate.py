@@ -10,8 +10,10 @@ product and the weight learning.
 
 The artificial root is in no row.  Member indices are 0-based; both queries
 raise ``IndexError`` on an index outside ``0 .. n_members - 1`` (a negative
-index does not wrap).  The finished :class:`AnnotatedDag` is immutable, so
-the Gram computations of every weight table can share it freely.
+index does not wrap) and ``TypeError`` on one that is not an integer (a
+bool included, so a mask is never read as indices).  The finished
+:class:`AnnotatedDag` is immutable, so the Gram computations of every weight
+table can share it freely.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ class AnnotatedDag:
         self._row_offsets, self._ids, self._counts = dag.member_counts
 
     def _members(self, members: Sequence[int]) -> np.ndarray:
-        members = np.fromiter(map(index, members), np.int64)
+        members = list(members)
+        if bool in map(type, members):  # operator.index reads True as 1
+            raise TypeError("member indices must be integers, not bool")
+        members = np.fromiter(map(index, members), np.int64, len(members))
         if len(members) and not (members.min() >= 0 and members.max() < self.n_members):
             raise IndexError("member index out of range")
         return members

@@ -9,11 +9,19 @@ explicit subtree signatures instead; it is the ground-truth oracle: slow,
 but independent of the compressed path, and it preserves exact arithmetic
 (integers, fractions) end to end.
 
-A Gram matrix is one dense block product ``G = (A * w) @ B.T``, where A and
-B hold the row and column members' counts on the vertices that occur in some
-row and some column.  When rows and columns coincide, a vertex held by one
-row member alone adds only to that member's diagonal entry, so it stays out
-of the block, and the upper triangle is mirrored so that ``G == G.T`` exactly.
+A Gram matrix splits the vertices that some row and some column share by
+their holders: a vertex held by h_r row members and h_c column members goes
+into one dense block product ``(A * w) @ B.T`` when h_r * h_c is large, and
+otherwise adds its h_r * h_c holder products straight into the entries they
+belong to (a row-by-row sparse product; Gustavson, "Two fast algorithms for
+sparse matrices", 1978).  A vertex of weight 0 adds nothing to either part.
+The split pays off only when such lightly held vertices are most of the
+weighted shared ones, as in low-sharing data; otherwise (a few widely shared
+subtrees, as in markup templates) every shared vertex goes into the block.
+When rows and columns coincide, a vertex held by one row member alone adds
+only to that member's diagonal entry, so it stays out of the block, the pair
+sums add only pairs a <= b, and the upper triangle is mirrored so that
+``G == G.T`` exactly.
 
 Weight tables are plain arrays indexed by DAG vertex, so a Gram matrix under
 new weights costs no structural work: build the annotation once, then one
@@ -28,6 +36,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .annotate import AnnotatedDag
+from .dag import _positions
 from .trees import Tree, TreeMode, subtree_signatures
 
 WeightFn = Callable[[Tree], float]
@@ -72,10 +81,16 @@ def gram(
 class GramComputer:
     """Kernel evaluator for one annotation under one weight table.
 
-    The weight table is fixed on construction; a new weighting of the same
-    annotation is a new computer.  ``visited_vertices`` counts, over all
-    Gram calls, the vertices shared by each evaluated pair (the work a
-    per-pair evaluation would do).
+    The weight table is fixed on construction and must be finite; a new
+    weighting of the same annotation is a new computer.  ``visited_vertices``
+    counts, over all Gram calls, the vertices shared by each evaluated pair
+    (the work a per-pair evaluation would do).
+
+    ``gram`` takes a shared vertex of non-zero weight, held by h_r rows and
+    h_c columns, as light when h_r * h_c is at most 64 (``_PAIR_BOUND``).
+    When light vertices are more than half of those vertices, each adds its
+    holder pairs straight into the result and the rest form the dense block;
+    otherwise every shared vertex is in the block (module doc).
     """
 
     def __init__(self, annotated: AnnotatedDag, weights: np.ndarray):
@@ -84,6 +99,9 @@ class GramComputer:
             raise ValueError(
                 f"weight table has length {weights.shape}, expected {len(annotated.dag)}"
             )
+        bad = np.flatnonzero(~np.isfinite(weights))
+        if len(bad):
+            raise ValueError(f"weight of vertex {bad[0]} is not finite: {weights[bad[0]]}")
         self.annotated = annotated
         self.weights = weights
         self.visited_vertices = 0
@@ -91,39 +109,89 @@ class GramComputer:
     def gram(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         rows, cols = list(rows), list(cols)
         square = rows == cols
-        r_pos, r_ids, r_cnt = self.annotated.occurrences(rows)
-        r_hits = np.bincount(r_ids, minlength=len(self.weights))
+        r = self.annotated.occurrences(rows)
+        r_hits = np.bincount(r[1], minlength=len(self.weights))
         if square:
             # Pairs a <= b: a vertex held by r rows is shared by r(r+1)/2 of them.
             self.visited_vertices += int(r_hits @ (r_hits + 1)) // 2
-            block = r_hits >= 2
-            c_pos, c_ids, c_cnt = r_pos, r_ids, r_cnt
+            c, c_hits = r, r_hits
+            shared = r_hits >= 2
         else:
-            c_pos, c_ids, c_cnt = self.annotated.occurrences(cols)
-            c_hits = np.bincount(c_ids, minlength=len(self.weights))
+            c = self.annotated.occurrences(cols)
+            c_hits = np.bincount(c[1], minlength=len(self.weights))
             self.visited_vertices += int(r_hits @ c_hits)
-            block = (r_hits > 0) & (c_hits > 0)
-        weighted = r_cnt * self.weights[r_ids]
-        out = _dense(r_pos, r_ids, weighted, block, len(rows)) @ _dense(
-            c_pos, c_ids, c_cnt, block, len(cols)
-        ).T
+            shared = (r_hits > 0) & (c_hits > 0)
+        live = shared & (self.weights != 0)
+        light = live & (r_hits * c_hits <= _PAIR_BOUND)
+        split = 2 * np.count_nonzero(light) > np.count_nonzero(live)
+        block = live & ~light if split else shared
+        b = _dense(c, block, len(cols))
         if square:
-            alone = ~block[r_ids]
+            a = b * self.weights[block]
+        else:
+            pos, ids, cnt = r
+            a = _dense((pos, ids, cnt * self.weights[ids]), block, len(rows))
+        out = a @ b.T
+        if split:
+            _add_pair_sums(out, self.weights, light, r, r_hits, c, c_hits, upper=square)
+        if square:
+            pos, ids, cnt = _select(r, r_hits == 1)
             out.flat[:: len(rows) + 1] += np.bincount(
-                r_pos[alone], weights=(weighted * r_cnt)[alone], minlength=len(rows)
+                pos, weights=cnt * self.weights[ids] * cnt, minlength=len(rows)
             )
             for k in range(len(rows) - 1):
                 out[k + 1 :, k] = out[k, k + 1 :]
         return out
 
 
-def _dense(pos, ids, values, keep: np.ndarray, n_rows: int) -> np.ndarray:
+# A shared vertex with at most this many holder pairs (h_r * h_c) is light.
+_PAIR_BOUND = 64
+
+
+def _select(triplets, keep: np.ndarray) -> list[np.ndarray]:
+    """The coordinate triplets of the kept vertices, in their order."""
+    kept = keep[triplets[1]]
+    return [x[kept] for x in triplets]
+
+
+def _dense(triplets, keep: np.ndarray, n_rows: int) -> np.ndarray:
     """Coordinate triplets as a dense matrix over the kept vertices, in id order."""
-    column = np.cumsum(keep) - 1
-    kept = keep[ids]
-    out = np.zeros((n_rows, np.count_nonzero(keep)))
-    out[pos[kept], column[ids[kept]]] = values[kept]
+    pos, ids, values = _select(triplets, keep)
+    n_kept = np.count_nonzero(keep)
+    column = np.zeros(len(keep), np.intp)
+    column[keep] = np.arange(n_kept)
+    out = np.zeros((n_rows, n_kept))
+    out[pos, column[ids]] = values
     return out
+
+
+def _add_pair_sums(out, weights, light, rows, r_hits, cols, c_hits, upper: bool) -> None:
+    """Add ``w[v] * F[a, v] * F[b, v]`` into ``out[a, b]`` for every row
+    holder a and column holder b of each light vertex v.  When ``upper``,
+    rows and columns coincide and only the pairs a <= b are added."""
+    n = max(out.shape)
+
+    def by_vertex(triplets):
+        pos, ids, cnt = _select(triplets, light)
+        order = np.argsort(ids * n + pos)  # by vertex, then by position
+        return pos[order], cnt[order]
+
+    r_pos, r_cnt = by_vertex(rows)
+    r_len = r_hits[light]
+    w = np.repeat(weights[light], r_len)
+    if upper:
+        c_pos, c_cnt = r_pos, r_cnt
+        starts = np.arange(len(r_pos))
+        lengths = np.repeat(r_len, r_len) - _positions(r_len)
+    else:
+        c_pos, c_cnt = by_vertex(cols)
+        c_len = c_hits[light]
+        starts = np.repeat(np.cumsum(c_len) - c_len, r_len)
+        lengths = np.repeat(c_len, r_len)
+    first = np.repeat(np.arange(len(r_pos)), lengths)
+    second = np.repeat(starts, lengths) + _positions(lengths)
+    np.add.at(out.reshape(-1), r_pos[first] * out.shape[1] + c_pos[second],
+              w[first] * (r_cnt[first] * c_cnt[second]))
 
 
 def min_eig_and_norm(matrix: np.ndarray) -> tuple[float, float]:

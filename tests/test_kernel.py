@@ -19,6 +19,7 @@ from dagkernel import (
     reduce_forest,
     subtree_signatures,
 )
+from dagkernel import kernel
 from dagkernel.kernel import min_eig_and_norm
 
 from conftest import (
@@ -128,6 +129,18 @@ class TestDagEqualsBrute:
         ann = annotated_for([Tree.leaf()], UNORDERED)
         with pytest.raises(IndexError):
             gram(ann, np.ones(len(ann.dag)), [0], [4])
+
+    def test_bool_indices_raise(self):
+        # A mask is not a list of member indices: [True, False, True] must
+        # not give the Gram of members 1, 0, 1.
+        ann = annotated_for([parse_tree(FIG1_T0), parse_tree(FIG1_T1), Tree.leaf()], UNORDERED)
+        w = np.ones(len(ann.dag))
+        mask = [True, False, True]
+        for rows, cols in ((mask, mask), (mask, [0, 1]), ([0, 1], mask), ([0, True], [0])):
+            with pytest.raises(TypeError, match="not bool"):
+                gram(ann, w, rows, cols)
+        with pytest.raises(TypeError):
+            gram(ann, w, np.array(mask), [0])
 
 
 class TestLeafDecomposition:
@@ -260,6 +273,19 @@ class TestReweight:
         with pytest.raises(ValueError):
             GramComputer(ann, np.ones(len(ann.dag) + 3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # A NaN on a subtree that member 0 alone holds would spoil only the
+        # entry (0, 0) and leave every other entry looking valid.
+        ann = annotated_for([parse_tree(FIG1_T0), parse_tree(FIG1_T1)], UNORDERED)
+        own = np.setdiff1d(ann.occurrences([0])[1], ann.occurrences([1])[1])
+        w = np.ones(len(ann.dag))
+        w[own] = bad  # own is sorted: own[0] is the first bad vertex
+        with pytest.raises(ValueError, match=f"weight of vertex {own[0]} is not finite"):
+            GramComputer(ann, w)
+        with pytest.raises(ValueError, match=f"weight of vertex {own[0]} is not finite"):
+            gram(ann, w, [0, 1], [0, 1])
+
 
 def pairwise_reference(ann, trees, mode, w, rows, cols):
     """Per-pair ``kernel_brute`` matrix under the weight table ``w``, and the
@@ -348,3 +374,66 @@ class TestBlockGram:
         for rows, cols in (([0, 1], [0, 1]), ([0], [-1])):
             with pytest.raises(IndexError):
                 comp.gram(rows, cols)
+
+
+class TestProductPaths:
+    """Both Gram products against the per-pair oracle.  In tier-1 forests
+    almost no vertex has more than 64 holder pairs (h_r * h_c), so the bound
+    is forced: 0 leaves every vertex in the dense block, a huge one every
+    vertex in the pair sums, and 4 splits them."""
+
+    check = TestBlockGram.check
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """The dense block widths and the pair-sum calls of each Gram call."""
+        seen = {"block": [], "pairs": 0}
+        dense, add_pair_sums = kernel._dense, kernel._add_pair_sums
+
+        def spy_dense(triplets, keep, n_rows):
+            seen["block"].append(int(np.count_nonzero(keep)))
+            return dense(triplets, keep, n_rows)
+
+        def spy_pairs(*args, **kwargs):
+            seen["pairs"] += 1
+            return add_pair_sums(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "_dense", spy_dense)
+        monkeypatch.setattr(kernel, "_add_pair_sums", spy_pairs)
+        return seen
+
+    @pytest.mark.parametrize("bound", [0, 4, 10**9])
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_forced_bound(self, mode, bound, products, monkeypatch):
+        monkeypatch.setattr(kernel, "_PAIR_BOUND", bound)
+        trees = forest_with_edge_members(random.Random(63), mode, 9)
+        n = len(trees)
+        calls = [
+            (range(n), range(n)),
+            (range(n // 2), range(n // 2, n)),
+            ([0, 0, 4, 1, n - 1], [0, 0, 4, 1, n - 1]),
+            ([3, 1, n - 2], range(n)),
+        ]
+        for rows, cols in calls:
+            self.check(trees, mode, list(rows), list(cols), 0.5)
+        if bound == 0:
+            assert products["pairs"] == 0
+        elif bound == 4:
+            # Some call both splits and keeps a dense block.
+            assert products["pairs"] > 0 and max(products["block"]) > 0
+        else:
+            assert products["pairs"] > 0 and max(products["block"]) == 0
+
+    def test_selection_follows_sharing(self, products):
+        # Copies of a few trees: every vertex is held by many rows, so the
+        # single dense product runs.  Distinct random trees: most shared
+        # vertices are held by a few rows, so the pair sums run.
+        rng = random.Random(64)
+        few = [random_tree(rng, 12, "ab") for _ in range(3)]
+        ann = annotated_for(few * 12, UNORDERED)
+        gram(ann, np.ones(len(ann.dag)), range(36), range(36))
+        assert products["pairs"] == 0
+        many = [random_tree(rng, 30, "ab") for _ in range(36)]
+        ann = annotated_for(many, UNORDERED)
+        gram(ann, np.ones(len(ann.dag)), range(36), range(36))
+        assert products["pairs"] == 1

@@ -259,6 +259,12 @@ class TestClassProfile:
         with pytest.raises(IndexError):
             class_profile(ann, [0, 1], [0, -1], 2)
 
+    def test_bool_member_rejected(self):
+        # A mask is not a list of weight-training members.
+        ann = self.make([parse_tree(FIG3_TREE), Tree.leaf(), Tree.leaf()])
+        with pytest.raises(TypeError, match="not bool"):
+            class_profile(ann, [0, 1, 1], [True, False, True], 2)
+
     def test_missing_class_rejected(self):
         rng = random.Random(36)
         trees = [random_tree(rng, 8) for _ in range(3)]
