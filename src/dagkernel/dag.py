@@ -19,9 +19,9 @@ its last child is done, so its level is its height.  Within a level, every
 vertex gets an exact integer key from its label and its children's class ids
 (in order; sorted in unordered mode), built by pairing one child column at a
 time with ``np.unique``.  Vertices with equal keys form one class.  No hashing
-is involved, so there are no collisions.  One ``np.unique`` over the member x
-class pairs of the tree vertices gives the member x subtree-class count matrix
-(`Dag.member_counts`).
+is involved, so there are no collisions.  Sorting the member x class cells of
+the tree vertices and counting each run of equal cells gives the member x
+subtree-class count matrix (`Dag.member_counts`).
 
 Numbering: ids are sorted by (height, first discovery).  Vertices are
 discovered tree by tree, each tree in reverse preorder.  A member that is the
@@ -31,14 +31,18 @@ earlier one, and ids and rows are those of walking it.  Every edge goes from
 a higher id to a strictly lower one, and a member's root is the last id of
 its count row.
 
-Layout: heights are an int array and children are CSR arrays: the edges of
-vertex v are positions ``offsets[v]:offsets[v + 1]`` of a child-id array and
-a multiplicity array.  Ordered mode stores one edge per child, in order,
-with multiplicity 1; unordered mode stores distinct children sorted by id,
-with their multiplicities.  The count matrix is stored the same way: row i
-is positions ``row_offsets[i]:row_offsets[i + 1]`` of an array of increasing
-vertex ids and an array of counts.  `Dag.member_counts` hands out that
-read-only triple, the one `_compress` hands it.
+Layout: heights are an int64 array and children are CSR arrays: the edges
+of vertex v are positions ``offsets[v]:offsets[v + 1]`` of a child-id array
+and a multiplicity array, all int64.  Ordered mode stores one edge per child,
+in order, with multiplicity 1; unordered mode stores distinct children sorted
+by id, with their multiplicities.  The count matrix is stored the same way:
+row i is positions ``row_offsets[i]:row_offsets[i + 1]`` of an int64 array of
+increasing vertex ids and a float64 array of counts.  `Dag.member_counts`
+hands out that read-only triple, the one `_compress` hands it.  Inside
+`_compress` the per-vertex index arrays of a forest of more than 2**15 tree
+vertices are int32, which halves its memory peak.  So a forest holds at most
+2**31 - 1 tree vertices (`reduce_forest` raises ``ValueError`` above that),
+and a product of two indices is formed in int64.
 """
 
 from __future__ import annotations
@@ -148,7 +152,8 @@ def reduce_forest(trees: Sequence[Tree], mode: TreeMode) -> Dag:
 
     A member that is the same `Tree` object as an earlier one is named once
     and its count row is copied, so ids and rows are those of a fresh copy;
-    the artificial root still has one edge per member."""
+    the artificial root still has one edge per member.  An empty forest, or
+    one of 2**31 tree vertices or more, raises ``ValueError``."""
     if not trees:
         raise ValueError("cannot reduce an empty forest")
     return _compress(mode, trees)
@@ -177,39 +182,54 @@ def _compress(mode: TreeMode, trees: Sequence[Tree]) -> Dag:
     sizes = np.fromiter(map(len, distinct), np.int64, len(distinct))
     ends = np.cumsum(sizes)
     n = int(ends[-1])
+    if n > np.iinfo(np.int32).max:
+        raise ValueError(f"a forest holds at most 2**31 - 1 tree vertices, not {n}")
+    # Per-node arrays are int32 in a large forest, and per-vertex temporaries
+    # are dropped as soon as they are used up: together they set its memory
+    # peak.  A product of two indices can pass 2**31, so each is formed in an
+    # int64 buffer.  A small forest keeps int64 nodes: NumPy widens int32
+    # indices to intp at every fancy index, a fixed cost per call that made
+    # compressing a few dozen small trees over a tenth slower.
+    index = np.int32 if n > 2**15 else np.int64
+    last = (ends - 1).astype(index)
     # Node of each tree vertex, in the trees' own preorder, one tree after another.
-    node_of = np.repeat(ends - 1, sizes) - _positions(sizes)
-    is_root = np.zeros(n, bool)
-    is_root[ends - sizes] = True
-    parent = np.full(n, -1, np.int64)
-    parent[node_of[~is_root]] = np.repeat(ends - 1, sizes - 1) - np.fromiter(
-        chain.from_iterable(t._parents[1:] for t in distinct), np.int64, n - len(distinct))
+    node_of = np.repeat(last, sizes)
+    node_of -= _positions(sizes)
+    # Node of each non-root vertex's parent.
+    up = np.repeat(last, sizes - 1)
+    up -= np.fromiter(chain.from_iterable(t._parents[1:] for t in distinct), index,
+                      n - len(distinct))
+    parent = np.full(n, -1, index)
+    parent[np.delete(node_of, ends - sizes)] = up
+    del up
 
     if mode.labeled:
         names = list(dict.fromkeys(chain.from_iterable(t._labels for t in distinct)))
         name_id = {name: i for i, name in enumerate(names)}
-        label = np.empty(n, np.int64)
+        label = np.empty(n, index)
         label[node_of] = np.fromiter(map(name_id.__getitem__, chain.from_iterable(
-            t._labels for t in distinct)), np.int64, n)
+            t._labels for t in distinct)), index, n)
     else:
-        names, label = [None], np.zeros(n, np.int64)
-    # Per-vertex temporaries are dropped as soon as they are used up: together
-    # they set the memory peak of a large forest.
-    del node_of, is_root
+        names, label = [None], np.zeros(n, index)
+    del node_of
 
     # Children: sorting nodes by parent, and within one parent by descending
     # node, lists every child list left to right.  Roots have parent -1 and
     # sort first.
-    packed = np.sort(parent * n + np.arange(n - 1, -1, -1))
-    kids = (n - 1) - packed[len(distinct):] % n
-    deg = np.bincount(parent[parent >= 0], minlength=n)
-    offsets = np.concatenate(([0], np.cumsum(deg)))
-    del packed
+    key = parent.astype(np.int64)
+    key *= n
+    key += np.arange(n - 1, -1, -1, dtype=index)
+    key.sort()
+    kids = np.remainder(key[len(distinct):], n, out=np.empty(n - len(distinct), index))
+    np.subtract(n - 1, kids, out=kids)
+    del key
+    pending = np.bincount(parent[parent >= 0], minlength=n).astype(index, copy=False)
+    offsets = np.zeros(n + 1, index)
+    np.cumsum(pending, out=offsets[1:])
 
     # Peel nodes from the leaves upward; every level comes out sorted.
     levels = []
-    pending = deg.copy()
-    level = np.flatnonzero(deg == 0)
+    level = np.flatnonzero(pending == 0).astype(index, copy=False)
     while len(level):
         levels.append(level)
         up, done = np.unique(parent[level], return_counts=True)
@@ -221,7 +241,7 @@ def _compress(mode: TreeMode, trees: Sequence[Tree]) -> Dag:
 
     # Name classes level by level, each level in discovery order.
     bound = n + 1  # exceeds every class id
-    class_of = np.empty(n, np.int64)
+    class_of = np.empty(n, index)
     reps = []  # the first-discovered node of every class, in id order
     out_heights = []
     n_classes = 0
@@ -237,30 +257,45 @@ def _compress(mode: TreeMode, trees: Sequence[Tree]) -> Dag:
         reps.append(level[first[by_discovery]])
         out_heights.append(np.full(len(first), h))
         n_classes += len(first)
+    del levels, key
     reps = np.concatenate(reps)
     out_heights = np.concatenate(out_heights)
 
     # The children of every class are those of its representative; the
     # artificial root (id n_classes) has one edge per member.
-    deg = deg[reps]
+    deg = offsets[reps + 1] - offsets[reps]
     owner = np.concatenate((np.repeat(np.arange(n_classes), deg),
                             np.full(len(trees), n_classes)))
     child = np.concatenate((class_of[kids[np.repeat(offsets[reps], deg) + _positions(deg)]],
-                            class_of[ends - 1][member_slot]))
+                            class_of[ends - 1][member_slot]), dtype=np.int64)
     out_labels = [names[i] for i in label[reps].tolist()]
+    del label, kids, offsets
+    children = _children_csr(mode, n_classes + 1, owner, child)
+    del owner, child
 
-    cells, counts = np.unique(np.repeat(np.arange(len(distinct)), sizes) * n_classes + class_of,
-                              return_counts=True)
+    # The member x class cells of the tree vertices, distinct tree by
+    # distinct tree.  Sorted, a cell unlike its left neighbour starts a run
+    # of equal cells, and a sentinel after the last cell ends the last run.
+    cells = np.repeat(np.arange(len(distinct), dtype=np.int64), sizes)
+    cells *= n_classes
+    cells += class_of
+    del class_of
+    cells.sort()
+    starts = np.ones(n + 1, bool)
+    np.not_equal(cells[1:], cells[:-1], out=starts[1:n])
+    starts = np.flatnonzero(starts)
+    counts = np.diff(starts).astype(np.float64)
+    cells = cells[starts[:-1]]
+    del starts
     rows = cells // n_classes
     ids = cells - rows * n_classes
+    del cells
     row_offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(distinct)))))
     # One row per member: a gather of its distinct tree's row.
     lengths = np.diff(row_offsets)[member_slot]
     take = np.repeat(row_offsets[member_slot], lengths) + _positions(lengths)
     return Dag._raw(mode, np.append(out_heights, out_heights[-1] + 1), out_labels + [None],
-                    _children_csr(mode, n_classes + 1, owner, child),
-                    (np.concatenate(([0], np.cumsum(lengths))), ids[take],
-                     counts[take].astype(np.float64)))
+                    children, (np.concatenate(([0], np.cumsum(lengths))), ids[take], counts[take]))
 
 
 def _level_keys(mode, level, label, offsets, kids, class_of, bound) -> np.ndarray:
@@ -268,12 +303,19 @@ def _level_keys(mode, level, label, offsets, kids, class_of, bound) -> np.ndarra
     have equal labels and equal child class sequences (sorted in unordered
     mode).  Every child class id of the level is below ``bound``."""
     deg = offsets[level + 1] - offsets[level]
-    key = np.unique(label[level] * (deg.max() + 1) + deg, return_inverse=True)[1]
+    key = label[level].astype(np.int64)
+    key *= int(deg.max()) + 1
+    key += deg
+    key = np.unique(key, return_inverse=True)[1]
     first_edge = np.cumsum(deg) - deg
     child = class_of[kids[np.repeat(offsets[level] - first_edge, deg) + np.arange(deg.sum())]]
     if not mode.ordered:
-        base = np.repeat(np.arange(len(level)) * bound, deg)
-        child = np.sort(base + child) - base
+        packed = np.repeat(np.arange(len(level), dtype=np.int64), deg)
+        packed *= bound
+        packed += child
+        packed.sort()
+        np.remainder(packed, bound, out=child)
+        del packed
     # Pair the keys with one child column at a time.  The nodes that have a
     # column j get fresh codes above every key in use, so they cannot
     # collide with nodes that have fewer children.

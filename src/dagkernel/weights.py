@@ -150,7 +150,8 @@ def class_profile(
     ``classes[i]`` is the class id of member ``i``, in 0..n_classes-1.  Every
     class must have at least one weight-training member.
     """
-    train = list(weight_train)
+    # The member rule first: a dict would merge ``True`` into member 1.
+    train = annotated._members(weight_train).tolist()
     if not train:
         raise ValueError("weight-training set must not be empty")
     class_of: dict[int, int] = {}

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -306,6 +307,59 @@ class TestRepeatedMembers:
                         ([0, 1], [1.0, 1.0]), ([0, 1, 2], [2.0, 1.0, 1.0])]
 
 
+def dag_signatures(dag, mode):
+    """The signature of every DAG vertex but the artificial root, built from
+    its label and edges in the format of `subtree_signatures`."""
+    sigs = []
+    for v in range(dag.root):
+        parts = [sigs[c] for c, mult in dag.edges(v) for _ in range(mult)]
+        if not mode.ordered:
+            parts.sort()
+        sigs.append((dag.label(v) or "") + "(" + "".join(parts) + ")")
+    return sigs
+
+
+def assert_matches_signatures(trees, mode):
+    """One DAG vertex per subtree class, and every count row holds the
+    signatures of its member's subtrees with their counts."""
+    dag = reduce_forest(trees, mode)
+    sigs = dag_signatures(dag, mode)
+    tree_sigs = [subtree_signatures(t, mode) for t in trees]
+    assert len(sigs) == len(set(sigs)) == len(set().union(*tree_sigs))
+    row_offsets, ids, counts = dag.member_counts
+    for expected, a, b in zip(tree_sigs, row_offsets[:-1].tolist(), row_offsets[1:].tolist()):
+        row = {sigs[v]: c for v, c in zip(ids[a:b].tolist(), counts[a:b].tolist())}
+        assert row == Counter(expected)
+
+
+class TestLargeForest:
+    """Forests whose index products pass 2**31: compression keeps its
+    indices in int32, and each product must be formed in int64."""
+
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_squared_size_past_int32(self, mode):
+        # 34,000 two-vertex members come first, so the random trees' nodes
+        # are past 68,000 and node x n passes 2**31, and so does level
+        # position x bound at height 1.  Labeled, each member has two classes
+        # of its own, and member x class passes 2**31 too.
+        rng = random.Random(29)
+        alphabet = "ab" if mode.labeled else None
+        trees = [Tree([None, 0], [f"x{i}", f"y{i}"] if mode.labeled else None)
+                 for i in range(34_000)]
+        trees += [random_tree(rng, rng.randint(1, 30), alphabet) for _ in range(300)]
+        assert sum(map(len, trees)) > 46_341
+        assert_matches_signatures(trees, mode)
+
+    def test_label_times_degree_past_int32(self):
+        # Labels are numbered in preorder: s = 0, c0 .. c65534 = 1 .. 65535,
+        # z = 65536.  Height 1 holds the star (degree 65535) and two vertices
+        # of degree 1 above c0, so z's key 65536 x 65536 + 1 equals s's key
+        # 0 x 65536 + 1 modulo 2**32.
+        star = Tree([None] + [0] * 65_535, ["s"] + [f"c{i}" for i in range(65_535)])
+        trees = [star, Tree([None, 0], ["z", "c0"]), Tree([None, 0], ["s", "c0"])]
+        assert_matches_signatures(trees, TreeMode(ordered=False, labeled=True))
+
+
 def small_dag():
     """Leaf 0, vertex 1 with the leaf twice below it, and the artificial root
     2 above the one member, whose count row is {0: 2, 1: 1}."""
@@ -324,6 +378,37 @@ class TestValidation:
         heights = d.heights()
         assert heights.dtype == np.int64 and heights.tolist() == [0, 1, 2]
         assert not heights.flags.writeable
+
+    @pytest.mark.parametrize("leaves", [0, 2**15], ids=["int64-inside", "int32-inside"])
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_stored_dtypes(self, mode, leaves):
+        # Compression works in int32 past 2**15 tree vertices; either way the
+        # Dag stores int64 arrays (counts float64), all read-only.
+        rng = random.Random(31)
+        trees = random_forest(rng, 6, 30, "ab" if mode.labeled else None)
+        trees += [Tree.leaf("a" if mode.labeled else None) for _ in range(leaves)]
+        d = reduce_forest(trees + trees[:2], mode)
+        row_offsets, ids, counts = d.member_counts
+        arrays = {"heights": d.heights(), "offsets": d._offsets, "kids": d._kids,
+                  "mults": d._mults, "row_offsets": row_offsets, "ids": ids, "counts": counts}
+        assert {name: a.dtype for name, a in arrays.items()} == dict(
+            dict.fromkeys(arrays, np.dtype(np.int64)), counts=np.dtype(np.float64))
+        assert not any(a.flags.writeable for a in arrays.values())
+
+    class Sized:
+        """A stand-in member that has only a vertex count."""
+
+        def __init__(self, n):
+            self.n = n
+
+        def __len__(self):
+            return self.n
+
+    @pytest.mark.parametrize("sizes", [[2**31], [2**30, 2**30], [5, 2**31 - 5]])
+    def test_vertex_limit(self, sizes):
+        # Refused from the tree sizes alone, before any per-vertex array.
+        with pytest.raises(ValueError, match=r"at most 2\*\*31 - 1 tree vertices"):
+            reduce_forest([self.Sized(n) for n in sizes], UNORDERED)
 
     def test_no_public_constructor(self):
         # Only reduce_forest builds a Dag; the hand-built arrays are refused.

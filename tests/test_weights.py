@@ -265,6 +265,13 @@ class TestClassProfile:
         with pytest.raises(TypeError, match="not bool"):
             class_profile(ann, [0, 1, 1], [True, False, True], 2)
 
+    @pytest.mark.parametrize("train", [[0, 1, True], [0, True, 1]], ids=["after", "before"])
+    def test_bool_beside_member_1_rejected(self, train):
+        # True equals member 1, but is refused whether it comes after 1 or before.
+        ann = self.make([parse_tree(FIG3_TREE), Tree.leaf(), Tree.leaf()])
+        with pytest.raises(TypeError, match="not bool"):
+            class_profile(ann, [0, 1, 1], train, 2)
+
     def test_missing_class_rejected(self):
         rng = random.Random(36)
         trees = [random_tree(rng, 8) for _ in range(3)]
