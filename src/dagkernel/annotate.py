@@ -53,7 +53,10 @@ class AnnotatedDag:
     def occurrences(self, members: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows of the count matrix for ``members`` (a repeat repeats its row)
         as coordinate triplets: row positions, vertex ids and counts."""
-        members = self._members(members)
+        return self._rows(self._members(members))
+
+    def _rows(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # `occurrences` of members that `_members` has already checked.
         starts = self._row_offsets[members]
         lengths = self._row_offsets[members + 1] - starts
         rows = np.repeat(np.arange(len(members)), lengths)

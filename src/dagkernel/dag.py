@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .trees import Tree, TreeMode
+from .trees import Tree, TreeMode, _vertex_id
 
 
 class Dag:
@@ -61,7 +61,7 @@ class Dag:
     Only `reduce_forest` builds one: ``Dag`` has no public constructor.
     Vertex ids run over ``0 .. len - 1``, the artificial root last; the
     accessors raise ``IndexError`` on any other id (a negative id does not
-    wrap).
+    wrap) and ``TypeError`` on one that is not an integer (a bool included).
     """
 
     __slots__ = ("mode", "_heights", "_labels", "_offsets", "_kids", "_mults", "_counts")
@@ -79,6 +79,7 @@ class Dag:
         return dag
 
     def _vertex(self, v: int) -> int:
+        v = _vertex_id(v)
         if not 0 <= v < len(self._heights):
             raise IndexError("vertex id out of range")
         return v

@@ -9,19 +9,17 @@ explicit subtree signatures instead; it is the ground-truth oracle: slow,
 but independent of the compressed path, and it preserves exact arithmetic
 (integers, fractions) end to end.
 
-A Gram matrix splits the vertices that some row and some column share by
-their holders: a vertex held by h_r row members and h_c column members goes
-into one dense block product ``(A * w) @ B.T`` when h_r * h_c is large, and
+A Gram matrix is one product, the same for square and rectangular calls.
+It splits the vertices that some row and some column share by their
+holders: a vertex held by h_r row members and h_c column members goes into
+one dense block product ``(A * w) @ B.T`` when h_r * h_c is large, and
 otherwise adds its h_r * h_c holder products straight into the entries they
 belong to (a row-by-row sparse product; Gustavson, "Two fast algorithms for
 sparse matrices", 1978).  A vertex of weight 0 adds nothing to either part.
-The split pays off only when such lightly held vertices are most of the
-weighted shared ones, as in low-sharing data; otherwise (a few widely shared
-subtrees, as in markup templates) every shared vertex goes into the block.
-When rows and columns coincide, a vertex held by one row member alone adds
-only to that member's diagonal entry, so it stays out of the block, the pair
-sums add only pairs a <= b, and the upper triangle is mirrored so that
-``G == G.T`` exactly.
+A vertex that one row alone holds in a square call is one holder pair, on
+that row's diagonal.  When rows and columns coincide, the pair sums add only
+pairs a <= b, and the upper triangle is mirrored so that ``G == G.T``
+exactly.
 
 Weight tables are plain arrays indexed by DAG vertex, so a Gram matrix under
 new weights costs no structural work: build the annotation once, then one
@@ -86,11 +84,10 @@ class GramComputer:
     counts, over all Gram calls, the vertices shared by each evaluated pair
     (the work a per-pair evaluation would do).
 
-    ``gram`` takes a shared vertex of non-zero weight, held by h_r rows and
-    h_c columns, as light when h_r * h_c is at most 64 (``_PAIR_BOUND``).
-    When light vertices are more than half of those vertices, each adds its
-    holder pairs straight into the result and the rest form the dense block;
-    otherwise every shared vertex is in the block (module doc).
+    ``gram`` puts a shared vertex of non-zero weight, held by h_r rows and
+    h_c columns, into the dense block when h_r * h_c exceeds 64
+    (``_PAIR_BOUND``); every other one adds its holder pairs straight into
+    the result (module doc).
     """
 
     def __init__(self, annotated: AnnotatedDag, weights: np.ndarray):
@@ -115,30 +112,18 @@ class GramComputer:
             # Pairs a <= b: a vertex held by r rows is shared by r(r+1)/2 of them.
             self.visited_vertices += int(r_hits @ (r_hits + 1)) // 2
             c, c_hits = r, r_hits
-            shared = r_hits >= 2
         else:
             c = self.annotated.occurrences(cols)
             c_hits = np.bincount(c[1], minlength=len(self.weights))
             self.visited_vertices += int(r_hits @ c_hits)
-            shared = (r_hits > 0) & (c_hits > 0)
-        live = shared & (self.weights != 0)
-        light = live & (r_hits * c_hits <= _PAIR_BOUND)
-        split = 2 * np.count_nonzero(light) > np.count_nonzero(live)
-        block = live & ~light if split else shared
+        pairs = r_hits * c_hits
+        live = (pairs > 0) & (self.weights != 0)
+        block = live & (pairs > _PAIR_BOUND)
         b = _dense(c, block, len(cols))
+        a = b if square else _dense(r, block, len(rows))
+        out = (a * self.weights[block]) @ b.T
+        _add_pair_sums(out, self.weights, live & ~block, r, r_hits, c, c_hits, upper=square)
         if square:
-            a = b * self.weights[block]
-        else:
-            pos, ids, cnt = r
-            a = _dense((pos, ids, cnt * self.weights[ids]), block, len(rows))
-        out = a @ b.T
-        if split:
-            _add_pair_sums(out, self.weights, light, r, r_hits, c, c_hits, upper=square)
-        if square:
-            pos, ids, cnt = _select(r, r_hits == 1)
-            out.flat[:: len(rows) + 1] += np.bincount(
-                pos, weights=cnt * self.weights[ids] * cnt, minlength=len(rows)
-            )
             for k in range(len(rows) - 1):
                 out[k + 1 :, k] = out[k, k + 1 :]
         return out

@@ -29,6 +29,7 @@ only locates the first error and raises it with its position.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
@@ -77,6 +78,13 @@ class TreeParseError(ParseError):
 _FORBIDDEN_LABEL_CHARS = frozenset("()")
 
 
+def _vertex_id(v: int) -> int:
+    """``v`` as an int; a bool or any other non-integer raises ``TypeError``."""
+    if type(v) is bool:  # operator.index reads True as 1
+        raise TypeError("vertex ids must be integers, not bool")
+    return index(v)
+
+
 def _check_label(label: Optional[str]) -> None:
     # parse_tree's rule on every construction path; other labels can collide in signatures.
     if label is not None and not (
@@ -107,6 +115,8 @@ class Tree:
     :meth:`leaf`, :meth:`node` and :func:`parse_tree` build trees too.  Every
     path checks labels against the text format's rule.  Child lists,
     heights and the subtree signatures of each mode are derived on first use.
+    A vertex query raises ``ValueError`` on an id outside ``0 .. len - 1``
+    and ``TypeError`` on one that is not an integer (a bool included).
     """
 
     __slots__ = ("_parents", "_labels", "_children", "_heights", "_signatures")
@@ -239,7 +249,7 @@ class Tree:
         return self._heights
 
     def _check(self, v: int) -> None:
-        if not 0 <= v < len(self._parents):
+        if not 0 <= _vertex_id(v) < len(self._parents):
             raise ValueError(f"invalid vertex id {v}")
 
     # -- structural queries ----------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 
 from .annotate import AnnotatedDag
 from .dag import Dag
+from .trees import _vertex_id
 
 
 def exponential_weights(dag: Dag, lam: float) -> np.ndarray:
@@ -124,8 +125,10 @@ class ClassProfile:
         Ties resolve to presence over absence first, then to the smaller
         class id, so a class-pure subtree always reads as "present in its
         class".  A vertex id outside ``0 .. len(rho) - 1`` raises
-        ``IndexError``; a negative id does not wrap.
+        ``IndexError`` (a negative id does not wrap), and one that is not an
+        integer (a bool included) ``TypeError``.
         """
+        v = _vertex_id(v)
         if not 0 <= v < len(self.rho):
             raise IndexError("vertex id out of range")
         i = int(self._nearest[v])
@@ -169,7 +172,7 @@ def class_profile(
         empty = [k for k, s in enumerate(sizes) if s == 0]
         raise ValueError(f"classes without weight-training members: {empty}")
 
-    rows, ids, _ = annotated.occurrences(list(class_of))
+    rows, ids, _ = annotated._rows(np.fromiter(class_of, np.int64, len(class_of)))
     cells = ids * n_classes + np.fromiter(class_of.values(), np.int64, len(class_of))[rows]
     counts = np.bincount(cells, minlength=len(annotated.dag) * n_classes)
     return ClassProfile(counts.reshape(-1, n_classes) / np.asarray(sizes, dtype=np.float64))

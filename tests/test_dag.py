@@ -431,6 +431,18 @@ class TestValidation:
         with pytest.raises(IndexError, match="vertex id out of range"):
             self.QUERIES[query](small_dag(), index)
 
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    @pytest.mark.parametrize("index", [True, False, 1.0, np.float64(1.0), "1"], ids=repr)
+    def test_non_integer_vertex_raises(self, query, index):
+        # True must not read as vertex 1, nor 1.0 reach a NumPy index.
+        with pytest.raises(TypeError, match="not bool" if isinstance(index, bool) else None):
+            self.QUERIES[query](small_dag(), index)
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_numpy_integer_vertex_accepted(self, query):
+        dag = small_dag()
+        assert self.QUERIES[query](dag, np.int32(1)) == self.QUERIES[query](dag, 1)
+
 
 class TestDagStructure:
     def test_edges_descend_in_id_and_height(self):

@@ -377,26 +377,31 @@ class TestBlockGram:
 
 
 class TestProductPaths:
-    """Both Gram products against the per-pair oracle.  In tier-1 forests
-    almost no vertex has more than 64 holder pairs (h_r * h_c), so the bound
-    is forced: 0 leaves every vertex in the dense block, a huge one every
-    vertex in the pair sums, and 4 splits them."""
+    """Both parts of the Gram product against the per-pair oracle.  A shared
+    vertex of non-zero weight goes into the dense block when its holder pairs
+    (h_r * h_c) exceed ``_PAIR_BOUND``, and into the pair sums otherwise.  In
+    tier-1 forests almost no vertex has more than 64 holder pairs, so the
+    bound is forced: 0 leaves every vertex in the dense block, a huge one
+    every vertex in the pair sums, and 4 splits them."""
 
     check = TestBlockGram.check
 
     @pytest.fixture
     def products(self, monkeypatch):
-        """The dense block widths and the pair-sum calls of each Gram call."""
-        seen = {"block": [], "pairs": 0}
+        """Per Gram call, the mask of light vertices, the dense block width and
+        what the pair sums add."""
+        seen, widths = [], []
         dense, add_pair_sums = kernel._dense, kernel._add_pair_sums
 
         def spy_dense(triplets, keep, n_rows):
-            seen["block"].append(int(np.count_nonzero(keep)))
+            widths.append(int(np.count_nonzero(keep)))
             return dense(triplets, keep, n_rows)
 
-        def spy_pairs(*args, **kwargs):
-            seen["pairs"] += 1
-            return add_pair_sums(*args, **kwargs)
+        def spy_pairs(out, weights, light, *args, **kwargs):
+            added = np.zeros_like(out)
+            add_pair_sums(added, weights, light, *args, **kwargs)
+            seen.append((light.copy(), widths[-1], added))
+            return add_pair_sums(out, weights, light, *args, **kwargs)
 
         monkeypatch.setattr(kernel, "_dense", spy_dense)
         monkeypatch.setattr(kernel, "_add_pair_sums", spy_pairs)
@@ -415,25 +420,67 @@ class TestProductPaths:
             ([3, 1, n - 2], range(n)),
         ]
         for rows, cols in calls:
+            before = len(products)
             self.check(trees, mode, list(rows), list(cols), 0.5)
+            if list(rows) == list(cols):
+                # Only pairs a <= b are summed; the mirror fills the rest.
+                assert not any(np.tril(added, -1).any() for *_, added in products[before:])
+        light = [np.count_nonzero(mask) for mask, *_ in products]
+        widths = [width for _, width, _ in products]
         if bound == 0:
-            assert products["pairs"] == 0
+            assert max(light) == 0 and max(widths) > 0
         elif bound == 4:
-            # Some call both splits and keeps a dense block.
-            assert products["pairs"] > 0 and max(products["block"]) > 0
+            # Some call has both light vertices and a dense block.
+            assert any(k > 0 and width > 0 for k, width in zip(light, widths))
         else:
-            assert products["pairs"] > 0 and max(products["block"]) == 0
+            assert max(light) > 0 and max(widths) == 0
 
-    def test_selection_follows_sharing(self, products):
-        # Copies of a few trees: every vertex is held by many rows, so the
-        # single dense product runs.  Distinct random trees: most shared
-        # vertices are held by a few rows, so the pair sums run.
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_split_follows_holder_pairs(self, mode, products):
+        # Ten copies each of three trees beside ten distinct trees, with every
+        # third weight 0.  Holders are counted from each member's subtree
+        # signatures, not from the count matrix.
         rng = random.Random(64)
-        few = [random_tree(rng, 12, "ab") for _ in range(3)]
-        ann = annotated_for(few * 12, UNORDERED)
-        gram(ann, np.ones(len(ann.dag)), range(36), range(36))
-        assert products["pairs"] == 0
-        many = [random_tree(rng, 30, "ab") for _ in range(36)]
-        ann = annotated_for(many, UNORDERED)
-        gram(ann, np.ones(len(ann.dag)), range(36), range(36))
-        assert products["pairs"] == 1
+        labels = "ab" if mode.labeled else None
+        trees = [random_tree(rng, 12, labels) for _ in range(3)] * 10
+        trees += [random_tree(rng, 30, labels) for _ in range(10)]
+        ann = annotated_for(trees, mode)
+        sig_to_v = {canonical_signature(expand(ann.dag, v), mode): v for v in range(ann.dag.root)}
+        held = [sorted({sig_to_v[s] for s in subtree_signatures(t, mode)}) for t in trees]
+        w = exponential_weights(ann.dag, 0.5)
+        w[::3] = 0.0
+        calls = [(range(40), range(40)), (range(0, 40, 2), range(1, 40, 3)), ([0, 30, 31], [0])]
+        for rows, cols in calls:
+            GramComputer(ann, w).gram(rows, cols)
+        assert len(products) == len(calls)
+        for (rows, cols), (light, width, _) in zip(calls, products):
+            h_r, h_c = (np.bincount(np.concatenate([held[i] for i in members]),
+                                    minlength=len(w)) for members in (rows, cols))
+            pairs = h_r * h_c
+            live = (pairs > 0) & (w != 0)
+            np.testing.assert_array_equal(light, live & (pairs <= kernel._PAIR_BOUND))
+            assert width == np.count_nonzero(live & (pairs > kernel._PAIR_BOUND))
+        assert all(light.any() for light, *_ in products)
+        assert all(width > 0 for _, width, _ in products[:2])
+
+    @pytest.mark.parametrize("bound", [0, 4, 10**9])
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_square_with_own_vertices(self, mode, bound, products, monkeypatch):
+        # A vertex that one row alone holds has one holder pair and adds only
+        # to that row's diagonal entry: through the block under bound 0, else
+        # through the pair sums.
+        monkeypatch.setattr(kernel, "_PAIR_BOUND", bound)
+        rng = random.Random(65)
+        labels = "ab" if mode.labeled else None
+        trees = [random_tree(rng, 14, labels) for _ in range(4)] + [Tree.leaf("a" if labels else None)]
+        rows = [0, 1, 2, 3, 4, 1]
+        ann = annotated_for(trees, mode)
+        pos, ids, _ = ann.occurrences(rows)
+        own = np.bincount(ids, minlength=len(ann.dag)) == 1
+        assert set(pos[own[ids]].tolist()) == {0, 2, 3}  # row 1 is repeated
+        self.check(trees, mode, rows, rows, 0.5)
+        for light, width, _ in products:
+            if bound == 0:
+                assert width >= np.count_nonzero(own) and not light.any()
+            else:
+                assert light[own].all()

@@ -79,6 +79,25 @@ class TestBasics:
         with pytest.raises(ValueError):
             Tree.leaf().height(3)
 
+    VERTEX_QUERIES = {
+        "children": lambda tree, v: tree.children(v),
+        "descendants": lambda tree, v: tree.descendants(v),
+        "height": lambda tree, v: tree.height(v),
+        "is_leaf": lambda tree, v: tree.is_leaf(v),
+        "label": lambda tree, v: tree.label(v),
+        "parent": lambda tree, v: tree.parent(v),
+        "replace_subtree": lambda tree, v: tree.replace_subtree(v, Tree.leaf("x")),
+        "subtree": lambda tree, v: tree.subtree(v),
+        "subtree_size": lambda tree, v: tree.subtree_size(v),
+    }
+
+    @pytest.mark.parametrize("query", sorted(VERTEX_QUERIES))
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1"], ids=repr)
+    def test_non_integer_vertex_raises(self, query, index):
+        # True must not read as vertex 1.
+        with pytest.raises(TypeError, match="not bool" if isinstance(index, bool) else None):
+            self.VERTEX_QUERIES[query](parse_tree(FIG1_T0), index)
+
     def test_outdegree(self):
         assert Tree.leaf().outdegree() == 0
         assert parse_tree(FIG1_T1).outdegree() == 4
