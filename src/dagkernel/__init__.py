@@ -20,8 +20,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "annotate": ("AnnotatedDag",),
-    "dag": ("Dag", "format_dag", "reduce_forest"),
+    "dag": ("AnnotatedDag", "Dag", "format_dag", "reduce_forest"),
     "generate": ("generate_template_corpus",),
     "kernel": ("GramComputer", "export_gram_csv", "gram", "kernel_brute"),
     "markup": ("MarkupParseError", "markup_to_tree"),

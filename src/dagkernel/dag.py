@@ -1,4 +1,4 @@
-"""Lossless DAG compression of forests.
+"""Lossless DAG compression of forests, and member queries on its count matrix.
 
 Compressing a forest merges vertices whose subtrees are isomorphic: the
 result is a directed acyclic graph with one vertex per subtree isomorphism
@@ -18,10 +18,12 @@ trees.  Levels are peeled from the leaves upward: a vertex joins level h when
 its last child is done, so its level is its height.  Within a level, every
 vertex gets an exact integer key from its label and its children's class ids
 (in order; sorted in unordered mode), built by pairing one child column at a
-time with ``np.unique``.  Vertices with equal keys form one class.  No hashing
-is involved, so there are no collisions.  Sorting the member x class cells of
-the tree vertices and counting each run of equal cells gives the member x
-subtree-class count matrix (`Dag.member_counts`).
+time with ``np.unique``.  The pairing stops once fewer than two vertices of
+the level have a next column: keys start from label and degree, so a lone
+vertex's key is already its own.  Vertices with equal keys form one class.
+No hashing is involved, so there are no collisions.  Sorting the member x
+class cells of the tree vertices and counting each run of equal cells gives
+the member x subtree-class count matrix (`Dag.member_counts`).
 
 Numbering: ids are sorted by (height, first discovery).  Vertices are
 discovered tree by tree, each tree in reverse preorder.  A member that is the
@@ -43,10 +45,21 @@ hands out that read-only triple, the one `_compress` hands it.  Inside
 vertices are int32, which halves its memory peak.  So a forest holds at most
 2**31 - 1 tree vertices (`reduce_forest` raises ``ValueError`` above that),
 and a product of two indices is formed in int64.
+
+Member queries: an :class:`AnnotatedDag` adopts the count matrix of a `Dag`
+as it is.  The subtree kernel is K(i, j) = sum_v w(v) F[i, v] F[j, v], and
+`AnnotatedDag.occurrences` gathers the rows of any list of members for the
+Gram product and the weight learning.  The artificial root is in no row.
+Member indices are 0-based; both queries raise ``IndexError`` on an index
+outside ``0 .. n_members - 1`` (a negative index does not wrap) and
+``TypeError`` on one that is not an integer (a bool included, so a mask is
+never read as indices).  An `AnnotatedDag` is immutable, so the Gram
+computations of every weight table can share it freely.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -79,10 +92,7 @@ class Dag:
         return dag
 
     def _vertex(self, v: int) -> int:
-        v = _vertex_id(v)
-        if not 0 <= v < len(self._heights):
-            raise IndexError("vertex id out of range")
-        return v
+        return _vertex_id(v, len(self._heights))
 
     # -- accessors -------------------------------------------------------------
 
@@ -142,6 +152,47 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     out = values.view()
     out.flags.writeable = False
     return out
+
+
+# -- member queries -------------------------------------------------------------
+
+
+class AnnotatedDag:
+    """Forest DAG plus its member x vertex count matrix (CSR)."""
+
+    __slots__ = ("dag", "n_members", "_row_offsets", "_ids", "_counts")
+
+    def __init__(self, dag: Dag):
+        self.dag = dag
+        self.n_members = dag.n_members
+        self._row_offsets, self._ids, self._counts = dag.member_counts
+
+    def _members(self, members: Sequence[int]) -> np.ndarray:
+        members = list(members)
+        if bool in map(type, members):  # operator.index reads True as 1
+            raise TypeError("member indices must be integers, not bool")
+        members = np.fromiter(map(operator.index, members), np.int64, len(members))
+        if len(members) and not (members.min() >= 0 and members.max() < self.n_members):
+            raise IndexError("member index out of range")
+        return members
+
+    def subdag_size(self, i: int) -> int:
+        """Number of DAG vertices of member ``i`` (#D_i)."""
+        (i,) = self._members([i])
+        return int(self._row_offsets[i + 1] - self._row_offsets[i])
+
+    def occurrences(self, members: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows of the count matrix for ``members`` (a repeat repeats its row)
+        as coordinate triplets: row positions, vertex ids and counts."""
+        return self._rows(self._members(members))
+
+    def _rows(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # `occurrences` of members that `_members` has already checked.
+        starts = self._row_offsets[members]
+        lengths = self._row_offsets[members + 1] - starts
+        rows = np.repeat(np.arange(len(members)), lengths)
+        at = np.repeat(starts, lengths) + _positions(lengths)
+        return rows, self._ids[at], self._counts[at]
 
 
 # -- compression ----------------------------------------------------------------
@@ -324,6 +375,8 @@ def _level_keys(mode, level, label, offsets, kids, class_of, bound) -> np.ndarra
     next_code = len(level)
     for j in range(deg.max()):
         alive = alive[deg[alive] > j]
+        if len(alive) < 2:  # a lone node's key holds its degree, so it is its own
+            break
         pairs = key[alive] * bound + child[first_edge[alive] + j]
         key[alive] = next_code + np.unique(pairs, return_inverse=True)[1]
         next_code += len(alive)

@@ -33,8 +33,7 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .annotate import AnnotatedDag
-from .dag import _positions
+from .dag import AnnotatedDag, _positions
 from .trees import Tree, TreeMode, subtree_signatures
 
 WeightFn = Callable[[Tree], float]

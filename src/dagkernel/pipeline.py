@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .annotate import AnnotatedDag
-from .dag import reduce_forest
+from .dag import AnnotatedDag, reduce_forest
 from .kernel import GramComputer, min_eig_and_norm
 from .trees import ParseError, Tree, TreeMode, _interning_parser, parse_tree, serialize_tree
 from .weights import (ClassProfile, ShapingFn, class_profile, discriminance_weights,

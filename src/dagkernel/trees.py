@@ -78,11 +78,16 @@ class TreeParseError(ParseError):
 _FORBIDDEN_LABEL_CHARS = frozenset("()")
 
 
-def _vertex_id(v: int) -> int:
-    """``v`` as an int; a bool or any other non-integer raises ``TypeError``."""
+def _vertex_id(v: int, n: int) -> int:
+    """``v`` as an int in ``0 .. n - 1``, the one rule of every vertex query:
+    a bool or any other non-integer raises ``TypeError``, and any other id
+    outside the range ``IndexError`` (a negative id does not wrap)."""
     if type(v) is bool:  # operator.index reads True as 1
         raise TypeError("vertex ids must be integers, not bool")
-    return index(v)
+    v = index(v)
+    if not 0 <= v < n:
+        raise IndexError("vertex id out of range")
+    return v
 
 
 def _check_label(label: Optional[str]) -> None:
@@ -115,8 +120,9 @@ class Tree:
     :meth:`leaf`, :meth:`node` and :func:`parse_tree` build trees too.  Every
     path checks labels against the text format's rule.  Child lists,
     heights and the subtree signatures of each mode are derived on first use.
-    A vertex query raises ``ValueError`` on an id outside ``0 .. len - 1``
-    and ``TypeError`` on one that is not an integer (a bool included).
+    A vertex query raises ``IndexError`` on an id outside ``0 .. len - 1``
+    (a negative id does not wrap) and ``TypeError`` on one that is not an
+    integer (a bool included).
     """
 
     __slots__ = ("_parents", "_labels", "_children", "_heights", "_signatures")
@@ -249,8 +255,7 @@ class Tree:
         return self._heights
 
     def _check(self, v: int) -> None:
-        if not 0 <= _vertex_id(v) < len(self._parents):
-            raise ValueError(f"invalid vertex id {v}")
+        _vertex_id(v, len(self._parents))
 
     # -- structural queries ----------------------------------------------------
 

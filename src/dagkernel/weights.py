@@ -20,8 +20,7 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .annotate import AnnotatedDag
-from .dag import Dag
+from .dag import AnnotatedDag, Dag
 from .trees import _vertex_id
 
 
@@ -128,10 +127,7 @@ class ClassProfile:
         ``IndexError`` (a negative id does not wrap), and one that is not an
         integer (a bool included) ``TypeError``.
         """
-        v = _vertex_id(v)
-        if not 0 <= v < len(self.rho):
-            raise IndexError("vertex id out of range")
-        i = int(self._nearest[v])
+        i = int(self._nearest[_vertex_id(v, len(self.rho))])
         return i % self.n_classes, i < self.n_classes
 
     @cached_property

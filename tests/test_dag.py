@@ -359,6 +359,19 @@ class TestLargeForest:
         trees = [star, Tree([None, 0], ["z", "c0"]), Tree([None, 0], ["s", "c0"])]
         assert_matches_signatures(trees, TreeMode(ordered=False, labeled=True))
 
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_wide_vertices_that_differ_in_the_last_child(self, mode):
+        # Two stars of 40 children at height 2, equal but for the last child:
+        # naming them must pair every column, and must not stop while two of
+        # them are left.  The last children (degrees 1 and 2) leave one
+        # vertex with a second column, whose key is already its own.  The
+        # repeated member is the same object, so it is named once.
+        label = "a" if mode.labeled else None
+        leaf = Tree.leaf(label)
+        a = Tree.node([leaf] * 39 + [Tree.node([leaf], label)], label)
+        b = Tree.node([leaf] * 39 + [Tree.node([leaf, leaf], label)], label)
+        assert_matches_signatures([a, b, a], mode)
+
 
 def small_dag():
     """Leaf 0, vertex 1 with the leaf twice below it, and the artificial root

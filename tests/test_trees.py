@@ -76,7 +76,7 @@ class TestBasics:
         assert chain(6).height() == 5
 
     def test_height_invalid_vertex(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError):
             Tree.leaf().height(3)
 
     VERTEX_QUERIES = {
@@ -97,6 +97,14 @@ class TestBasics:
         # True must not read as vertex 1.
         with pytest.raises(TypeError, match="not bool" if isinstance(index, bool) else None):
             self.VERTEX_QUERIES[query](parse_tree(FIG1_T0), index)
+
+    @pytest.mark.parametrize("query", sorted(VERTEX_QUERIES))
+    def test_vertex_out_of_range_raises(self, query):
+        # The rule of Dag and ClassProfile too: a negative id does not wrap.
+        tree = parse_tree(FIG1_T0)
+        for v in (-1, -2, len(tree)):
+            with pytest.raises(IndexError, match="vertex id out of range"):
+                self.VERTEX_QUERIES[query](tree, v)
 
     def test_outdegree(self):
         assert Tree.leaf().outdegree() == 0
@@ -168,7 +176,7 @@ class TestSubtree:
         assert len(star) == 4 and star.height() == 1
 
     def test_subtree_invalid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError):
             Tree.leaf().subtree(2)
 
     def test_descendants_contiguous(self):

@@ -2,8 +2,8 @@ import re
 
 import numpy as np
 
-from dagkernel import TreeMode, class_profile, discriminance_dot, parse_tree, reduce_forest
-from dagkernel.annotate import AnnotatedDag
+from dagkernel import (AnnotatedDag, TreeMode, class_profile, discriminance_dot, parse_tree,
+                       reduce_forest)
 from dagkernel.viz import PALETTE
 
 ORDERED_LABELED = TreeMode(ordered=True, labeled=True)
