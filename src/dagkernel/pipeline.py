@@ -206,6 +206,12 @@ def weights_for(
 
 @dataclass(frozen=True)
 class RepeatOutcome:
+    """One repeat: its split, its metrics, and two spectral figures of its
+    classifier-training Gram (`min_eig_and_norm`): ``min_eigenvalue``, its
+    smallest eigenvalue, which is non-negative up to rounding under
+    non-negative weights (the Gram is then positive semidefinite), and
+    ``spectral_norm``, its largest eigenvalue in absolute value."""
+
     split: Split
     metrics: MetricsReport
     min_eigenvalue: float

@@ -13,10 +13,12 @@ from dagkernel import (
     Tree,
     exponential_weights,
     export_gram_csv,
+    generate_template_corpus,
     gram,
     kernel_brute,
     parse_tree,
     reduce_forest,
+    serialize_tree,
     subtree_signatures,
 )
 from dagkernel import kernel
@@ -32,6 +34,7 @@ from conftest import (
     canonical_signature,
     expand,
     random_tree,
+    reverse_children,
 )
 
 
@@ -309,11 +312,16 @@ def pairwise_reference(ann, trees, mode, w, rows, cols):
 
 
 def forest_with_edge_members(rng, mode, n_trees):
-    """Random trees, plus a duplicate of the first and two single-vertex trees."""
+    """``n_trees`` random trees, then three copies and two single-vertex
+    trees.  The copies are the first tree again (the same object), a fresh
+    parse of the last tree's text (a separate object holding the same tree)
+    and the first tree with every child list reversed (the same tree in
+    unordered modes, a different one in ordered modes)."""
     labels = "ab" if mode.labeled else None
     trees = [random_tree(rng, rng.randint(1, 14), labels) for _ in range(n_trees)]
+    copies = [trees[0], parse_tree(serialize_tree(trees[-1]), mode), reverse_children(trees[0])]
     leaf_label = "a" if mode.labeled else None
-    return trees + [trees[0], Tree.leaf(leaf_label), Tree.leaf(leaf_label)]
+    return trees + copies + [Tree.leaf(leaf_label), Tree.leaf(leaf_label)]
 
 
 class TestBlockGram:
@@ -364,9 +372,23 @@ class TestBlockGram:
             ([leaf_a, leaf_b, 0], [leaf_a, leaf_b, 0]),  # single-vertex trees
             ([leaf_a], [leaf_b]),
             ([leaf_a], [leaf_a]),
+            ([3, 0, 5, 6, 4], [3, 0, 5, 6, 4]),  # separate objects holding one tree
+            ([6, 1, 3, 5], [5, 0, 4, 6, 3]),
         ]
         for rows, cols in calls:
             self.check(trees, mode, rows, cols, 0.5)
+
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_copies_share_a_root(self, mode):
+        # test_edge_shapes reaches the collapse to root vertices through
+        # separate objects, not only a repeated one: a fresh parse, and a
+        # sibling-reversed copy that is the same tree exactly when siblings
+        # are unordered.
+        trees = forest_with_edge_members(random.Random(62), mode, 4)
+        roots = annotated_for(trees, mode).dag.member_roots
+        assert trees[5] is not trees[3] and roots[5] == roots[3]
+        assert trees[6] is not trees[0] and trees[0].children(0)
+        assert (roots[6] == roots[0]) == (not mode.ordered)
 
     def test_index_out_of_range(self):
         ann = annotated_for([Tree.leaf()], UNORDERED)
@@ -437,25 +459,28 @@ class TestProductPaths:
 
     @pytest.mark.parametrize("mode", MODES, ids=str)
     def test_split_follows_holder_pairs(self, mode, products):
-        # Ten copies each of three trees beside ten distinct trees, with every
-        # third weight 0.  Holders are counted from each member's subtree
+        # Ten copies each of three trees beside twenty distinct trees, with
+        # every third weight 0.  Holders are counted over the distinct trees
+        # of a call (one per canonical signature), from their subtree
         # signatures, not from the count matrix.
         rng = random.Random(64)
         labels = "ab" if mode.labeled else None
         trees = [random_tree(rng, 12, labels) for _ in range(3)] * 10
-        trees += [random_tree(rng, 30, labels) for _ in range(10)]
+        trees += [random_tree(rng, 30, labels) for _ in range(20)]
         ann = annotated_for(trees, mode)
         sig_to_v = {canonical_signature(expand(ann.dag, v), mode): v for v in range(ann.dag.root)}
         held = [sorted({sig_to_v[s] for s in subtree_signatures(t, mode)}) for t in trees]
         w = exponential_weights(ann.dag, 0.5)
         w[::3] = 0.0
-        calls = [(range(40), range(40)), (range(0, 40, 2), range(1, 40, 3)), ([0, 30, 31], [0])]
+        calls = [(range(50), range(50)), (range(0, 50, 2), range(1, 50, 3)), ([0, 30, 31], [0])]
         for rows, cols in calls:
             GramComputer(ann, w).gram(rows, cols)
         assert len(products) == len(calls)
         for (rows, cols), (light, width, _) in zip(calls, products):
-            h_r, h_c = (np.bincount(np.concatenate([held[i] for i in members]),
-                                    minlength=len(w)) for members in (rows, cols))
+            h_r, h_c = (
+                np.bincount(np.concatenate([held[i] for i in distinct.values()]), minlength=len(w))
+                for distinct in ({canonical_signature(trees[i], mode): i for i in members}
+                                 for members in (rows, cols)))
             pairs = h_r * h_c
             live = (pairs > 0) & (w != 0)
             np.testing.assert_array_equal(light, live & (pairs <= kernel._PAIR_BOUND))
@@ -484,3 +509,69 @@ class TestProductPaths:
                 assert width >= np.count_nonzero(own) and not light.any()
             else:
                 assert light[own].all()
+
+
+class TestRepeatedTrees:
+    """Members that hold one tree share one Gram row and one Gram column."""
+
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_equal_roots_give_byte_equal_rows_and_columns(self, mode):
+        trees = generate_template_corpus(20, 0.3, 0).trees
+        ann = annotated_for(trees, mode)
+        roots = np.array(ann.dag.member_roots)
+        # Arbitrary weights: a sum taken in another order per member would
+        # differ in the last bits.
+        comp = GramComputer(ann, np.random.default_rng(0).random(len(ann.dag)))
+        n = len(trees)
+        calls = [(range(n), range(n)), (range(0, n, 2), range(n - 1, -1, -3)), ([5, 5, 9], range(n))]
+        for rows, cols in calls:
+            rows, cols = list(rows), list(cols)
+            got = comp.gram(rows, cols)
+            for members, lines in ((rows, got), (cols, got.T)):
+                same = roots[members][:, None] == roots[members]
+                assert (~np.eye(len(members), dtype=bool) & same).any()
+                for a, b in zip(*np.nonzero(same)):
+                    assert lines[a].tobytes() == lines[b].tobytes()
+            if rows == cols:
+                assert np.array_equal(got, got.T)
+
+
+def assert_spectrum(matrix):
+    """``min_eig_and_norm`` against ``eigvalsh`` of the whole matrix."""
+    eigs = np.linalg.eigvalsh(matrix)
+    norm = max(abs(eigs[0]), abs(eigs[-1]))
+    low, got_norm = min_eig_and_norm(matrix)
+    assert got_norm == pytest.approx(norm, rel=1e-12, abs=0.0)
+    assert abs(low - eigs[0]) <= 1e-9 * norm
+
+
+class TestSpectrum:
+    """The smallest eigenvalue and the spectral norm, from the distinct rows."""
+
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    @pytest.mark.parametrize("signed", [False, True], ids=["nonnegative", "signed"])
+    def test_grams_with_repeated_rows(self, mode, signed):
+        rng = random.Random(66)
+        trees = forest_with_edge_members(rng, mode, 8)
+        ann = annotated_for(trees, mode)
+        draw = np.random.default_rng(66)
+        for _ in range(5):
+            w = draw.standard_normal(len(ann.dag)) if signed else draw.random(len(ann.dag))
+            # Member 8 is member 0's tree object again.
+            members = [rng.randrange(len(trees)) for _ in range(rng.randint(0, 30))] + [0, 8]
+            g = gram(ann, w, members, members)
+            assert len({row.tobytes() for row in g}) < len(members)
+            assert_spectrum(g)
+
+    def test_matrices(self):
+        rng = np.random.default_rng(67)
+        for n, d in ((1, 1), (2, 1), (7, 3), (40, 12), (30, 30)):
+            h = rng.standard_normal((d, d))
+            h = h + h.T
+            e = np.eye(d)[np.concatenate([np.arange(d), rng.integers(0, d, n - d)])]
+            g = e @ h @ e.T
+            assert_spectrum(g)
+            assert_spectrum(g @ g)  # positive semidefinite, with n - d zero eigenvalues
+        # Equal diagonal entries, distinct rows: nothing collapses.
+        assert_spectrum(np.array([[1.0, 2.0, 0.5], [2.0, 1.0, 0.0], [0.5, 0.0, 3.0]]))
+        assert_spectrum(np.zeros((3, 3)))

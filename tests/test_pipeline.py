@@ -378,3 +378,18 @@ class TestInterning:
             load()
         assert err.value.position == 3
         assert str(err.value) == f"unclosed '(' (at position 3) in {where(bad_at)}"
+
+
+class TestRepeatOutcome:
+    @pytest.mark.parametrize("config", [ExperimentConfig("discriminance", repeats=2, seed=4),
+                                        ExperimentConfig("exponential", lam=0.5, repeats=2)])
+    def test_spectrum_is_that_of_the_train_gram(self, config):
+        data = generate_template_corpus(30, 0.3, 1)
+        annotated = annotate_dataset(data)
+        for outcome in run_experiment(data, config, annotated):
+            weights, _ = weights_for(annotated, data, config, outcome.split.weight)
+            train = outcome.split.class_train
+            eigs = np.linalg.eigvalsh(pipeline.GramComputer(annotated, weights).gram(train, train))
+            norm = max(abs(eigs[0]), abs(eigs[-1]))
+            assert outcome.spectral_norm == pytest.approx(norm, rel=1e-12, abs=0.0)
+            assert abs(outcome.min_eigenvalue - eigs[0]) <= 1e-9 * norm
